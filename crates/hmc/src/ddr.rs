@@ -18,10 +18,11 @@
 //! coalesced HMC.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 use mac_types::{Cycle, DdrConfig, HmcRequest, HmcResponse};
 
+use crate::admission::AdmissionQueue;
 use crate::device_trait::MemoryDevice;
 use crate::stats::HmcStats;
 
@@ -39,7 +40,8 @@ pub struct DdrDevice {
     banks: Vec<Bank>,
     bus_free_at: Cycle,
     last_issue: Cycle,
-    inflight_q: VecDeque<Cycle>,
+    /// Controller command queue (`queue_depth`), held until completion.
+    queue: AdmissionQueue,
     stats: HmcStats,
     completion: BinaryHeap<Reverse<(Cycle, u64)>>,
     inflight: HashMap<u64, HmcResponse>,
@@ -55,7 +57,7 @@ impl DdrDevice {
             banks: vec![Bank::default(); cfg.banks],
             bus_free_at: 0,
             last_issue: 0,
-            inflight_q: VecDeque::new(),
+            queue: AdmissionQueue::new(cfg.queue_depth),
             stats: HmcStats::default(),
             completion: BinaryHeap::new(),
             inflight: HashMap::new(),
@@ -102,10 +104,11 @@ impl DdrDevice {
 
 impl MemoryDevice for DdrDevice {
     fn can_accept(&mut self, _req: &HmcRequest, now: Cycle) -> bool {
-        while self.inflight_q.front().is_some_and(|&t| t <= now) {
-            self.inflight_q.pop_front();
-        }
-        self.inflight_q.len() < self.cfg.queue_depth
+        self.queue.admits(now)
+    }
+
+    fn next_accept(&self, _req: &HmcRequest, now: Cycle) -> Cycle {
+        self.queue.next_admit(now)
     }
 
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
@@ -123,7 +126,7 @@ impl MemoryDevice for DdrDevice {
             hits += hit as u64;
         }
         let completed = done + self.cfg.interface_latency;
-        self.inflight_q.push_back(completed);
+        self.queue.push(completed);
 
         let latency = completed.saturating_sub(req.dispatched_at.min(now));
         self.stats.record_access(

@@ -75,6 +75,13 @@ impl HmcDevice {
         self.vaults.can_accept(loc.vault, now)
     }
 
+    /// Earliest cycle `>= now` at which [`HmcDevice::can_accept`] returns
+    /// true for `req`. Non-mutating.
+    pub fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let loc = self.map.locate(req.addr);
+        self.vaults.next_accept(loc.vault, now)
+    }
+
     /// Submit one request transaction at cycle `now` (non-decreasing
     /// across calls). Returns the cycle at which the response will have
     /// fully arrived back at the host.
@@ -194,6 +201,9 @@ impl HmcDevice {
 impl crate::device_trait::MemoryDevice for HmcDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         HmcDevice::can_accept(self, req, now)
+    }
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        HmcDevice::next_accept(self, req, now)
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         HmcDevice::submit(self, req, now)

@@ -15,6 +15,12 @@ pub trait MemoryDevice {
     /// (finite internal queues provide backpressure).
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool;
 
+    /// Earliest cycle `>= now` at which `can_accept(req, _)` can return
+    /// true, assuming nothing is submitted meanwhile. Non-mutating: the
+    /// run loops use it to skip the cycles a blocked request would only
+    /// spend probing.
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle;
+
     /// Submit one transaction at cycle `now` (non-decreasing across
     /// calls); returns its completion cycle.
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle;

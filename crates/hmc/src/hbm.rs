@@ -14,10 +14,11 @@
 //! can swap back ends with one config switch.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 use mac_types::{Cycle, HbmConfig, HmcRequest, HmcResponse};
 
+use crate::admission::AdmissionQueue;
 use crate::device_trait::MemoryDevice;
 use crate::stats::HmcStats;
 
@@ -34,7 +35,8 @@ struct Channel {
     last_issue: Cycle,
     /// Data-bus free time (bursts serialize on the channel bus).
     bus_free_at: Cycle,
-    inflight: VecDeque<Cycle>,
+    /// Command queue (`channel_queue_depth`), held until completion.
+    queue: AdmissionQueue,
 }
 
 /// A simulated HBM stack.
@@ -57,7 +59,13 @@ impl HbmDevice {
         HbmDevice {
             cfg: cfg.clone(),
             banks: vec![Bank::default(); cfg.channels * cfg.banks_per_channel],
-            channels: vec![Channel::default(); cfg.channels],
+            channels: vec![
+                Channel {
+                    queue: AdmissionQueue::new(cfg.channel_queue_depth),
+                    ..Channel::default()
+                };
+                cfg.channels
+            ],
             stats: HmcStats::default(),
             completion: BinaryHeap::new(),
             inflight: HashMap::new(),
@@ -80,11 +88,12 @@ impl HbmDevice {
 impl MemoryDevice for HbmDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         let (ch, _, _) = self.locate(req.addr);
-        let c = &mut self.channels[ch];
-        while c.inflight.front().is_some_and(|&t| t <= now) {
-            c.inflight.pop_front();
-        }
-        c.inflight.len() < self.cfg.channel_queue_depth
+        self.channels[ch].queue.admits(now)
+    }
+
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let (ch, _, _) = self.locate(req.addr);
+        self.channels[ch].queue.next_admit(now)
     }
 
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
@@ -132,7 +141,7 @@ impl MemoryDevice for HbmDevice {
         bank.open_row = if self.cfg.open_page { Some(row) } else { None };
 
         let completed = data_done + self.cfg.interface_latency;
-        c.inflight.push_back(completed);
+        c.queue.push(completed);
 
         let latency = completed.saturating_sub(req.dispatched_at.min(now));
         self.stats.record_access(

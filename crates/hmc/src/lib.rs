@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod addrmap;
+mod admission;
 pub mod ddr;
 pub mod device;
 mod device_trait;
@@ -37,6 +38,7 @@ pub mod stats;
 pub mod vault;
 
 pub use addrmap::{AddrMap, BankAddr, NetAddrMap};
+pub use admission::AdmissionQueue;
 pub use ddr::DdrDevice;
 pub use device::HmcDevice;
 pub use device_trait::MemoryDevice;

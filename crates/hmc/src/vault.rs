@@ -9,10 +9,10 @@
 //! issuing at most one DRAM command per cycle.
 
 use crate::addrmap::BankAddr;
+use crate::admission::AdmissionQueue;
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Outcome of scheduling one access at a vault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,10 +33,9 @@ pub struct VaultSet {
     bank_free: Vec<Cycle>,
     /// Last command-issue cycle per vault (1 cmd/cycle issue limit).
     vault_last_issue: Vec<Cycle>,
-    /// Finish times of in-flight accesses per vault, used to model the
-    /// finite command queue (`vault_queue_depth`).
-    inflight: Vec<VecDeque<Cycle>>,
-    queue_depth: usize,
+    /// Per-vault command queue (`vault_queue_depth`), holding each
+    /// access until its bank finishes the row cycle.
+    queues: Vec<AdmissionQueue>,
     t_rcd: u64,
     t_cl: u64,
     t_rp: u64,
@@ -52,8 +51,7 @@ impl VaultSet {
         VaultSet {
             bank_free: vec![0; cfg.total_banks()],
             vault_last_issue: vec![0; cfg.vaults],
-            inflight: vec![VecDeque::new(); cfg.vaults],
-            queue_depth: cfg.vault_queue_depth,
+            queues: vec![AdmissionQueue::new(cfg.vault_queue_depth); cfg.vaults],
             t_rcd: cfg.t_rcd,
             t_cl: cfg.t_cl,
             t_rp: cfg.t_rp,
@@ -77,11 +75,13 @@ impl VaultSet {
 
     /// Whether the vault's command queue has room at `now`.
     pub fn can_accept(&mut self, vault: u16, now: Cycle) -> bool {
-        let q = &mut self.inflight[vault as usize];
-        while q.front().is_some_and(|&t| t <= now) {
-            q.pop_front();
-        }
-        q.len() < self.queue_depth
+        self.queues[vault as usize].admits(now)
+    }
+
+    /// Earliest cycle `>= now` at which [`VaultSet::can_accept`] returns
+    /// true for `vault`. Non-mutating.
+    pub fn next_accept(&self, vault: u16, now: Cycle) -> Cycle {
+        self.queues[vault as usize].next_admit(now)
     }
 
     /// Schedule one access arriving at the vault controller at `arrival`.
@@ -106,9 +106,7 @@ impl VaultSet {
         self.bank_free[bank] = busy_until;
         self.vault_last_issue[vault] = start;
         self.bank_busy += (busy_until - start) as u128;
-        let q = &mut self.inflight[vault];
-        q.push_back(busy_until);
-        let occupancy = q.len() as u16;
+        let occupancy = self.queues[vault].push(busy_until) as u16;
         self.tracer.emit(arrival, || TraceEvent::VaultEnqueue {
             vault: loc.vault as u8,
             occupancy,
@@ -141,17 +139,14 @@ impl VaultSet {
 
     /// Number of vault controllers.
     pub fn vault_count(&self) -> usize {
-        self.inflight.len()
+        self.queues.len()
     }
 
     /// Command-queue occupancy per vault at `now`: in-flight accesses
     /// whose service has not yet finished. Non-mutating — sampling must
     /// not prune the queues [`VaultSet::can_accept`] relies on.
     pub fn queue_depths(&self, now: Cycle) -> Vec<usize> {
-        self.inflight
-            .iter()
-            .map(|q| q.iter().filter(|&&t| t > now).count())
-            .collect()
+        self.queues.iter().map(|q| q.depth_at(now)).collect()
     }
 
     /// Append per-vault queue-depth gauges and the cumulative bank-busy

@@ -203,6 +203,13 @@ impl NetDevice {
         self.vaults[cube.0 as usize].can_accept(loc.vault, now)
     }
 
+    /// Earliest cycle `>= now` at which [`NetDevice::can_accept`] returns
+    /// true for `req`. Non-mutating.
+    pub fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let (cube, loc) = self.map.locate(req.addr);
+        self.vaults[cube.0 as usize].next_accept(loc.vault, now)
+    }
+
     /// Submit one transaction at cycle `now` (non-decreasing across
     /// calls); returns the cycle its response has fully arrived back at
     /// the host.
@@ -295,6 +302,9 @@ impl NetDevice {
 impl MemoryDevice for NetDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         NetDevice::can_accept(self, req, now)
+    }
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        NetDevice::next_accept(self, req, now)
     }
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         NetDevice::submit(self, req, now)

@@ -511,11 +511,9 @@ impl NetSystem {
                 next = merge_next(next, Some(t.max(now)));
             }
             next = merge_next(next, stage.mac.next_event(now));
-            if !stage.dispatch_q.is_empty() {
-                // Vault backpressure is probed (and can mutate device
-                // bookkeeping) while the dispatch queue is non-empty, so
-                // never skip across it.
-                next = merge_next(next, Some(now));
+            if let Some(req) = stage.dispatch_q.front() {
+                // The head blocks the queue until its vault admits it.
+                next = merge_next(next, Some(self.dev.next_accept(req, now)));
             }
         }
         merge_next(next, self.dev.next_completion().map(|t| t.max(now)))

@@ -700,11 +700,9 @@ impl SystemSim {
                 next = merge_next(next, Some(now));
             }
             next = merge_next(next, n.mac.next_event(now));
-            if !n.dispatch_q.is_empty() {
-                // Vault backpressure is probed (and can mutate device
-                // bookkeeping) whenever the dispatch queue is non-empty,
-                // so never skip across it.
-                next = merge_next(next, Some(now));
+            if let Some(req) = n.dispatch_q.front() {
+                // The head blocks the queue until the device admits it.
+                next = merge_next(next, Some(n.hmc.next_accept(req, now)));
             }
             next = merge_next(next, n.hmc.next_completion().map(|t| t.max(now)));
         }

@@ -9,16 +9,21 @@
 //! axis: the full smoke baseline set (calibration pairs, the 2-cube
 //! HostOnly net run, and the idle-heavy latency entries), per-cube MAC
 //! placement, multi-node interconnects, disabled MAC, the HBM/DDR
-//! backends, and runs with metrics sampling attached. A seeded
-//! mac-check fuzz mini-campaign (50 iterations, checker + oracle
+//! backends, runs with metrics sampling attached, and backpressure-heavy
+//! configs whose dispatch queues sit blocked on full device queues. A
+//! seeded mac-check fuzz mini-campaign (50 iterations, checker + oracle
 //! attached) rides on top, exercising the fast path under adversarial
 //! configs and address streams.
 
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
-use mac_sim::experiment::{run_workload_instrumented, run_workload_stepped, ExperimentConfig};
+use mac_sim::experiment::{
+    run_workload_instrumented, run_workload_observed, run_workload_stepped, ExperimentConfig,
+    RunObservers,
+};
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
+use mac_telemetry::Profiler;
 use mac_types::{MacPlacement, MemBackend, NetTopology};
 use mac_workloads::by_name;
 
@@ -111,6 +116,86 @@ fn disabled_mac_and_alt_backends_are_mode_identical() {
         cfg.system.backend = backend;
         assert_modes_identical("stream", &cfg, 10_000);
     }
+}
+
+/// The paper system at `threads` threads, scale 1, with a cap no run
+/// here reaches.
+fn small(threads: usize) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::paper(threads);
+    cfg.workload.scale = 1;
+    cfg.max_cycles = 50_000_000;
+    cfg
+}
+
+#[test]
+fn shallow_device_queues_are_mode_identical() {
+    // One- and two-entry command queues keep the dispatch queue's head
+    // blocked for most of the run; the fast path wakes it at the
+    // device's admission cycle instead of probing every cycle.
+    for depth in [1usize, 2] {
+        for mac_disabled in [false, true] {
+            let mut cfg = small(4);
+            cfg.system.hmc.vault_queue_depth = depth;
+            cfg.system.mac_disabled = mac_disabled;
+            assert_modes_identical("stream", &cfg, 10_000);
+        }
+    }
+
+    let mut hbm = small(4);
+    hbm.system.backend = MemBackend::Hbm;
+    hbm.system.hbm.channel_queue_depth = 1;
+    assert_modes_identical("stream", &hbm, 10_000);
+
+    let mut ddr = small(4);
+    ddr.system.backend = MemBackend::Ddr;
+    ddr.system.ddr.queue_depth = 1;
+    assert_modes_identical("stream", &ddr, 10_000);
+}
+
+#[test]
+fn backpressured_networks_and_nodes_are_mode_identical() {
+    // Per-cube dispatch queues (NetSystem) and the host-side queue in
+    // front of a NetDevice, each behind one-entry vault queues.
+    for placement in [MacPlacement::PerCube, MacPlacement::HostOnly] {
+        let mut cfg = small(4);
+        cfg.system = cfg.system.with_net(4, NetTopology::DaisyChain, placement);
+        cfg.system.hmc.vault_queue_depth = 1;
+        assert_modes_identical("sg", &cfg, 5_000);
+    }
+
+    let mut nodes = small(4);
+    nodes.system.soc.nodes = 2;
+    nodes.system.hmc.vault_queue_depth = 1;
+    assert_modes_identical("stream", &nodes, 10_000);
+}
+
+#[test]
+fn blocked_dispatch_queue_does_not_pin_the_clock() {
+    // stream at 8 threads keeps the vault queues full; nearly every
+    // cycle has a transaction waiting at the head of the dispatch queue.
+    // If that head forced `next_event` to `now` again, the loop would
+    // tick almost every cycle.
+    let cfg = small(8);
+    let w = by_name("stream").expect("workload registered");
+    let profiler = Profiler::enabled();
+    let obs = RunObservers {
+        profiler: profiler.clone(),
+        ..RunObservers::default()
+    };
+    let report = run_workload_observed(w.as_ref(), &cfg, obs);
+    assert_eq!(report.soc.raw_requests, report.soc.completions);
+    let snap = profiler.snapshot().expect("enabled");
+    let steps = snap
+        .phases
+        .iter()
+        .find(|(path, _, _)| path == "system/run/step")
+        .map(|&(_, count, _)| count)
+        .expect("run loop records its steps");
+    assert!(
+        steps * 4 <= report.cycles,
+        "{steps} ticks over {} cycles: blocked cycles are being stepped",
+        report.cycles
+    );
 }
 
 #[test]
