@@ -17,12 +17,10 @@
 //! serialization and low bank count cap its throughput far below a
 //! coalesced HMC.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use mac_types::{Cycle, DdrConfig, HmcRequest, HmcResponse};
 
 use crate::admission::AdmissionQueue;
+use crate::completion::CompletionQueue;
 use crate::device_trait::MemoryDevice;
 use crate::stats::HmcStats;
 
@@ -43,9 +41,7 @@ pub struct DdrDevice {
     /// Controller command queue (`queue_depth`), held until completion.
     queue: AdmissionQueue,
     stats: HmcStats,
-    completion: BinaryHeap<Reverse<(Cycle, u64)>>,
-    inflight: HashMap<u64, HmcResponse>,
-    seq: u64,
+    completion: CompletionQueue,
 }
 
 impl DdrDevice {
@@ -59,9 +55,7 @@ impl DdrDevice {
             last_issue: 0,
             queue: AdmissionQueue::new(cfg.queue_depth),
             stats: HmcStats::default(),
-            completion: BinaryHeap::new(),
-            inflight: HashMap::new(),
-            seq: 0,
+            completion: CompletionQueue::new(),
         }
     }
 
@@ -147,23 +141,12 @@ impl MemoryDevice for DdrDevice {
             completed_at: completed,
             conflicts: any_conflict as u64,
         };
-        let id = self.seq;
-        self.seq += 1;
-        self.completion.push(Reverse((completed, id)));
-        self.inflight.insert(id, rsp);
+        self.completion.push(completed, rsp);
         completed
     }
 
     fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((t, id))) = self.completion.peek() {
-            if t > now {
-                break;
-            }
-            self.completion.pop();
-            out.push(self.inflight.remove(&id).expect("inflight"));
-        }
-        out
+        self.completion.drain_due(now)
     }
 
     fn pending(&self) -> usize {
@@ -171,7 +154,7 @@ impl MemoryDevice for DdrDevice {
     }
 
     fn next_completion(&self) -> Option<Cycle> {
-        self.completion.peek().map(|&Reverse((t, _))| t)
+        self.completion.next_at()
     }
 
     fn stats(&self) -> &HmcStats {

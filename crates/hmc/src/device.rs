@@ -4,9 +4,6 @@
 //! path and schedules its response; [`HmcDevice::drain_completed`] hands
 //! finished responses back to the front end in completion order.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig, HmcRequest, HmcResponse};
 
@@ -14,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addrmap::AddrMap;
+use crate::completion::CompletionQueue;
 use crate::link::LinkSet;
 use crate::stats::HmcStats;
 use crate::vault::VaultSet;
@@ -32,11 +30,8 @@ pub struct HmcDevice {
     rng: SmallRng,
     /// Retransmissions performed (stat).
     pub retries: u64,
-    /// Min-heap of (completion cycle, submission sequence) for in-flight
-    /// responses; the sequence keeps ordering deterministic on ties.
-    completion: BinaryHeap<Reverse<(Cycle, u64)>>,
-    inflight: std::collections::HashMap<u64, HmcResponse>,
-    seq: u64,
+    /// In-flight responses, due in completion order.
+    completion: CompletionQueue,
     tracer: Tracer,
 }
 
@@ -53,9 +48,7 @@ impl HmcDevice {
             retry_penalty: cfg.retry_penalty,
             rng: SmallRng::seed_from_u64(cfg.error_seed),
             retries: 0,
-            completion: BinaryHeap::new(),
-            inflight: std::collections::HashMap::new(),
-            seq: 0,
+            completion: CompletionQueue::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -139,25 +132,14 @@ impl HmcDevice {
             completed_at: completed,
             conflicts: sched.conflict as u64,
         };
-        let id = self.seq;
-        self.seq += 1;
-        self.completion.push(Reverse((completed, id)));
-        self.inflight.insert(id, rsp);
+        self.completion.push(completed, rsp);
         completed
     }
 
     /// Pop every response whose completion cycle is `<= now`, in
     /// completion order.
     pub fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((t, id))) = self.completion.peek() {
-            if t > now {
-                break;
-            }
-            self.completion.pop();
-            out.push(self.inflight.remove(&id).expect("inflight response"));
-        }
-        out
+        self.completion.drain_due(now)
     }
 
     /// Number of in-flight (submitted, not yet drained) transactions.
@@ -168,7 +150,7 @@ impl HmcDevice {
     /// Earliest completion cycle among in-flight transactions, if any.
     /// Front ends use this to fast-forward idle periods.
     pub fn next_completion(&self) -> Option<Cycle> {
-        self.completion.peek().map(|&Reverse((t, _))| t)
+        self.completion.next_at()
     }
 
     /// Accumulated device statistics.

@@ -13,12 +13,10 @@
 //! [`crate::MemoryDevice`] trait, so the full-system simulator
 //! can swap back ends with one config switch.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
 use mac_types::{Cycle, HbmConfig, HmcRequest, HmcResponse};
 
 use crate::admission::AdmissionQueue;
+use crate::completion::CompletionQueue;
 use crate::device_trait::MemoryDevice;
 use crate::stats::HmcStats;
 
@@ -46,9 +44,7 @@ pub struct HbmDevice {
     banks: Vec<Bank>,
     channels: Vec<Channel>,
     stats: HmcStats,
-    completion: BinaryHeap<Reverse<(Cycle, u64)>>,
-    inflight: HashMap<u64, HmcResponse>,
-    seq: u64,
+    completion: CompletionQueue,
 }
 
 impl HbmDevice {
@@ -67,9 +63,7 @@ impl HbmDevice {
                 cfg.channels
             ],
             stats: HmcStats::default(),
-            completion: BinaryHeap::new(),
-            inflight: HashMap::new(),
-            seq: 0,
+            completion: CompletionQueue::new(),
         }
     }
 
@@ -164,23 +158,12 @@ impl MemoryDevice for HbmDevice {
             completed_at: completed,
             conflicts: conflict as u64,
         };
-        let id = self.seq;
-        self.seq += 1;
-        self.completion.push(Reverse((completed, id)));
-        self.inflight.insert(id, rsp);
+        self.completion.push(completed, rsp);
         completed
     }
 
     fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((t, id))) = self.completion.peek() {
-            if t > now {
-                break;
-            }
-            self.completion.pop();
-            out.push(self.inflight.remove(&id).expect("inflight"));
-        }
-        out
+        self.completion.drain_due(now)
     }
 
     fn pending(&self) -> usize {
@@ -188,7 +171,7 @@ impl MemoryDevice for HbmDevice {
     }
 
     fn next_completion(&self) -> Option<Cycle> {
-        self.completion.peek().map(|&Reverse((t, _))| t)
+        self.completion.next_at()
     }
 
     fn stats(&self) -> &HmcStats {

@@ -29,6 +29,7 @@
 
 pub mod addrmap;
 mod admission;
+mod completion;
 pub mod ddr;
 pub mod device;
 mod device_trait;
@@ -39,6 +40,7 @@ pub mod vault;
 
 pub use addrmap::{AddrMap, BankAddr, NetAddrMap};
 pub use admission::AdmissionQueue;
+pub use completion::CompletionQueue;
 pub use ddr::DdrDevice;
 pub use device::HmcDevice;
 pub use device_trait::MemoryDevice;

@@ -20,10 +20,7 @@
 //! chain-sweep experiments attribute every cycle of divergence to the
 //! fabric itself.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use hmc_model::{HmcStats, LinkSet, MemoryDevice, NetAddrMap, VaultSet};
+use hmc_model::{CompletionQueue, HmcStats, LinkSet, MemoryDevice, NetAddrMap, VaultSet};
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{CubeId, Cycle, HmcConfig, HmcRequest, HmcResponse, NetConfig};
 use rand::rngs::SmallRng;
@@ -50,9 +47,7 @@ pub struct NetDevice {
     rng: SmallRng,
     /// Host-link retransmissions performed (stat).
     pub retries: u64,
-    completion: BinaryHeap<Reverse<(Cycle, u64)>>,
-    inflight: std::collections::HashMap<u64, HmcResponse>,
-    seq: u64,
+    completion: CompletionQueue,
     tracer: Tracer,
 }
 
@@ -74,9 +69,7 @@ impl NetDevice {
             retry_penalty: cfg.retry_penalty,
             rng: SmallRng::seed_from_u64(cfg.error_seed),
             retries: 0,
-            completion: BinaryHeap::new(),
-            inflight: std::collections::HashMap::new(),
-            seq: 0,
+            completion: CompletionQueue::new(),
             tracer: Tracer::disabled(),
             topo,
         }
@@ -180,10 +173,7 @@ impl NetDevice {
             completed_at: completed,
             conflicts: conflict as u64,
         };
-        let id = self.seq;
-        self.seq += 1;
-        self.completion.push(Reverse((completed, id)));
-        self.inflight.insert(id, rsp);
+        self.completion.push(completed, rsp);
     }
 
     /// The network's address map (cube + vault/bank decomposition).
@@ -227,15 +217,7 @@ impl NetDevice {
     /// Pop every response whose completion cycle is `<= now`, in
     /// completion order.
     pub fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        let mut out = Vec::new();
-        while let Some(&Reverse((t, id))) = self.completion.peek() {
-            if t > now {
-                break;
-            }
-            self.completion.pop();
-            out.push(self.inflight.remove(&id).expect("inflight response"));
-        }
-        out
+        self.completion.drain_due(now)
     }
 
     /// Transactions submitted but not yet drained.
@@ -245,7 +227,7 @@ impl NetDevice {
 
     /// Earliest outstanding completion, if any.
     pub fn next_completion(&self) -> Option<Cycle> {
-        self.completion.peek().map(|&Reverse((t, _))| t)
+        self.completion.next_at()
     }
 
     /// Accumulated per-access device statistics (aggregated over cubes).

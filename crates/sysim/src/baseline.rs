@@ -304,8 +304,7 @@ pub fn collect_timed_with_reference(
             let stepped = crate::experiment::run_workload_stepped(
                 w.as_ref(),
                 &req.cfg,
-                None,
-                mac_metrics::MetricsHub::disabled(),
+                crate::experiment::RunObservers::default(),
             );
             let stepped_micros = start.elapsed().as_micros() as u64;
             assert_eq!(
@@ -313,12 +312,7 @@ pub fn collect_timed_with_reference(
                 "{label}: stepped reference diverged from event-driven report"
             );
             let start = std::time::Instant::now();
-            let event = crate::experiment::run_workload_instrumented(
-                w.as_ref(),
-                &req.cfg,
-                None,
-                mac_metrics::MetricsHub::disabled(),
-            );
+            let event = crate::experiment::run_workload(w.as_ref(), &req.cfg);
             let direct_micros = start.elapsed().as_micros() as u64;
             assert_eq!(
                 event, report,

@@ -457,7 +457,7 @@ impl SimPool {
             tracer,
             metrics: metrics.clone(),
             profiler: self.profiler.clone(),
-            progress: None,
+            ..RunObservers::default()
         };
         let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
         if let (Some(dir), Some(snap)) = (&self.metrics_dir, metrics.snapshot()) {
@@ -620,6 +620,7 @@ impl SimPool {
                     metrics,
                     profiler: self.profiler.clone(),
                     progress: progress.clone(),
+                    ..RunObservers::default()
                 };
                 let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
                 self.store_cached(fp, &report);

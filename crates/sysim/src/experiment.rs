@@ -3,17 +3,14 @@
 //! These are the low-level building blocks; batch execution with caching
 //! and work stealing lives in [`crate::engine`].
 
-use std::sync::Arc;
-
 use mac_check::{ConformanceChecker, OracleReplay, Violation};
-use mac_metrics::MetricsHub;
-use mac_telemetry::{Profiler, Tracer};
 use mac_types::{Fingerprint, Fnv128, MacPlacement, SystemConfig};
 use mac_workloads::{Workload, WorkloadParams};
 use soc_sim::{ReplayProgram, ThreadOp, ThreadProgram};
 
+pub use crate::driver::RunObservers;
+use crate::driver::{Fabric, RunDriver};
 use crate::netsystem::NetSystem;
-use crate::progress::ProgressProbe;
 use crate::report::RunReport;
 use crate::system::SystemSim;
 
@@ -70,102 +67,55 @@ fn programs_for(w: &dyn Workload, params: &WorkloadParams) -> Vec<Box<dyn Thread
 
 /// Run one workload on one configuration.
 pub fn run_workload(w: &dyn Workload, cfg: &ExperimentConfig) -> RunReport {
-    run_workload_with(w, cfg, None)
+    run_workload_observed(w, cfg, RunObservers::default())
 }
 
-/// Run one workload on one configuration, optionally attaching a
-/// telemetry tracer (the sim re-tags it per node via
-/// [`Tracer::for_node`]). Tracing never changes simulated behaviour, so
-/// the report is identical either way.
-pub fn run_workload_with(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-) -> RunReport {
-    run_workload_instrumented(w, cfg, tracer, MetricsHub::disabled())
-}
-
-/// Run one workload with both kinds of instrumentation: an optional
-/// telemetry tracer and a metrics hub (pass
-/// [`MetricsHub::disabled`] for none). Both are observational — the
-/// report is identical whatever is attached; an enabled hub fills with
-/// interval-sampled time-series the caller can
-/// [`MetricsHub::snapshot`] afterwards.
-pub fn run_workload_instrumented(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-    metrics: MetricsHub,
-) -> RunReport {
-    let obs = RunObservers {
-        tracer,
-        metrics,
-        ..RunObservers::default()
-    };
-    run_workload_mode(w, cfg, obs, false)
-}
-
-/// [`run_workload_instrumented`] forced onto the cycle-by-cycle
-/// reference loop instead of the event-driven fast path. Both modes
-/// produce byte-identical reports and metrics (DESIGN.md §14); this
-/// entry point exists so the golden equivalence tests can prove it.
-pub fn run_workload_stepped(
-    w: &dyn Workload,
-    cfg: &ExperimentConfig,
-    tracer: Option<Tracer>,
-    metrics: MetricsHub,
-) -> RunReport {
-    let obs = RunObservers {
-        tracer,
-        metrics,
-        ..RunObservers::default()
-    };
-    run_workload_mode(w, cfg, obs, true)
-}
-
-/// The full set of observational attachments one run can carry. Every
-/// member is purely observational: attaching any combination never
-/// changes the [`RunReport`] and none of them enter any fingerprint.
-/// `Default` is the all-disabled bundle (no tracer, disabled hub,
-/// disabled profiler, no probe) — identical behaviour and overhead to
-/// the plain [`run_workload`] path.
-#[derive(Default)]
-pub struct RunObservers {
-    /// Optional telemetry tracer (re-tagged per node).
-    pub tracer: Option<Tracer>,
-    /// Interval-sampled metrics hub ([`MetricsHub::disabled`] for none).
-    pub metrics: MetricsHub,
-    /// Host-side wall-clock span profiler ([`Profiler::disabled`] for none).
-    pub profiler: Profiler,
-    /// Live progress mailbox streaming observers poll while the run advances.
-    pub progress: Option<Arc<ProgressProbe>>,
-}
-
-/// Run one workload with the full observer bundle attached: tracer,
-/// metrics hub, host-side profiler, and live progress probe. This is
-/// the entry point mac-serve and the profiled engine path use; all the
-/// narrower `run_workload*` variants delegate here with the missing
-/// observers disabled.
+/// Run one workload with an observer bundle attached (tracer, metrics
+/// hub, host-side profiler, live progress probe). This is the entry
+/// point mac-serve and the profiled engine path use. Every observer is
+/// observational, so the report is identical whatever is attached. A
+/// checker in the bundle is fed and finished but its verdict is not
+/// returned; [`run_workload_checked`] returns it.
 pub fn run_workload_observed(
     w: &dyn Workload,
     cfg: &ExperimentConfig,
     obs: RunObservers,
 ) -> RunReport {
-    run_workload_mode(w, cfg, obs, false)
+    let programs = vec![programs_for(w, &cfg.workload)];
+    run_placed(&cfg.system, programs, cfg.max_cycles, obs, false).0
 }
 
-fn run_workload_mode(
+/// [`run_workload_observed`] forced onto the cycle-by-cycle reference
+/// loop instead of the event-driven fast path. Both modes produce
+/// byte-identical reports and observations (DESIGN.md §14); this entry
+/// point exists so the golden equivalence tests can prove it.
+pub fn run_workload_stepped(
     w: &dyn Workload,
     cfg: &ExperimentConfig,
     obs: RunObservers,
-    stepped: bool,
 ) -> RunReport {
-    let programs = programs_for(w, &cfg.workload);
-    // Per-cube coalescer placement gets its own system loop; everything
-    // else (single device, host-side coalescing over a network) runs the
-    // classic `SystemSim` path.
-    if cfg.system.net.enabled && cfg.system.net.placement == MacPlacement::PerCube {
-        let mut sim = NetSystem::new(&cfg.system, programs);
+    let programs = vec![programs_for(w, &cfg.workload)];
+    run_placed(&cfg.system, programs, cfg.max_cycles, obs, true).0
+}
+
+/// Build the system loop `sys` selects for `programs[node][thread]`,
+/// attach `obs`, and run it. Per-cube coalescer placement gets the
+/// per-cube loop (single node only); everything else (single device,
+/// multi-node, host-side coalescing over a network) runs `SystemSim`.
+/// Returns the report and the checker, if one was attached.
+fn run_placed(
+    sys: &SystemConfig,
+    programs: Vec<Vec<Box<dyn ThreadProgram>>>,
+    max_cycles: u64,
+    obs: RunObservers,
+    stepped: bool,
+) -> (RunReport, Option<ConformanceChecker>) {
+    fn drive<F: Fabric>(
+        mut sim: RunDriver<F>,
+        obs: RunObservers,
+        stepped: bool,
+        max_cycles: u64,
+    ) -> (RunReport, Option<ConformanceChecker>) {
         if let Some(t) = obs.tracer {
             sim.set_tracer(t);
         }
@@ -174,20 +124,26 @@ fn run_workload_mode(
         if let Some(p) = obs.progress {
             sim.set_progress(p);
         }
+        if let Some(c) = obs.checker {
+            sim.set_checker(c);
+        }
         sim.set_stepped(stepped);
-        return sim.run(cfg.max_cycles);
+        let report = sim.run(max_cycles);
+        (report, sim.take_checker())
     }
-    let mut sim = SystemSim::new(&cfg.system, programs);
-    if let Some(t) = obs.tracer {
-        sim.set_tracer(t);
+    if sys.net.enabled && sys.net.placement == MacPlacement::PerCube {
+        let [node]: [_; 1] = programs
+            .try_into()
+            .unwrap_or_else(|_| panic!("per-cube placement models a single host node"));
+        drive(NetSystem::new(sys, node), obs, stepped, max_cycles)
+    } else {
+        drive(
+            SystemSim::new_multi(sys, programs),
+            obs,
+            stepped,
+            max_cycles,
+        )
     }
-    sim.set_metrics(obs.metrics);
-    sim.set_profiler(obs.profiler);
-    if let Some(p) = obs.progress {
-        sim.set_progress(p);
-    }
-    sim.set_stepped(stepped);
-    sim.run(cfg.max_cycles)
 }
 
 /// Outcome of a conformance-checked run: the ordinary report plus the
@@ -229,22 +185,12 @@ pub fn run_ops_checked(
                 .collect()
         })
         .collect();
-    let (report, checker) = if sys.net.enabled && sys.net.placement == MacPlacement::PerCube {
-        assert_eq!(
-            programs.len(),
-            1,
-            "per-cube placement models a single host node"
-        );
-        let mut sim = NetSystem::new(sys, programs.into_iter().next().expect("one node"));
-        sim.set_checker(ConformanceChecker::new(sys));
-        let report = sim.run(max_cycles);
-        (report, sim.take_checker().expect("attached above"))
-    } else {
-        let mut sim = SystemSim::new_multi(sys, programs);
-        sim.set_checker(ConformanceChecker::new(sys));
-        let report = sim.run(max_cycles);
-        (report, sim.take_checker().expect("attached above"))
+    let obs = RunObservers {
+        checker: Some(ConformanceChecker::new(sys)),
+        ..RunObservers::default()
     };
+    let (report, checker) = run_placed(sys, programs, max_cycles, obs, false);
+    let checker = checker.expect("attached above");
     let divergences = oracle.diff(&checker);
     CheckedRun {
         report,

@@ -4,19 +4,27 @@
 //! response router → cores, cycle by cycle, plus the experiment engine
 //! that regenerates every figure and table of the paper.
 //!
-//! * [`system`] — [`SystemSim`]: one or more Figure 4 nodes (cores + MAC +
-//!   HMC) with an interconnect for remote accesses. Supports the paper's
-//!   baseline mode (`mac_disabled`) where raw 16 B requests go straight to
-//!   the device, and host-side coalescing over a multi-cube network
-//!   (`config.net.enabled`).
-//! * [`netsystem`] — [`NetSystem`]: the per-cube coalescer placement
-//!   (`MacPlacement::PerCube`), where raw requests cross the cube fabric
-//!   and one MAC per cube merges them at ingress.
+//! * [`driver`] — [`driver::RunDriver`]: the one run loop. It owns the
+//!   clock, the event-driven idle-span skip (DESIGN.md §14), the
+//!   observers (tracer, metrics, profiler, progress probe, conformance
+//!   checker), the adaptive controller's decision hook and the report,
+//!   generic over a topology [`driver::Fabric`] that supplies one
+//!   cycle's tick and its next-event bound.
+//! * [`system`] — [`SystemSim`] (`RunDriver<NodeFabric>`): one or more
+//!   Figure 4 nodes (cores + MAC + HMC) with an interconnect for remote
+//!   accesses. Supports the paper's baseline mode (`mac_disabled`) where
+//!   raw 16 B requests go straight to the device, and host-side
+//!   coalescing over a multi-cube network (`config.net.enabled`).
+//! * [`netsystem`] — [`NetSystem`] (`RunDriver<CubeFabric>`): the
+//!   per-cube coalescer placement (`MacPlacement::PerCube`), where raw
+//!   requests cross the cube fabric and one MAC per cube merges them at
+//!   ingress.
 //! * [`report`] — [`RunReport`]: merged SoC/MAC/HMC statistics with the
 //!   paper's derived metrics (Eq. 1–3) and the Figure 17 speedup
 //!   computation.
-//! * [`experiment`] — workload runners: with/without-MAC pairs and the
-//!   low-level building blocks the engine schedules.
+//! * [`experiment`] — workload runners: with/without-MAC pairs, checked
+//!   and observed runs, all dispatched to the loop the MAC placement
+//!   selects; the low-level building blocks the engine schedules.
 //! * [`engine`] — the parallel experiment engine: work-stealing
 //!   [`engine::SimPool`], content-addressed result cache, deterministic
 //!   artifact output (`--jobs 8` is byte-identical to `--jobs 1`).
@@ -39,6 +47,7 @@ pub mod analyzer;
 pub mod baseline;
 pub mod cachefmt;
 pub mod catalog;
+pub mod driver;
 pub mod engine;
 pub mod experiment;
 pub mod figures;

@@ -27,7 +27,7 @@ use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
 use mac_sim::engine::{SimPool, SimRequest};
 use mac_sim::experiment::{
-    run_workload, run_workload_instrumented, run_workload_stepped, ExperimentConfig,
+    run_workload, run_workload_observed, run_workload_stepped, ExperimentConfig, RunObservers,
 };
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
@@ -150,18 +150,24 @@ fn assert_adaptive_modes_identical(
     let stepped = run_workload_stepped(
         w.as_ref(),
         cfg,
-        Some(Tracer::new(stepped_sink)),
-        stepped_hub.clone(),
+        RunObservers {
+            tracer: Some(Tracer::new(stepped_sink)),
+            metrics: stepped_hub.clone(),
+            ..RunObservers::default()
+        },
     );
 
     let event_hub = MetricsHub::new(interval);
     let event_sink = RingSink::new(1 << 16);
     let event_ring = event_sink.handle();
-    let event = run_workload_instrumented(
+    let event = run_workload_observed(
         w.as_ref(),
         cfg,
-        Some(Tracer::new(event_sink)),
-        event_hub.clone(),
+        RunObservers {
+            tracer: Some(Tracer::new(event_sink)),
+            metrics: event_hub.clone(),
+            ..RunObservers::default()
+        },
     );
 
     assert_eq!(

@@ -18,14 +18,21 @@
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
 use mac_sim::experiment::{
-    run_workload_instrumented, run_workload_observed, run_workload_stepped, ExperimentConfig,
-    RunObservers,
+    run_workload_observed, run_workload_stepped, ExperimentConfig, RunObservers,
 };
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
 use mac_telemetry::Profiler;
 use mac_types::{MacPlacement, MemBackend, NetTopology};
 use mac_workloads::by_name;
+
+/// Observers with only `hub` attached.
+fn sampled_by(hub: &MetricsHub) -> RunObservers {
+    RunObservers {
+        metrics: hub.clone(),
+        ..RunObservers::default()
+    }
+}
 
 /// Run `workload` under `cfg` in both modes, with a metrics hub
 /// sampling every `interval` cycles in each, and assert the reports and
@@ -34,10 +41,10 @@ fn assert_modes_identical(workload: &str, cfg: &ExperimentConfig, interval: u64)
     let w = by_name(workload).expect("workload registered");
 
     let stepped_hub = MetricsHub::new(interval);
-    let stepped = run_workload_stepped(w.as_ref(), cfg, None, stepped_hub.clone());
+    let stepped = run_workload_stepped(w.as_ref(), cfg, sampled_by(&stepped_hub));
 
     let event_hub = MetricsHub::new(interval);
-    let event = run_workload_instrumented(w.as_ref(), cfg, None, event_hub.clone());
+    let event = run_workload_observed(w.as_ref(), cfg, sampled_by(&event_hub));
 
     assert_eq!(
         stepped, event,
@@ -71,7 +78,7 @@ fn baseline_set_is_mode_identical() {
 
 #[test]
 fn per_cube_placement_is_mode_identical() {
-    // NetSystem has its own run loop and skip logic; cover both mapped
+    // NetSystem has its own tick and next-event bound; cover both mapped
     // placements over a 4-cube chain and a 2-cube degenerate network.
     for cubes in [2usize, 4] {
         let mut cfg = ExperimentConfig::paper(4);
@@ -210,9 +217,9 @@ fn idle_heavy_entry_is_cycle_exact_under_fine_sampling() {
     let w = by_name("gups").expect("workload");
 
     let stepped_hub = MetricsHub::new(1);
-    let stepped = run_workload_stepped(w.as_ref(), &cfg, None, stepped_hub.clone());
+    let stepped = run_workload_stepped(w.as_ref(), &cfg, sampled_by(&stepped_hub));
     let event_hub = MetricsHub::new(1);
-    let event = run_workload_instrumented(w.as_ref(), &cfg, None, event_hub.clone());
+    let event = run_workload_observed(w.as_ref(), &cfg, sampled_by(&event_hub));
     assert_eq!(stepped, event);
     assert_eq!(
         stepped_hub.snapshot().expect("sampled").to_csv(),

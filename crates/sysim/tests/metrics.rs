@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use mac_metrics::{MetricsHub, MetricsSnapshot};
 use mac_sim::engine::{SimPool, SimRequest};
-use mac_sim::experiment::{run_workload_instrumented, run_workload_with, ExperimentConfig};
+use mac_sim::experiment::{run_workload, run_workload_observed, ExperimentConfig, RunObservers};
 use mac_types::{MacPlacement, NetTopology};
 use mac_workloads::by_name;
 
@@ -95,13 +95,21 @@ fn metrics_files_are_byte_identical_across_job_counts() {
     let _ = std::fs::remove_dir_all(&dir8);
 }
 
+/// Observers with only `hub` attached.
+fn sampled_by(hub: &MetricsHub) -> RunObservers {
+    RunObservers {
+        metrics: hub.clone(),
+        ..RunObservers::default()
+    }
+}
+
 #[test]
 fn enabled_metrics_do_not_perturb_the_simulation() {
     let cfg = small_cfg();
     let w = by_name("sg").expect("sg workload exists");
-    let plain = run_workload_with(w.as_ref(), &cfg, None);
+    let plain = run_workload(w.as_ref(), &cfg);
     let hub = MetricsHub::new(10_000);
-    let sampled = run_workload_instrumented(w.as_ref(), &cfg, None, hub.clone());
+    let sampled = run_workload_observed(w.as_ref(), &cfg, sampled_by(&hub));
     assert_eq!(plain, sampled, "sampling must be purely observational");
     let snap = hub.snapshot().expect("enabled hub snapshots");
     assert!(!snap.series.is_empty());
@@ -119,9 +127,9 @@ fn enabled_metrics_do_not_perturb_the_simulation() {
 fn disabled_hub_matches_the_uninstrumented_path() {
     let cfg = small_cfg();
     let w = by_name("stream").expect("stream workload exists");
-    let plain = run_workload_with(w.as_ref(), &cfg, None);
+    let plain = run_workload(w.as_ref(), &cfg);
     let hub = MetricsHub::disabled();
-    let report = run_workload_instrumented(w.as_ref(), &cfg, None, hub.clone());
+    let report = run_workload_observed(w.as_ref(), &cfg, sampled_by(&hub));
     assert_eq!(plain, report);
     assert!(hub.snapshot().is_none(), "disabled hub records nothing");
 }

@@ -13,6 +13,7 @@ use mac_sim::{
     PHASE_DONE,
 };
 use mac_telemetry::Profiler;
+use mac_types::{MacPlacement, NetTopology};
 use mac_workloads::sg::ScatterGather;
 
 fn small_cfg() -> ExperimentConfig {
@@ -24,32 +25,47 @@ fn small_cfg() -> ExperimentConfig {
 
 #[test]
 fn profiling_never_changes_the_report() {
-    let cfg = small_cfg();
-    let plain = run_workload(&ScatterGather, &cfg);
+    // Both loop instantiations: host-side coalescing (`SystemSim`) and a
+    // 2-cube per-cube placement (`NetSystem`), each with its own
+    // profiler path scope.
+    let mut per_cube = small_cfg();
+    per_cube.system = per_cube
+        .system
+        .with_net(2, NetTopology::DaisyChain, MacPlacement::PerCube);
+    for (scope, cfg) in [("system", small_cfg()), ("netsystem", per_cube)] {
+        let plain = run_workload(&ScatterGather, &cfg);
 
-    let profiler = Profiler::enabled();
-    let probe = Arc::new(ProgressProbe::new());
-    let obs = RunObservers {
-        tracer: None,
-        metrics: MetricsHub::new(10_000),
-        profiler: profiler.clone(),
-        progress: Some(Arc::clone(&probe)),
-    };
-    let observed = run_workload_observed(&ScatterGather, &cfg, obs);
+        let profiler = Profiler::enabled();
+        let probe = Arc::new(ProgressProbe::new());
+        let obs = RunObservers {
+            tracer: None,
+            metrics: MetricsHub::new(10_000),
+            profiler: profiler.clone(),
+            progress: Some(Arc::clone(&probe)),
+            checker: None,
+        };
+        let observed = run_workload_observed(&ScatterGather, &cfg, obs);
 
-    assert_eq!(plain, observed, "observers must be purely observational");
+        assert_eq!(
+            plain, observed,
+            "{scope}: observers must be purely observational"
+        );
 
-    // The profiler actually recorded the run-loop phases.
-    let text = profiler.export_text().expect("enabled profiler exports");
-    assert!(text.contains("system/run/step"), "{text}");
-    assert!(text.contains("system/run/event_scan"), "{text}");
+        // The profiler actually recorded the run-loop phases.
+        let text = profiler.export_text().expect("enabled profiler exports");
+        assert!(text.contains(&format!(" {scope}/run/step ")), "{text}");
+        assert!(
+            text.contains(&format!(" {scope}/run/event_scan ")),
+            "{text}"
+        );
 
-    // The probe ended in `done` with the report's final numbers.
-    let (cycles, retired, phase) = probe.read();
-    assert_eq!(phase_name(phase), "done");
-    assert_eq!(phase, PHASE_DONE);
-    assert_eq!(cycles, observed.cycles);
-    assert_eq!(retired, observed.soc.completions);
+        // The probe ended in `done` with the report's final numbers.
+        let (cycles, retired, phase) = probe.read();
+        assert_eq!(phase_name(phase), "done");
+        assert_eq!(phase, PHASE_DONE);
+        assert_eq!(cycles, observed.cycles, "{scope}");
+        assert_eq!(retired, observed.soc.completions, "{scope}");
+    }
 }
 
 #[test]
