@@ -7,7 +7,7 @@
 //! steady-state issue rate of 0.5 requests per cycle (§4.4).
 
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{ChunkMask, Cycle, FlitMap, HmcRequest, PhysAddr};
+use mac_types::{ChunkMask, Cycle, FlitMap, FlitTablePolicy, HmcRequest, PhysAddr};
 use serde::{Deserialize, Serialize};
 
 use crate::arq::GroupEntry;
@@ -98,17 +98,24 @@ impl RequestBuilder {
         }
     }
 
-    /// Advance the pipeline one cycle; returns any transactions completed
-    /// at `now` (one, except for the PerChunk64 ablation policy which may
-    /// emit several 64 B packets from one entry).
-    pub fn tick(&mut self, now: Cycle) -> Vec<HmcRequest> {
-        let mut out = Vec::new();
-
-        if let Some(s2) = &self.s2 {
-            if s2.ready_at <= now {
-                let s2 = self.s2.take().expect("checked above");
-                out = self.assemble(s2.entry, s2.mask, now);
-            }
+    /// Advance the pipeline one cycle, handing each transaction completed
+    /// at `now` to `emit` (one, except for the PerChunk64 ablation policy
+    /// which may emit several 64 B packets from one entry). Allocates
+    /// nothing: the targets of a single-packet entry move into its
+    /// transaction.
+    pub fn tick_with(&mut self, now: Cycle, mut emit: impl FnMut(HmcRequest)) {
+        let done = match &self.s2 {
+            Some(s2) if s2.ready_at <= now => self.s2.take(),
+            _ => None,
+        };
+        if let Some(s2) = &done {
+            self.tracer.emit(now, || TraceEvent::BuilderEmit {
+                entry: s2.entry.entry_id as u32,
+                bytes: (self.table.lookup_multi(s2.mask).iter())
+                    .map(|p| p.size.bytes() as u16)
+                    .sum(),
+                targets: s2.entry.targets.len() as u8,
+            });
         }
 
         if self.s2.is_none() {
@@ -132,6 +139,18 @@ impl RequestBuilder {
             }
         }
 
+        // Emit after the stage-1 latch, so a cycle's trace reads
+        // BuilderEmit, BuilderStage2, then the MAC's Dispatch.
+        if let Some(s2) = done {
+            self.assemble(s2.entry, s2.mask, now, &mut emit);
+        }
+    }
+
+    /// [`RequestBuilder::tick_with`], collecting the transactions into a
+    /// fresh `Vec`.
+    pub fn tick(&mut self, now: Cycle) -> Vec<HmcRequest> {
+        let mut out = Vec::new();
+        self.tick_with(now, |req| out.push(req));
         out
     }
 
@@ -141,32 +160,18 @@ impl RequestBuilder {
     }
 
     /// Assemble the final transaction(s) from a stage-2 latch.
-    fn assemble(&self, entry: GroupEntry, mask: ChunkMask, now: Cycle) -> Vec<HmcRequest> {
+    fn assemble(
+        &self,
+        entry: GroupEntry,
+        mask: ChunkMask,
+        now: Cycle,
+        emit: &mut impl FnMut(HmcRequest),
+    ) {
         let row_base = entry.row.base_addr();
-        let packets = self.table.lookup_multi(mask);
-        debug_assert!(!packets.is_empty());
-        self.tracer.emit(now, || TraceEvent::BuilderEmit {
-            entry: entry.entry_id as u32,
-            bytes: packets.iter().map(|p| p.size.bytes() as u16).sum(),
-            targets: entry.targets.len() as u8,
-        });
-        if packets.len() == 1 {
-            let p = packets[0];
-            return vec![HmcRequest {
-                addr: PhysAddr::new(row_base.raw() + p.start_offset()),
-                size: p.size,
-                is_write: entry.is_store,
-                is_atomic: false,
-                flit_map: entry.flit_map,
-                targets: entry.targets,
-                raw_ids: entry.raw_ids,
-                dispatched_at: now,
-            }];
-        }
-        // PerChunk64 ablation: split targets across the per-chunk packets.
-        packets
-            .into_iter()
-            .map(|p| {
+        if self.table.policy() == FlitTablePolicy::PerChunk64 && mask.count() > 1 {
+            // PerChunk64 ablation: split targets across the per-chunk
+            // packets.
+            for p in self.table.lookup_multi(mask) {
                 let lo = p.start_chunk * 4;
                 let hi = lo + 4;
                 let chunk_bits = FlitMap::from_bits(entry.flit_map.bits() & (0xF << lo));
@@ -178,7 +183,7 @@ impl RequestBuilder {
                         ids.push(*id);
                     }
                 }
-                HmcRequest {
+                emit(HmcRequest {
                     addr: PhysAddr::new(row_base.raw() + p.start_offset()),
                     size: p.size,
                     is_write: entry.is_store,
@@ -187,9 +192,21 @@ impl RequestBuilder {
                     targets,
                     raw_ids: ids,
                     dispatched_at: now,
-                }
-            })
-            .collect()
+                });
+            }
+            return;
+        }
+        let p = (self.table.lookup(mask)).expect("non-empty mask has an entry");
+        emit(HmcRequest {
+            addr: PhysAddr::new(row_base.raw() + p.start_offset()),
+            size: p.size,
+            is_write: entry.is_store,
+            is_atomic: false,
+            flit_map: entry.flit_map,
+            targets: entry.targets,
+            raw_ids: entry.raw_ids,
+            dispatched_at: now,
+        });
     }
 }
 
@@ -202,7 +219,7 @@ impl Default for RequestBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mac_types::{FlitTablePolicy, ReqSize, RowId, Target, TransactionId};
+    use mac_types::{ReqSize, RowId, Target, TransactionId};
 
     fn entry(row: u64, flits: &[u8], store: bool) -> GroupEntry {
         let mut fm = FlitMap::new();

@@ -106,23 +106,23 @@ impl Mac {
         }
     }
 
-    /// Advance one cycle; returns dispatches and fence retirements.
-    pub fn tick(&mut self, now: Cycle) -> Vec<MacEvent> {
-        let mut events = Vec::new();
-
+    /// Advance one cycle, handing each dispatch and fence retirement to
+    /// `emit` in the order [`Mac::tick`] lists them. Allocates nothing.
+    pub fn tick_with(&mut self, now: Cycle, mut emit: impl FnMut(MacEvent)) {
         // Builder pipeline advances first (its stage-2 output was latched
         // in earlier cycles).
-        for req in self.builder.tick(now) {
-            self.stats.record_dispatch(req.size, Provenance::Built);
-            self.emit_dispatch(&req, Provenance::Built, now);
-            events.push(MacEvent::Dispatch(req));
-        }
+        let (stats, tracer) = (&mut self.stats, &self.tracer);
+        self.builder.tick_with(now, |req| {
+            stats.record_dispatch(req.size, Provenance::Built);
+            emit_dispatch(tracer, &req, Provenance::Built, now);
+            emit(MacEvent::Dispatch(req));
+        });
 
         // Atomic direct path: straight to the device (§4.1.2).
         while let Some(req) = self.direct.pop_front() {
             self.stats.record_dispatch(req.size, Provenance::Atomic);
-            self.emit_dispatch(&req, Provenance::Atomic, now);
-            events.push(MacEvent::Dispatch(req));
+            emit_dispatch(&self.tracer, &req, Provenance::Atomic, now);
+            emit(MacEvent::Dispatch(req));
         }
 
         // ARQ pop, rate-limited to one entry per `pop_interval` cycles.
@@ -142,7 +142,7 @@ impl Mac {
                     });
                     self.tracer
                         .emit(now, || TraceEvent::FenceRetire { id: f.id.0 });
-                    events.push(MacEvent::FenceRetired(f));
+                    emit(MacEvent::FenceRetired(f));
                     self.next_pop = now + self.cfg.pop_interval;
                 }
                 Some(ArqEntry::Group(g)) if self.cfg.bypass_enabled && g.bypass() => {
@@ -170,8 +170,8 @@ impl Mac {
                     };
                     self.stats.targets_per_entry.record(1);
                     self.stats.record_dispatch(req.size, Provenance::Bypass);
-                    self.emit_dispatch(&req, Provenance::Bypass, now);
-                    events.push(MacEvent::Dispatch(req));
+                    emit_dispatch(&self.tracer, &req, Provenance::Bypass, now);
+                    emit(MacEvent::Dispatch(req));
                     self.next_pop = now + self.cfg.pop_interval;
                 }
                 Some(ArqEntry::Group(_)) if self.builder.can_accept() => {
@@ -196,6 +196,12 @@ impl Mac {
         }
 
         self.stats.fill_bursts = self.arq.fill_bursts;
+    }
+
+    /// [`Mac::tick_with`], collecting the events into a fresh `Vec`.
+    pub fn tick(&mut self, now: Cycle) -> Vec<MacEvent> {
+        let mut events = Vec::new();
+        self.tick_with(now, |ev| events.push(ev));
         events
     }
 
@@ -214,16 +220,6 @@ impl Mac {
             next = Some(next.map_or(at, |n| n.min(at)));
         }
         next.map(|t| t.max(now))
-    }
-
-    /// Emit the dispatch trace event for a transaction leaving the MAC.
-    fn emit_dispatch(&self, req: &HmcRequest, provenance: Provenance, now: Cycle) {
-        self.tracer.emit(now, || TraceEvent::Dispatch {
-            addr: req.addr.raw(),
-            bytes: req.size.bytes() as u16,
-            provenance: provenance as u8,
-            targets: req.targets.len() as u8,
-        });
     }
 
     /// True when no work is in flight inside the MAC.
@@ -282,6 +278,16 @@ impl Mac {
         s.counter("emitted_requests", self.stats.emitted_total());
         s.counter("fences_retired", self.stats.fences_retired);
     }
+}
+
+/// Emit the dispatch trace event for a transaction leaving the MAC.
+fn emit_dispatch(tracer: &Tracer, req: &HmcRequest, provenance: Provenance, now: Cycle) {
+    tracer.emit(now, || TraceEvent::Dispatch {
+        addr: req.addr.raw(),
+        bytes: req.size.bytes() as u16,
+        provenance: provenance as u8,
+        targets: req.targets.len() as u8,
+    });
 }
 
 #[cfg(test)]
@@ -459,6 +465,43 @@ mod tests {
         assert_eq!(d[0].size, ReqSize::B64, "builder emits 64 B minimum");
         assert_eq!(mac.stats().emitted_bypass, 0);
         assert_eq!(mac.stats().emitted_built, 1);
+    }
+
+    #[test]
+    fn builder_emit_traces_before_the_next_latch_and_its_dispatch() {
+        use mac_telemetry::RingSink;
+        let no_bypass = MacConfig {
+            bypass_enabled: false,
+            latency_hiding: false,
+            ..MacConfig::default()
+        };
+        let mut mac = Mac::new(&no_bypass);
+        let ring = RingSink::new(64);
+        let handle = ring.handle();
+        mac.set_tracer(Tracer::new(ring));
+        mac.try_accept(raw(1, 0xA00, MemOpKind::Load), 0);
+        mac.try_accept(raw(2, 0xB00, MemOpKind::Load), 0);
+        // Entry 0 pops at 0 and latches into stage 2 at 1; entry 1 pops
+        // at 2. At 3 entry 0 emits while entry 1 moves to stage 2.
+        let events: Vec<MacEvent> = (0..4).flat_map(|now| mac.tick(now)).collect();
+        assert_eq!(dispatches(&events).len(), 1);
+        let at3: Vec<TraceEvent> = handle
+            .snapshot()
+            .into_iter()
+            .filter(|r| r.cycle == 3)
+            .map(|r| r.event)
+            .collect();
+        assert!(
+            matches!(
+                at3.as_slice(),
+                [
+                    TraceEvent::BuilderEmit { entry: 0, .. },
+                    TraceEvent::BuilderStage2 { entry: 1, .. },
+                    TraceEvent::Dispatch { .. },
+                ]
+            ),
+            "{at3:?}"
+        );
     }
 
     #[test]

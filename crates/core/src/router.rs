@@ -146,21 +146,35 @@ impl ResponseRouter {
     }
 
     /// Expand one device response into the completions of every merged
-    /// raw request it satisfies.
+    /// raw request it satisfies, handing each to `deliver` in target
+    /// order. Allocates nothing.
+    pub fn expand_each(&mut self, rsp: &HmcResponse, mut deliver: impl FnMut(RawCompletion)) {
+        for cpl in completions(rsp) {
+            self.delivered += 1;
+            deliver(cpl);
+        }
+    }
+
+    /// [`ResponseRouter::expand_each`], collecting the completions into
+    /// a fresh `Vec`.
     pub fn expand(&mut self, rsp: &HmcResponse) -> Vec<RawCompletion> {
-        let out: Vec<RawCompletion> = rsp
-            .raw_ids
-            .iter()
-            .zip(&rsp.targets)
-            .map(|(&id, &target)| RawCompletion {
-                id,
-                target,
-                completed_at: rsp.completed_at,
-            })
-            .collect();
+        let out: Vec<RawCompletion> = completions(rsp).collect();
         self.delivered += out.len() as u64;
         out
     }
+}
+
+/// The completions `rsp` satisfies, one per merged raw request, in
+/// target order.
+fn completions(rsp: &HmcResponse) -> impl Iterator<Item = RawCompletion> + '_ {
+    rsp.raw_ids
+        .iter()
+        .zip(&rsp.targets)
+        .map(|(&id, &target)| RawCompletion {
+            id,
+            target,
+            completed_at: rsp.completed_at,
+        })
 }
 
 #[cfg(test)]

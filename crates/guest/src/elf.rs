@@ -256,9 +256,22 @@ pub struct LoadedElf {
 }
 
 fn field(bytes: &[u8], off: usize, len: usize) -> Result<&[u8], String> {
-    bytes
-        .get(off..off + len)
+    off.checked_add(len)
+        .and_then(|end| bytes.get(off..end))
         .ok_or_else(|| format!("truncated ELF: need {len} bytes at offset {off:#x}"))
+}
+
+/// Check that a table of `count` `stride`-byte entries at offset `base`
+/// (the header field `what`) ends inside the address space, so every
+/// `base + i * stride + k` with `i < count`, `k < stride` can be formed
+/// without overflow.
+fn check_table(base: usize, count: usize, stride: usize, what: &str) -> Result<(), String> {
+    match count.checked_mul(stride).and_then(|n| base.checked_add(n)) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "{what} {base:#x}: a table of {count} x {stride} B there overflows"
+        )),
+    }
 }
 
 fn u16_at(b: &[u8], off: usize) -> Result<u16, String> {
@@ -313,6 +326,7 @@ pub fn load_elf(bytes: &[u8]) -> Result<LoadedElf, String> {
         return Err("unreasonable header counts".into());
     }
 
+    check_table(phoff, phnum, phentsize, "e_phoff")?;
     let mut segments = Vec::new();
     for i in 0..phnum {
         let p = phoff + i * phentsize;
@@ -326,6 +340,11 @@ pub fn load_elf(bytes: &[u8]) -> Result<LoadedElf, String> {
         let memsz = u64_at(bytes, p + 40)?;
         if (memsz as usize) < filesz {
             return Err(format!("segment {i}: p_memsz < p_filesz"));
+        }
+        if vaddr.checked_add(memsz).is_none() {
+            return Err(format!(
+                "segment {i}: p_vaddr {vaddr:#x} + p_memsz {memsz:#x} overflows"
+            ));
         }
         let data = field(bytes, offset, filesz)?.to_vec();
         segments.push(Segment {
@@ -343,6 +362,7 @@ pub fn load_elf(bytes: &[u8]) -> Result<LoadedElf, String> {
     // Optional symbols.
     let mut symbols = Vec::new();
     if shoff != 0 && shentsize >= SHENTSIZE as usize {
+        check_table(shoff, shnum, shentsize, "e_shoff")?;
         for i in 0..shnum {
             let s = shoff + i * shentsize;
             if u32_at(bytes, s + 4)? != SHT_SYMTAB {
@@ -351,11 +371,13 @@ pub fn load_elf(bytes: &[u8]) -> Result<LoadedElf, String> {
             let off = u64_at(bytes, s + 24)? as usize;
             let size = u64_at(bytes, s + 32)? as usize;
             let link = u32_at(bytes, s + 40)? as usize;
+            check_table(shoff, link + 1, shentsize, "sh_link")?;
             let ssec = shoff + link * shentsize;
             let stroff = u64_at(bytes, ssec + 24)? as usize;
             let strsize = u64_at(bytes, ssec + 32)? as usize;
             let strtab = field(bytes, stroff, strsize)?;
             let n = size / SYMENTSIZE as usize;
+            check_table(off, n, SYMENTSIZE as usize, "sh_offset")?;
             for j in 1..n {
                 let e = off + j * SYMENTSIZE as usize;
                 let name_off = u32_at(bytes, e)? as usize;
@@ -513,6 +535,23 @@ mod tests {
         assert!(load_elf(&wrong_machine).unwrap_err().contains("RISC-V"));
         let truncated = &elf[..elf.len() / 2];
         assert!(load_elf(truncated).is_err());
+    }
+
+    #[test]
+    fn program_header_offset_overflow_is_an_error() {
+        let mut elf = write_elf(&sample());
+        elf[32..40].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        let err = load_elf(&elf).unwrap_err();
+        assert!(err.contains("e_phoff"), "{err}");
+    }
+
+    #[test]
+    fn segment_end_overflow_is_an_error() {
+        let mut elf = write_elf(&sample());
+        let phoff = u64_at(&elf, 32).unwrap() as usize;
+        elf[phoff + 16..phoff + 24].copy_from_slice(&(u64::MAX - 4).to_le_bytes());
+        let err = load_elf(&elf).unwrap_err();
+        assert!(err.contains("p_vaddr") && err.contains("p_memsz"), "{err}");
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl<T> CompletionQueue<T> {
         self.heap.pop().map(|e| e.item)
     }
 
-    /// Remove every item due by `now`, earliest first.
-    pub fn drain_due(&mut self, now: Cycle) -> Vec<T> {
-        std::iter::from_fn(|| self.pop_due(now)).collect()
-    }
-
     /// Items queued (due or not).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -113,6 +108,10 @@ impl<T> CompletionQueue<T> {
 mod tests {
     use super::*;
 
+    fn drain_due<T>(q: &mut CompletionQueue<T>, now: Cycle) -> Vec<T> {
+        std::iter::from_fn(|| q.pop_due(now)).collect()
+    }
+
     #[test]
     fn same_cycle_items_drain_in_submission_order() {
         let mut q = CompletionQueue::new();
@@ -120,10 +119,10 @@ mod tests {
             q.push(at, item);
         }
         assert_eq!(q.next_at(), Some(10));
-        assert!(q.drain_due(9).is_empty());
-        assert_eq!(q.drain_due(10), vec!['b', 'd']);
+        assert!(drain_due(&mut q, 9).is_empty());
+        assert_eq!(drain_due(&mut q, 10), vec!['b', 'd']);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.drain_due(u64::MAX), vec!['a', 'c', 'e']);
+        assert_eq!(drain_due(&mut q, u64::MAX), vec!['a', 'c', 'e']);
         assert!(q.is_empty());
         assert_eq!(q.next_at(), None);
     }

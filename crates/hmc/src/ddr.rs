@@ -145,8 +145,8 @@ impl MemoryDevice for DdrDevice {
         completed
     }
 
-    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        self.completion.drain_due(now)
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
+        self.completion.pop_due(now)
     }
 
     fn pending(&self) -> usize {

@@ -1,8 +1,9 @@
 //! The assembled HMC device: links + crossbar/logic layer + vaults.
 //!
 //! [`HmcDevice::submit`] pushes one request transaction through the full
-//! path and schedules its response; [`HmcDevice::drain_completed`] hands
-//! finished responses back to the front end in completion order.
+//! path and schedules its response;
+//! [`MemoryDevice::pop_completed`](crate::MemoryDevice::pop_completed)
+//! hands finished responses back to the front end in completion order.
 
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig, HmcRequest, HmcResponse};
@@ -136,12 +137,6 @@ impl HmcDevice {
         completed
     }
 
-    /// Pop every response whose completion cycle is `<= now`, in
-    /// completion order.
-    pub fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        self.completion.drain_due(now)
-    }
-
     /// Number of in-flight (submitted, not yet drained) transactions.
     pub fn pending(&self) -> usize {
         self.completion.len()
@@ -190,8 +185,8 @@ impl crate::device_trait::MemoryDevice for HmcDevice {
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         HmcDevice::submit(self, req, now)
     }
-    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        HmcDevice::drain_completed(self, now)
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
+        self.completion.pop_due(now)
     }
     fn pending(&self) -> usize {
         HmcDevice::pending(self)
@@ -216,6 +211,7 @@ impl crate::device_trait::MemoryDevice for HmcDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryDevice;
     use mac_types::{FlitMap, PhysAddr, ReqSize, Target, TransactionId};
 
     fn read_req(addr: u64, size: ReqSize, at: Cycle) -> HmcRequest {
@@ -339,6 +335,7 @@ mod tests {
 #[cfg(test)]
 mod retry_tests {
     use super::*;
+    use crate::MemoryDevice;
     use mac_types::{FlitMap, PhysAddr, ReqSize, Target, TransactionId};
 
     fn read_req(addr: u64, at: Cycle) -> HmcRequest {

@@ -25,8 +25,17 @@ pub trait MemoryDevice {
     /// calls); returns its completion cycle.
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle;
 
-    /// Pop every response completed by `now`, in completion order.
-    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse>;
+    /// Pop the earliest response completed by `now`, if any. Responses
+    /// completing in the same cycle come out in submission order. This
+    /// is the one drain primitive: the run loops call it until it
+    /// returns `None`.
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse>;
+
+    /// Pop every response completed by `now`, in completion order, into
+    /// a fresh `Vec`.
+    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
+        std::iter::from_fn(|| self.pop_completed(now)).collect()
+    }
 
     /// Transactions submitted but not yet drained.
     fn pending(&self) -> usize;

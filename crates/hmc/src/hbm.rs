@@ -162,8 +162,8 @@ impl MemoryDevice for HbmDevice {
         completed
     }
 
-    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        self.completion.drain_due(now)
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
+        self.completion.pop_due(now)
     }
 
     fn pending(&self) -> usize {

@@ -22,8 +22,8 @@
 //! schedules a request through link → crossbar → vault queue → bank →
 //! response link and returns its completion time, provided submissions
 //! arrive in non-decreasing cycle order (which a cycle-driven front end
-//! guarantees). Completed responses are drained with
-//! [`HmcDevice::drain_completed`].
+//! guarantees). Completed responses are popped one at a time with
+//! [`MemoryDevice::pop_completed`].
 
 #![warn(missing_docs)]
 

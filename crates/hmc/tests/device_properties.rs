@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hmc_model::HmcDevice;
+use hmc_model::{HmcDevice, MemoryDevice};
 use mac_types::{FlitMap, HmcConfig, HmcRequest, PhysAddr, ReqSize, Target, TransactionId};
 
 fn req(addr: u64, size: ReqSize, write: bool, at: u64) -> HmcRequest {

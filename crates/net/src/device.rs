@@ -138,7 +138,7 @@ impl NetDevice {
     }
 
     /// Record a finished access (device + network stats, trace event)
-    /// and queue its response for [`MemoryDevice::drain_completed`].
+    /// and queue its response for [`MemoryDevice::pop_completed`].
     pub fn finish_access(
         &mut self,
         req: HmcRequest,
@@ -214,12 +214,6 @@ impl NetDevice {
         completed
     }
 
-    /// Pop every response whose completion cycle is `<= now`, in
-    /// completion order.
-    pub fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        self.completion.drain_due(now)
-    }
-
     /// Transactions submitted but not yet drained.
     pub fn pending(&self) -> usize {
         self.completion.len()
@@ -291,8 +285,8 @@ impl MemoryDevice for NetDevice {
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         NetDevice::submit(self, req, now)
     }
-    fn drain_completed(&mut self, now: Cycle) -> Vec<HmcResponse> {
-        NetDevice::drain_completed(self, now)
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
+        self.completion.pop_due(now)
     }
     fn pending(&self) -> usize {
         NetDevice::pending(self)

@@ -24,23 +24,35 @@ pub trait Memory {
     }
 }
 
-/// Flat `Vec<u8>`-backed memory, usable for programs and data.
+/// Bytes per [`FlatMemory`] page.
+const PAGE_BYTES: usize = 4096;
+
+/// Flat, zero-initialised memory of a fixed size, usable for programs
+/// and data.
+///
+/// The bytes live in 4 KiB pages allocated on first write; a page never
+/// written reads as zeros. A guest sized for its largest footprint thus
+/// costs only the pages it touches, not a zeroed buffer of the full
+/// size. Bounds are those of a `Vec<u8>` of the same length.
 ///
 /// Out-of-range accesses do not panic: reads return zeros, writes are
 /// dropped, and both bump [`FlatMemory::faults`] so harnesses can detect
 /// runaway programs.
 #[derive(Debug, Clone)]
 pub struct FlatMemory {
-    bytes: Vec<u8>,
+    len: usize,
+    /// Page `i` holds bytes `i * PAGE_BYTES ..`; `None` until written.
+    pages: Vec<Option<Box<[u8; PAGE_BYTES]>>>,
     /// Out-of-range accesses observed.
     pub faults: u64,
 }
 
 impl FlatMemory {
-    /// Allocate `size` zeroed bytes.
+    /// `size` bytes of zeroed memory (no page is allocated yet).
     pub fn new(size: usize) -> Self {
         FlatMemory {
-            bytes: vec![0; size],
+            len: size,
+            pages: vec![None; size.div_ceil(PAGE_BYTES)],
             faults: 0,
         }
     }
@@ -50,38 +62,76 @@ impl FlatMemory {
     /// loaders are expected to size memory up front, but a bad image must
     /// never panic the host.
     pub fn load_image(&mut self, addr: u64, image: &[u8]) {
-        let a = addr as usize;
-        match self.bytes.get_mut(a..a.saturating_add(image.len())) {
-            Some(dst) => dst.copy_from_slice(image),
-            None => {
-                let fit = self.bytes.len().saturating_sub(a).min(image.len());
-                if fit > 0 {
-                    self.bytes[a..a + fit].copy_from_slice(&image[..fit]);
-                }
-                self.faults += 1;
-            }
+        let a = usize::try_from(addr).unwrap_or(usize::MAX);
+        let fit = self.len.saturating_sub(a).min(image.len());
+        if fit > 0 {
+            self.copy_in(a, &image[..fit]);
+        }
+        if self.span(addr, image.len()).is_none() {
+            self.faults += 1;
         }
     }
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// True when zero-sized.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
+
+    /// Start of the span `addr .. addr + len` when it lies in bounds.
+    fn span(&self, addr: u64, len: usize) -> Option<usize> {
+        let a = usize::try_from(addr).ok()?;
+        a.checked_add(len).filter(|&end| end <= self.len).map(|_| a)
+    }
+
+    /// Copy in-bounds memory at `a` into `dst`.
+    fn copy_out(&self, a: usize, dst: &mut [u8]) {
+        for (page, off, r) in pieces(a, dst.len()) {
+            let out = &mut dst[r];
+            match &self.pages[page] {
+                Some(p) => out.copy_from_slice(&p[off..off + out.len()]),
+                None => out.fill(0),
+            }
+        }
+    }
+
+    /// Copy `src` to in-bounds memory at `a`, allocating pages.
+    fn copy_in(&mut self, a: usize, src: &[u8]) {
+        for (page, off, r) in pieces(a, src.len()) {
+            let p = self.pages[page].get_or_insert_with(|| {
+                vec![0; PAGE_BYTES]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("a page is PAGE_BYTES long")
+            });
+            p[off..off + r.len()].copy_from_slice(&src[r]);
+        }
+    }
+}
+
+/// Split the span `a .. a + len` at page boundaries: yields each piece's
+/// page index, offset within the page, and range within the span.
+fn pieces(a: usize, len: usize) -> impl Iterator<Item = (usize, usize, std::ops::Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = a + done;
+            let off = at % PAGE_BYTES;
+            let n = (len - done).min(PAGE_BYTES - off);
+            done += n;
+            (at / PAGE_BYTES, off, done - n..done)
+        })
+    })
 }
 
 impl Memory for FlatMemory {
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
-        let a = addr as usize;
-        match a
-            .checked_add(buf.len())
-            .and_then(|end| self.bytes.get(a..end))
-        {
-            Some(src) => buf.copy_from_slice(src),
+        match self.span(addr, buf.len()) {
+            Some(a) => self.copy_out(a, buf),
             None => {
                 buf.fill(0);
                 self.faults += 1;
@@ -89,10 +139,8 @@ impl Memory for FlatMemory {
         }
     }
     fn write(&mut self, addr: u64, buf: &[u8]) {
-        let a = addr as usize;
-        let end = a.checked_add(buf.len());
-        match end.and_then(|e| self.bytes.get_mut(a..e)) {
-            Some(dst) => dst.copy_from_slice(buf),
+        match self.span(addr, buf.len()) {
+            Some(a) => self.copy_in(a, buf),
             None => self.faults += 1,
         }
     }

@@ -4,9 +4,9 @@
 //! for the request router, and routes completions back to the owning
 //! core/thread.
 
-use std::collections::HashMap;
-
-use mac_types::{Cycle, MemOpKind, NodeId, PhysAddr, RawRequest, SocConfig, Target, TransactionId};
+use mac_types::{
+    Cycle, IdMap, MemOpKind, NodeId, PhysAddr, RawRequest, SocConfig, Target, TransactionId,
+};
 
 use crate::core::Core;
 use crate::metrics::SocMetrics;
@@ -27,15 +27,16 @@ pub fn home_of(addr: PhysAddr, nodes: usize) -> NodeId {
 pub struct Node {
     id: NodeId,
     cores: Vec<Core>,
-    /// tid -> core index.
-    thread_home: HashMap<u16, usize>,
+    /// Core index of each thread, indexed by tid.
+    thread_home: Vec<usize>,
     /// In-flight raw requests: id -> tid.
-    pending: HashMap<TransactionId, u16>,
+    pending: IdMap<TransactionId, u16>,
     next_txn: u64,
     nodes_in_system: usize,
     metrics: SocMetrics,
-    /// Per-thread tag counters (the 2 B transaction tag of §4.1.1).
-    tags: HashMap<u16, u16>,
+    /// Per-thread tag counters (the 2 B transaction tag of §4.1.1),
+    /// indexed by tid.
+    tags: Vec<u16>,
 }
 
 impl Node {
@@ -45,12 +46,11 @@ impl Node {
         let ncores = cfg.cores.max(1);
         let mut per_core: Vec<Vec<(u16, Box<dyn ThreadProgram>)>> =
             (0..ncores).map(|_| Vec::new()).collect();
-        let mut thread_home = HashMap::new();
+        let mut thread_home = Vec::with_capacity(programs.len());
         for (i, p) in programs.into_iter().enumerate() {
-            let tid = i as u16;
             let core = i % ncores;
-            thread_home.insert(tid, core);
-            per_core[core].push((tid, p));
+            thread_home.push(core);
+            per_core[core].push((i as u16, p));
         }
         let cores = per_core
             .into_iter()
@@ -66,12 +66,12 @@ impl Node {
         Node {
             id,
             cores,
+            tags: vec![0; thread_home.len()],
             thread_home,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_txn: TransactionId::compose(id.0, 0).0, // node-unique id spaces
             nodes_in_system: cfg.nodes.max(1),
             metrics: SocMetrics::default(),
-            tags: HashMap::new(),
         }
     }
 
@@ -92,7 +92,7 @@ impl Node {
         for core in &mut self.cores {
             core.tick(now, |issue| {
                 let id = TransactionId(*next_txn);
-                let tag = tags.entry(issue.tid).or_insert(0);
+                let tag = &mut tags[issue.tid as usize];
                 let raw = RawRequest {
                     id,
                     addr: issue.addr,
@@ -144,7 +144,7 @@ impl Node {
     /// A raw request completed (response data arrived).
     pub fn complete(&mut self, id: TransactionId, now: Cycle) {
         if let Some(tid) = self.pending.remove(&id) {
-            if let Some(&core) = self.thread_home.get(&tid) {
+            if let Some(&core) = self.thread_home.get(tid as usize) {
                 self.cores[core].complete_mem(tid);
             }
             self.metrics.completions += 1;
@@ -155,7 +155,7 @@ impl Node {
     /// A fence retired inside the MAC.
     pub fn complete_fence(&mut self, raw: &RawRequest) {
         if self.pending.remove(&raw.id).is_some() {
-            if let Some(&core) = self.thread_home.get(&raw.target.tid) {
+            if let Some(&core) = self.thread_home.get(raw.target.tid as usize) {
                 self.cores[core].complete_fence(raw.target.tid);
             }
             self.metrics.completions += 1;

@@ -106,22 +106,20 @@ pub(crate) fn tick_mac(
     checker: &mut Option<ConformanceChecker>,
     now: Cycle,
 ) {
-    for ev in mac.tick(now) {
-        match ev {
-            MacEvent::Dispatch(req) => {
-                if let Some(c) = checker.as_mut() {
-                    c.on_dispatch(&req, now);
-                }
-                dispatch_q.push_back(req);
+    mac.tick_with(now, |ev| match ev {
+        MacEvent::Dispatch(req) => {
+            if let Some(c) = checker.as_mut() {
+                c.on_dispatch(&req, now);
             }
-            MacEvent::FenceRetired(raw) => {
-                if let Some(c) = checker.as_mut() {
-                    c.on_fence_retired(&raw, now);
-                }
-                node.complete_fence(&raw);
-            }
+            dispatch_q.push_back(req);
         }
-    }
+        MacEvent::FenceRetired(raw) => {
+            if let Some(c) = checker.as_mut() {
+                c.on_fence_retired(&raw, now);
+            }
+            node.complete_fence(&raw);
+        }
+    });
 }
 
 /// The cycle the idle-span skip may jump to from `now` on its way to

@@ -23,7 +23,7 @@
 //!    raw request arrived on;
 //! 5. completed responses fan out into per-request completions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hmc_model::{CompletionQueue, MemoryDevice};
 use mac_check::ConformanceChecker;
@@ -31,7 +31,7 @@ use mac_coalescer::{Mac, RequestRouter, ResponseRouter};
 use mac_metrics::Sampler;
 use mac_net::NetDevice;
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{Cycle, HmcRequest, MemOpKind, NodeId, RawRequest, SystemConfig};
+use mac_types::{Cycle, HmcRequest, IdMap, MemOpKind, NodeId, RawRequest, SystemConfig};
 use soc_sim::{Node, SocMetrics, ThreadProgram};
 
 use crate::driver::{issue_into_router, merge_next, raw_to_txn, tick_mac, Fabric, RunDriver};
@@ -57,7 +57,7 @@ pub struct CubeFabric {
     rsp_router: ResponseRouter,
     /// Host link each raw request traveled out on; the coalesced
     /// response returns on the first merged raw's link.
-    raw_link: HashMap<u64, usize>,
+    raw_link: IdMap<u64, usize>,
     /// Host-side tracer (routing, fan-out).
     tracer: Tracer,
     mac_disabled: bool,
@@ -86,7 +86,7 @@ impl NetSystem {
                 })
                 .collect(),
             rsp_router: ResponseRouter::new(),
-            raw_link: HashMap::new(),
+            raw_link: IdMap::default(),
             tracer: Tracer::disabled(),
             mac_disabled: cfg.mac_disabled,
         };
@@ -193,18 +193,18 @@ impl Fabric for CubeFabric {
         }
 
         // 5. Responses fan out to threads.
-        for rsp in self.dev.drain_completed(now) {
+        while let Some(rsp) = self.dev.pop_completed(now) {
             if let Some(c) = checker.as_mut() {
                 c.on_response(&rsp, now);
             }
-            for cpl in self.rsp_router.expand(&rsp) {
+            self.rsp_router.expand_each(&rsp, |cpl| {
                 if let Some(c) = checker.as_mut() {
                     c.on_completion(cpl.id, now);
                 }
                 self.tracer
                     .emit(now, || TraceEvent::Fanout { id: cpl.id.0 });
                 self.node.complete(cpl.id, now);
-            }
+            });
         }
     }
 

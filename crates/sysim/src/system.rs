@@ -229,14 +229,14 @@ impl Fabric for NodeFabric {
             }
 
             // 5. Responses fan out to threads.
-            for rsp in n.hmc.drain_completed(now) {
+            while let Some(rsp) = n.hmc.pop_completed(now) {
                 if let Some(c) = checker.as_mut() {
                     c.on_response(&rsp, now);
                 }
-                for cpl in n.rsp_router.expand(&rsp) {
-                    // Remote completions are recorded here too: expand
-                    // visits each raw exactly once regardless of where
-                    // its thread lives.
+                n.rsp_router.expand_each(&rsp, |cpl| {
+                    // Remote completions are recorded here too: the
+                    // expansion visits each raw exactly once regardless
+                    // of where its thread lives.
                     if let Some(c) = checker.as_mut() {
                         c.on_completion(cpl.id, now);
                     }
@@ -250,7 +250,7 @@ impl Fabric for NodeFabric {
                             payload: cpl.id,
                         });
                     }
-                }
+                });
             }
         }
     }

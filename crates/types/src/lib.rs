@@ -22,6 +22,7 @@ pub mod bandwidth;
 pub mod config;
 pub mod fingerprint;
 pub mod flit;
+pub mod idhash;
 pub mod jobid;
 pub mod packet;
 pub mod request;
@@ -35,6 +36,7 @@ pub use config::{
 };
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use flit::{ChunkMask, FlitMap, CHUNKS_PER_ROW, CHUNK_BYTES, FLITS_PER_CHUNK};
+pub use idhash::{IdHasher, IdMap};
 pub use jobid::JobId;
 pub use packet::{HmcPacket, PacketKind};
 pub use request::{
