@@ -8,7 +8,6 @@
 //!           [--out DIR] [--no-cache] [--trace]
 //!           [--metrics] [--metrics-interval N] [--profile] [--list]
 //! mac-bench baseline [--check | --update] [--file PATH]
-//!           [--trajectory] [--stepped-ref]
 //!           [--jobs N] [--out DIR] [--no-cache]
 //! mac-bench fuzz [--iters N] [--seed S] [--out DIR] [--max-cycles N]
 //!           [--smoke] [--adaptive] [--replay FILE]
@@ -52,23 +51,12 @@
 //!   hits its cycle cap marks its entry `[FAILED]` in the per-entry
 //!   summary and the run exits non-zero — truncated measurements must
 //!   not pass silently in CI.
-//! * `baseline --check` re-simulates the smoke baseline set and exits
-//!   1 if any checked-in metric drifts out of tolerance;
-//!   `baseline --update` regenerates the file (default
-//!   `baselines/smoke.macb`). A check also appends the repo's perf
-//!   trajectory: per-entry wall-clock sims/sec land in
-//!   `BENCH_<date>.json` at the repository root. With `--trajectory`
-//!   the fresh figures are compared against the newest previous
-//!   `BENCH_*.json`; a first run — or a previous file sharing no
-//!   comparable entries — prints a `[NO-PREVIOUS-BENCH]` note instead
-//!   of passing silently, and any entry losing more than 30% throughput
-//!   prints a `[PERF-REGRESSION]` line and the check exits 5 (distinct from the
-//!   metric-drift exit 1 so CI can gate the two separately). The same
-//!   marker and exit code apply when the aggregate throughput halves
-//!   vs the MACB baseline's recorded figure. `--stepped-ref` re-times
-//!   every entry under the cycle-stepped reference loop and embeds
-//!   per-entry `speedup` figures in the JSON — the event-driven fast
-//!   path's measured win (DESIGN.md §14).
+//! * `baseline --check` re-simulates the smoke baseline set (in
+//!   parallel, through the result cache) and exits 1 if any checked-in
+//!   metric drifts out of tolerance; it writes nothing outside the
+//!   cache. `baseline --update` regenerates the file (default
+//!   `baselines/smoke.macb`). Simulator speed is measured by `mac-perf`
+//!   (`crates/perf`), not here.
 //! * `fuzz` runs the differential conformance fuzzer: seeded random
 //!   configs × adversarial address streams, each simulated with the
 //!   `mac-check` invariant checker attached and diffed against the
@@ -149,10 +137,6 @@ baseline options:
   --check                compare against the checked-in baseline (default)
   --update               regenerate the baseline file from a fresh run
   --file PATH            baseline file (default `baselines/smoke.macb`)
-  --trajectory           gate per-entry sims/sec against the previous BENCH_*.json
-                         (>30% drop: [PERF-REGRESSION] line, exit 5)
-  --stepped-ref          also time the cycle-stepped reference loop per entry and
-                         record event-driven speedups in BENCH_<date>.json
   --jobs/--out/--no-cache as above
 
 fuzz options:
@@ -430,42 +414,8 @@ fn write_merged_trace(opts: &EngineOptions, prof: &ProfSnapshot) {
     );
 }
 
-/// Exit code for a throughput regression (trajectory gate or aggregate
-/// sims/sec breach): distinct from the metric-drift exit 1 so CI can
-/// key off `[PERF-REGRESSION]` without conflating machine-speed issues
-/// with simulated-behaviour changes.
-const EXIT_PERF_REGRESSION: i32 = 5;
-
-/// Newest `BENCH_*.json` in the working directory — the previous perf
-/// trajectory point. Dates sort lexicographically, so the max file name
-/// is the latest; `skip` excludes the file the current run is about to
-/// write (comparing a run against itself would gate nothing).
-fn previous_bench_file(skip: &std::path::Path) -> Option<PathBuf> {
-    let mut best: Option<PathBuf> = None;
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        let path = entry.path();
-        if path.file_name() == skip.file_name() {
-            continue;
-        }
-        if best
-            .as_ref()
-            .is_none_or(|b| b.file_name() < path.file_name())
-        {
-            best = Some(path);
-        }
-    }
-    best
-}
-
 fn baseline_main(args: &[String]) {
     let mut update = false;
-    let mut trajectory = false;
-    let mut stepped_ref = false;
     let mut file = PathBuf::from(DEFAULT_BASELINE_PATH);
     let mut opts = EngineOptions::default();
     let mut i = 0;
@@ -473,8 +423,6 @@ fn baseline_main(args: &[String]) {
         match args[i].as_str() {
             "--check" => update = false,
             "--update" => update = true,
-            "--trajectory" => trajectory = true,
-            "--stepped-ref" => stepped_ref = true,
             "--file" => {
                 file = PathBuf::from(value(args, i, "--file"));
                 i += 1;
@@ -508,74 +456,7 @@ fn baseline_main(args: &[String]) {
         baseline::baseline_requests().len(),
         if opts.use_cache { "on" } else { "off" },
     );
-    // Checks run entries one at a time so each gets an attributable
-    // wall-clock figure for the perf-trajectory file; updates use the
-    // parallel collector (no timings needed).
-    let (current, _samples) = if update {
-        (baseline::collect(&pool), Vec::new())
-    } else {
-        let (current, samples) = baseline::collect_timed_with_reference(&pool, stepped_ref);
-        let date = today_utc();
-        let path = PathBuf::from(format!("BENCH_{date}.json"));
-        // Read the previous trajectory point before (possibly) clobbering
-        // a same-day file, so back-to-back runs still gate against each
-        // other.
-        let prev = trajectory.then(|| {
-            previous_bench_file(&path)
-                .or_else(|| path.exists().then(|| path.clone()))
-                .and_then(|p| {
-                    let text = std::fs::read_to_string(&p).ok()?;
-                    let figures = baseline::decode_bench_json(&text)
-                        .map_err(|e| eprintln!("mac-bench: ignoring {}: {e}", p.display()))
-                        .ok()?;
-                    Some((p, figures))
-                })
-        });
-        let json = baseline::encode_bench_json(&date, &samples, current.sims_per_sec_milli);
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!(
-                "mac-bench: wrote {} ({} entries)",
-                path.display(),
-                samples.len()
-            ),
-            Err(e) => eprintln!("mac-bench: cannot write {}: {e}", path.display()),
-        }
-        if let Some(prev) = prev {
-            match prev {
-                Some((prev_path, figures)) => {
-                    let report = baseline::compare_trajectory(&figures, &samples);
-                    let shown = prev_path.display().to_string();
-                    if let Some(note) = baseline::trajectory_gap_note(Some(&shown), &report) {
-                        eprintln!("mac-bench: {note}");
-                    } else {
-                        eprintln!(
-                            "mac-bench: trajectory vs {shown} ({} comparable entries)",
-                            report.deltas.len()
-                        );
-                    }
-                    for d in &report.deltas {
-                        eprintln!("mac-bench:   {d}");
-                    }
-                    for r in &report.regressions {
-                        eprintln!("mac-bench: [PERF-REGRESSION] {r}");
-                    }
-                    if !report.regressions.is_empty() {
-                        eprintln!(
-                            "mac-bench: trajectory FAILED ({} entries regressed >30%)",
-                            report.regressions.len()
-                        );
-                        exit(EXIT_PERF_REGRESSION);
-                    }
-                }
-                None => {
-                    let note = baseline::trajectory_gap_note(None, &Default::default())
-                        .expect("a missing previous file always warrants a note");
-                    eprintln!("mac-bench: {note} ({})", path.display());
-                }
-            }
-        }
-        (current, samples)
-    };
+    let current = baseline::collect(&pool);
 
     if update {
         if let Some(parent) = file.parent() {
@@ -613,21 +494,12 @@ fn baseline_main(args: &[String]) {
         }
     };
     let result = expected.check(&current);
-    for w in &result.warnings {
-        eprintln!("mac-bench: [PERF-REGRESSION] {w}");
-    }
     if result.passed() {
         eprintln!(
             "mac-bench: baseline OK ({} entries, {} metrics)",
             expected.entries.len(),
             expected.entries.values().map(|m| m.len()).sum::<usize>()
         );
-        // Simulated metrics are fine, but the machine ran the set at
-        // less than half the recorded throughput: surface it with the
-        // distinct perf exit code so CI can gate on it separately.
-        if !result.warnings.is_empty() {
-            exit(EXIT_PERF_REGRESSION);
-        }
         return;
     }
     for v in &result.violations {
@@ -774,24 +646,6 @@ fn fuzz_main(args: &[String]) {
     if failed {
         exit(1);
     }
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (civil-from-days, no date crate).
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
 }
 
 fn serve_main(args: &[String]) {

@@ -229,9 +229,6 @@ impl JobSpec {
                 "mesh" => NetTopology::Mesh2x2,
                 other => return Err(format!("unknown topology `{other}`")),
             };
-            if topology == NetTopology::Mesh2x2 && cubes != 4 {
-                return Err("mesh topology requires cubes=4".into());
-            }
             let placement = match f
                 .get("placement")
                 .and_then(Scalar::as_str)
@@ -241,9 +238,7 @@ impl JobSpec {
                 "percube" => MacPlacement::PerCube,
                 other => return Err(format!("unknown placement `{other}`")),
             };
-            if !(1..=8).contains(&cubes) || !cubes.is_power_of_two() {
-                return Err("cubes must be 1, 2, 4, or 8".into());
-            }
+            topology.check_cubes(cubes)?;
             cfg.system = cfg.system.with_net(cubes as usize, topology, placement);
             if let Some(mapping) = f.get("mapping").and_then(Scalar::as_str) {
                 cfg.system.net.mapping = match mapping {

@@ -243,35 +243,6 @@ where
         .collect()
 }
 
-/// Run every given workload (in parallel) against one configuration.
-pub fn run_all(
-    workloads: &[Box<dyn Workload>],
-    cfg: &ExperimentConfig,
-) -> Vec<(String, RunReport)> {
-    let inputs: Vec<&Box<dyn Workload>> = workloads.iter().collect();
-    let reports = parallel_map(inputs, |w| run_workload(w.as_ref(), cfg));
-    workloads
-        .iter()
-        .map(|w| w.name().to_string())
-        .zip(reports)
-        .collect()
-}
-
-/// Run with/without-MAC pairs for every workload, in parallel.
-pub fn run_all_pairs(
-    workloads: &[Box<dyn Workload>],
-    cfg: &ExperimentConfig,
-) -> Vec<(String, RunReport, RunReport)> {
-    let inputs: Vec<&Box<dyn Workload>> = workloads.iter().collect();
-    let pairs = parallel_map(inputs, |w| run_pair(w.as_ref(), cfg));
-    workloads
-        .iter()
-        .map(|w| w.name().to_string())
-        .zip(pairs)
-        .map(|(n, (a, b))| (n, a, b))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +274,5 @@ mod tests {
     fn parallel_map_preserves_order() {
         let out = parallel_map(vec![3u64, 1, 4, 1, 5], |&x| x * 2);
         assert_eq!(out, vec![6, 2, 8, 2, 10]);
-    }
-
-    #[test]
-    fn run_all_labels_match_workloads() {
-        let ws: Vec<Box<dyn Workload>> = vec![Box::new(ScatterGather)];
-        let out = run_all(&ws, &small_cfg());
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, "sg");
-        assert!(out[0].1.soc.raw_requests > 0);
     }
 }

@@ -307,11 +307,6 @@ pub fn fig17(pairs: &[(String, RunReport, RunReport)]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Convenience wrapper for single-workload smoke runs.
-pub fn run_named(name: &str, cfg: &ExperimentConfig) -> Option<RunReport> {
-    mac_workloads::by_name(name).map(|w| crate::experiment::run_workload(w.as_ref(), cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

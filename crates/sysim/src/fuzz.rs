@@ -21,6 +21,7 @@
 //! isolation.
 
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -464,7 +465,27 @@ fn kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
         .and_then(|rest| rest.strip_prefix('='))
 }
 
-/// Parse a reproducer produced by [`encode_reproducer`].
+// Bounds on a reproducer's numbers. Thread, node and ARQ counts size
+// tables the replay allocates; pop intervals, accept widths, adaptive
+// votes and compute cycles feed cycle and counter arithmetic that
+// overflows far above these bounds. The fuzzer draws well inside all of
+// them, and the ARQ and accept bounds are the ones mac-serve clamps
+// submissions to.
+const COUNT_BOUND: RangeInclusive<u64> = 1..=64;
+const ARQ_BOUND: RangeInclusive<u64> = 1..=4096;
+const POP_BOUND: RangeInclusive<u64> = 1..=65_536;
+const ACCEPT_BOUND: RangeInclusive<u64> = 1..=64;
+const VOTE_BOUND: RangeInclusive<u64> = 0..=65_536;
+const COMPUTE_BOUND: RangeInclusive<u64> = 0..=(1 << 32);
+
+/// Parse a reproducer produced by [`encode_reproducer`]. Reproducers
+/// are user input to `mac-bench fuzz --replay`, so anything the
+/// simulator cannot replay is an `Err`, never a panic: a thread or node
+/// count outside 1..=64, an ARQ outside 1..=4096 entries, a pop
+/// interval, accept width, adaptive bound or compute op outside the
+/// range that keeps the replay's arithmetic from overflowing, a cube
+/// count or network shape that cannot be wired, or several nodes under
+/// per-cube MACs.
 pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     match lines.next() {
@@ -479,6 +500,12 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut threads: Vec<(usize, usize, Vec<ThreadOp>)> = Vec::new();
     let parse = |v: &str| -> Result<u64, String> {
         v.parse::<u64>().map_err(|e| format!("bad number {v}: {e}"))
+    };
+    let bounded = |k: &str, v: &str, bound: RangeInclusive<u64>| -> Result<u64, String> {
+        match parse(v)? {
+            n if bound.contains(&n) => Ok(n),
+            n => Err(format!("{k}={n} outside {bound:?}")),
+        }
     };
     for line in lines {
         let line = line.trim();
@@ -496,17 +523,19 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                 for tok in toks {
                     let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad {tok}"))?;
                     if k == "threads" {
-                        threads_cfg = parse(v)? as usize;
+                        threads_cfg = bounded(k, v, COUNT_BOUND)? as usize;
                     } else {
                         pending.push((k.to_string(), v.to_string()));
                     }
                 }
-                let mut s = SystemConfig::paper(threads_cfg.max(1));
+                let mut s = SystemConfig::paper(threads_cfg);
                 for (k, v) in pending {
                     match k.as_str() {
-                        "arq" => s.mac.arq_entries = parse(&v)? as usize,
-                        "pop" => s.mac.pop_interval = parse(&v)?,
-                        "accepts" => s.mac.accepts_per_cycle = parse(&v)? as usize,
+                        "arq" => s.mac.arq_entries = bounded(&k, &v, ARQ_BOUND)? as usize,
+                        "pop" => s.mac.pop_interval = bounded(&k, &v, POP_BOUND)?,
+                        "accepts" => {
+                            s.mac.accepts_per_cycle = bounded(&k, &v, ACCEPT_BOUND)? as usize
+                        }
                         "bypass" => s.mac.bypass_enabled = v == "1",
                         "hiding" => s.mac.latency_hiding = v == "1",
                         "table" => {
@@ -521,7 +550,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                         "vaultq" => s.hmc.vault_queue_depth = parse(&v)? as usize,
                         "maxout" => s.soc.max_outstanding_per_thread = parse(&v)? as usize,
                         "macdisabled" => s.mac_disabled = v == "1",
-                        "nodes" => nodes = parse(&v)? as usize,
+                        "nodes" => nodes = bounded(&k, &v, COUNT_BOUND)? as usize,
                         _ => return Err(format!("unknown config key {k}")),
                     }
                 }
@@ -529,7 +558,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
             }
             Some("net") => {
                 let mut enabled = false;
-                let mut cubes = 1usize;
+                let mut cubes = 1u64;
                 let mut topology = NetTopology::DaisyChain;
                 let mut placement = MacPlacement::HostOnly;
                 let mut mapping = CubeMapping::Interleaved;
@@ -537,7 +566,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                     if let Some(v) = kv(tok, "enabled") {
                         enabled = v == "1";
                     } else if let Some(v) = kv(tok, "cubes") {
-                        cubes = parse(v)? as usize;
+                        cubes = parse(v)?;
                     } else if let Some(v) = kv(tok, "topology") {
                         topology = match v {
                             "daisy" => NetTopology::DaisyChain,
@@ -561,7 +590,8 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                         return Err(format!("unknown net token {tok}"));
                     }
                 }
-                net = Some((enabled, cubes, topology, placement, mapping));
+                topology.check_cubes(cubes)?;
+                net = Some((enabled, cubes as usize, topology, placement, mapping));
             }
             Some("adapt") => {
                 let mut a = AdaptConfig {
@@ -572,19 +602,19 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                     if let Some(v) = kv(tok, "interval") {
                         a.interval = parse(v)?;
                     } else if let Some(v) = kv(tok, "minpop") {
-                        a.min_pop_interval = parse(v)?;
+                        a.min_pop_interval = bounded("minpop", v, POP_BOUND)?;
                     } else if let Some(v) = kv(tok, "maxpop") {
-                        a.max_pop_interval = parse(v)?;
+                        a.max_pop_interval = bounded("maxpop", v, POP_BOUND)?;
                     } else if let Some(v) = kv(tok, "minacc") {
-                        a.min_accepts = parse(v)? as usize;
+                        a.min_accepts = bounded("minacc", v, ACCEPT_BOUND)? as usize;
                     } else if let Some(v) = kv(tok, "maxacc") {
-                        a.max_accepts = parse(v)? as usize;
+                        a.max_accepts = bounded("maxacc", v, ACCEPT_BOUND)? as usize;
                     } else if let Some(v) = kv(tok, "toggle") {
                         a.allow_bypass_toggle = v == "1";
                     } else if let Some(v) = kv(tok, "evidence") {
-                        a.evidence_threshold = parse(v)? as u32;
+                        a.evidence_threshold = bounded("evidence", v, VOTE_BOUND)? as u32;
                     } else if let Some(v) = kv(tok, "hold") {
-                        a.hold_intervals = parse(v)? as u32;
+                        a.hold_intervals = bounded("hold", v, VOTE_BOUND)? as u32;
                     } else {
                         return Err(format!("unknown adapt token {tok}"));
                     }
@@ -607,7 +637,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                     } else if tok == "D" {
                         ThreadOp::Done
                     } else if let Some(v) = tok.strip_prefix("C:") {
-                        ThreadOp::Compute(parse(v)?)
+                        ThreadOp::Compute(bounded("C", v, COMPUTE_BOUND)?)
                     } else {
                         let (k, v) = tok.split_once(':').ok_or_else(|| format!("bad op {tok}"))?;
                         let addr = u64::from_str_radix(v, 16)
@@ -640,11 +670,15 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     }
     if !sys.net.enabled {
         sys.soc.nodes = nodes;
+    } else if sys.net.placement == MacPlacement::PerCube && nodes != 1 {
+        return Err(format!(
+            "per-cube placement models one host node, got nodes={nodes}"
+        ));
     }
     if let Some(a) = adapt {
         sys.adapt = a;
     }
-    let mut ops = vec![vec![Vec::new(); sys.soc.threads]; nodes.max(1)];
+    let mut ops = vec![vec![Vec::new(); sys.soc.threads]; nodes];
     for (n, t, list) in threads {
         let node = ops
             .get_mut(n)
@@ -798,6 +832,80 @@ mod tests {
             decode_reproducer("# mac-check fuzz reproducer v1\nconfig threads=1 table=nope\n")
                 .is_err()
         );
+    }
+
+    /// A minimal reproducer around one `config` and one `net` line.
+    fn reproducer(config: &str, net: &str) -> String {
+        format!(
+            "# mac-check fuzz reproducer v1\nmaxcycles 100000\nconfig {config}\nnet {net}\n\
+             thread 0.0 L:100 S:2000 D\n"
+        )
+    }
+
+    #[test]
+    fn decode_rejects_networks_that_cannot_be_wired() {
+        // Neither network can be built (the address map needs a
+        // power-of-two cube count, the mesh exactly four cubes), so both
+        // must fail at decode rather than panic at replay.
+        let err =
+            decode_reproducer(&reproducer("threads=1", "enabled=1 cubes=3")).expect_err("cubes=3");
+        assert!(err.contains("cubes must be 1, 2, 4, or 8"), "{err}");
+        let err = decode_reproducer(&reproducer("threads=1", "enabled=1 topology=mesh cubes=2"))
+            .expect_err("mesh with 2 cubes");
+        assert!(err.contains("mesh topology requires cubes=4"), "{err}");
+        // The shapes the simulator can build still decode and replay.
+        for net in ["enabled=1 cubes=2", "enabled=1 topology=mesh cubes=4"] {
+            let case = decode_reproducer(&reproducer("threads=1", net)).expect(net);
+            assert!(case.run().is_clean(), "{net}");
+        }
+    }
+
+    #[test]
+    fn decode_bounds_every_number() {
+        let net = "enabled=0 cubes=1";
+        for bad in [
+            "threads=0",
+            "threads=65",
+            "threads=18446744073709551615",
+            "threads=1 nodes=0",
+            "threads=1 nodes=65",
+            "threads=1 arq=0",
+            "threads=1 arq=4097",
+            "threads=1 pop=0",
+            "threads=1 pop=65537",
+            "threads=1 accepts=0",
+            "threads=1 accepts=65",
+        ] {
+            assert!(decode_reproducer(&reproducer(bad, net)).is_err(), "{bad}");
+        }
+        let case = decode_reproducer(&reproducer(
+            "threads=64 nodes=64 arq=4096 pop=65536 accepts=64",
+            net,
+        ))
+        .expect("the bounds themselves are allowed");
+        assert_eq!(case.ops.len(), 64);
+        assert!(case.ops.iter().all(|node| node.len() == 64));
+        assert_eq!(case.sys.mac.arq_entries, 4096);
+        // Adaptive bounds and compute ops feed the same arithmetic.
+        let header = "# mac-check fuzz reproducer v1\nconfig threads=1\n";
+        for bad in [
+            "adapt minpop=18446744073709551615",
+            "adapt maxpop=65537",
+            "adapt minacc=0",
+            "adapt maxacc=65",
+            "adapt evidence=4294967295",
+            "adapt hold=65537",
+            "thread 0.0 C:18446744073709551615",
+        ] {
+            assert!(
+                decode_reproducer(&format!("{header}{bad}\n")).is_err(),
+                "{bad}"
+            );
+        }
+        // Per-cube MACs model one host node; more cannot be replayed.
+        let percube = "enabled=1 cubes=2 placement=percube";
+        assert!(decode_reproducer(&reproducer("threads=1 nodes=2", percube)).is_err());
+        assert!(decode_reproducer(&reproducer("threads=1 nodes=1", percube)).is_ok());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! * [`mod@manifest`] — every figure/table/ablation as a declarative
 //!   [`manifest::Experiment`] entry the `mac-bench` runner dispatches.
 //! * [`catalog`] — the row-building code behind each manifest entry.
-//! * [`baseline`] — the perf-regression baseline harness behind
+//! * [`baseline`] — the behaviour baseline harness behind
 //!   `mac-bench baseline --check`.
 //! * [`fuzz`] — the differential conformance fuzzer behind
 //!   `mac-bench fuzz`: seeded random configs × adversarial address

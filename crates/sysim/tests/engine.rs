@@ -1,13 +1,15 @@
 //! Integration tests for the parallel experiment engine: the two
 //! acceptance properties of the engine design — parallel runs are
 //! byte-identical to serial runs, and a warm cache re-run executes zero
-//! simulations — plus sim-level cache round-tripping across pools.
+//! simulations — plus sim-level cache round-tripping across pools, with
+//! pooled, disk-restored and direct runs producing the same report.
 
 use std::path::PathBuf;
 
 use mac_sim::engine::{run_experiments, EngineOptions, SimPool, SimRequest};
-use mac_sim::experiment::ExperimentConfig;
+use mac_sim::experiment::{run_workload, ExperimentConfig};
 use mac_sim::manifest::select;
+use mac_types::{MacPlacement, NetTopology};
 
 /// A unique scratch directory per test (removed on entry so reruns start
 /// cold).
@@ -100,31 +102,40 @@ fn sim_cache_round_trips_across_pools() {
     let mut cfg = ExperimentConfig::paper(2);
     cfg.workload.scale = 1;
     cfg.max_cycles = 50_000_000;
+    let mut net = cfg.clone();
+    net.system = net
+        .system
+        .with_net(2, NetTopology::DaisyChain, MacPlacement::HostOnly);
     let reqs = vec![
         SimRequest::new("stream", &cfg),
         SimRequest::new("gups", &cfg),
+        SimRequest::new("sg", &net),
     ];
 
     let pool1 = SimPool::new(2).with_cache(&dir);
     let fresh = pool1.run_batch(&reqs);
-    assert_eq!(pool1.sims_executed(), 2);
+    assert_eq!(pool1.sims_executed(), 3);
 
-    // A brand-new pool (empty memo) must serve both from disk, and the
-    // restored reports must agree with the simulated ones on every
-    // cached statistic and derived metric.
+    // A brand-new pool (empty memo) must serve all from disk. The cold
+    // pool, the disk-restored reports and a direct run outside any pool
+    // must agree on the whole report.
     let pool2 = SimPool::new(2).with_cache(&dir);
     let cached = pool2.run_batch(&reqs);
     assert_eq!(pool2.sims_executed(), 0);
-    assert_eq!(pool2.disk_cache_hits(), 2);
-    for (a, b) in fresh.iter().zip(&cached) {
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.soc, b.soc);
-        assert_eq!(a.mac, b.mac);
-        assert_eq!(a.hmc, b.hmc);
-        assert_eq!(a.net, b.net);
-        assert_eq!(a.coalescing_efficiency(), b.coalescing_efficiency());
-        assert_eq!(a.bandwidth_efficiency(), b.bandwidth_efficiency());
-        assert_eq!(a.latency_quantile(0.99), b.latency_quantile(0.99));
+    assert_eq!(pool2.disk_cache_hits(), 3);
+    for ((req, cold), warm) in reqs.iter().zip(&fresh).zip(&cached) {
+        let w = mac_workloads::by_name(&req.workload).expect("registered workload");
+        let direct = run_workload(w.as_ref(), &req.cfg);
+        assert_eq!(
+            &direct, cold,
+            "{}: pooled run differs from direct",
+            req.workload
+        );
+        assert_eq!(
+            cold, warm,
+            "{}: disk round trip changed the report",
+            req.workload
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

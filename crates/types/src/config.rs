@@ -362,6 +362,23 @@ pub enum NetTopology {
     Mesh2x2,
 }
 
+impl NetTopology {
+    /// Check that `cubes` cubes can be wired in this shape: 1, 2, 4 or 8
+    /// cubes (the address map carves a power-of-two cube field), and
+    /// exactly 4 for `Mesh2x2`. Every parser of an untrusted network
+    /// config calls this, because the network constructors panic on a
+    /// shape they cannot wire.
+    pub fn check_cubes(self, cubes: u64) -> Result<(), String> {
+        if self == NetTopology::Mesh2x2 && cubes != 4 {
+            return Err("mesh topology requires cubes=4".into());
+        }
+        if !matches!(cubes, 1 | 2 | 4 | 8) {
+            return Err("cubes must be 1, 2, 4, or 8".into());
+        }
+        Ok(())
+    }
+}
+
 /// Where the coalescer sits relative to the cube network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MacPlacement {
@@ -663,6 +680,21 @@ mod tests {
         assert_eq!(c.net.cubes, 1);
         assert_eq!(c.net.cube_bits(), 0);
         assert_eq!(c.hmc.link_select, LinkSelectPolicy::RoundRobin);
+    }
+
+    #[test]
+    fn cube_counts_are_checked_per_shape() {
+        for cubes in [1, 2, 4, 8] {
+            assert_eq!(NetTopology::DaisyChain.check_cubes(cubes), Ok(()));
+            assert_eq!(NetTopology::Ring.check_cubes(cubes), Ok(()));
+        }
+        for cubes in [0, 3, 5, 16, u64::MAX] {
+            assert!(NetTopology::DaisyChain.check_cubes(cubes).is_err());
+        }
+        assert_eq!(NetTopology::Mesh2x2.check_cubes(4), Ok(()));
+        for cubes in [1, 2, 3, 8] {
+            assert!(NetTopology::Mesh2x2.check_cubes(cubes).is_err());
+        }
     }
 
     #[test]
