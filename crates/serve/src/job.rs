@@ -19,8 +19,11 @@
 //! applied over the paper's Table 1 configuration, the same
 //! base-plus-overrides idiom as the fuzz reproducer format.
 
+use std::ops::RangeInclusive;
+
 use mac_sim::engine::{experiment_cache_key, SimRequest};
 use mac_sim::experiment::ExperimentConfig;
+use mac_sim::fuzz::{ACCEPT_BOUND, ARQ_BOUND, POP_BOUND};
 use mac_types::{CubeMapping, JobId, MacPlacement, NetTopology};
 
 use crate::proto::{Fields, Msg, Scalar};
@@ -204,13 +207,13 @@ impl JobSpec {
             cfg.system.mac_disabled = true;
         }
         if let Some(v) = num("arq") {
-            cfg.system.mac.arq_entries = v.clamp(1, 4096) as usize;
+            cfg.system.mac.arq_entries = clamp(v, ARQ_BOUND) as usize;
         }
         if let Some(v) = num("pop") {
-            cfg.system.mac.pop_interval = v.max(1);
+            cfg.system.mac.pop_interval = clamp(v, POP_BOUND);
         }
         if let Some(v) = num("accepts") {
-            cfg.system.mac.accepts_per_cycle = v.clamp(1, 64) as usize;
+            cfg.system.mac.accepts_per_cycle = clamp(v, ACCEPT_BOUND) as usize;
         }
         if let Some(v) = flag("bypass") {
             cfg.system.mac.bypass_enabled = v;
@@ -252,6 +255,11 @@ impl JobSpec {
         spec.checked = flag("checked").unwrap_or(false);
         Ok(spec)
     }
+}
+
+/// `v` clamped into `bound`, the fuzz reproducer's range for the field.
+fn clamp(v: u64, bound: RangeInclusive<u64>) -> u64 {
+    v.clamp(*bound.start(), *bound.end())
 }
 
 fn topology_token(t: NetTopology) -> &'static str {
@@ -379,6 +387,19 @@ mod tests {
             let f = decode_fields(line).unwrap();
             assert!(JobSpec::from_fields(&f).is_err(), "{line}");
         }
+    }
+
+    #[test]
+    fn huge_pop_is_clamped_and_runs() {
+        let line = "{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"nqueens\",\"threads\":1,\"pop\":18446744073709551615,\"maxcycles\":200000}";
+        let spec = JobSpec::from_fields(&decode_fields(line).unwrap()).unwrap();
+        let JobKind::Sim { workload, cfg } = &spec.kind else {
+            panic!("not a sim job: {spec:?}");
+        };
+        assert_eq!(cfg.system.mac.pop_interval, *POP_BOUND.end());
+        // Unclamped, the MAC's `now + pop_interval` overflowed here.
+        let w = mac_workloads::by_name(workload).expect("known workload");
+        mac_sim::experiment::run_workload(w.as_ref(), cfg);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! core/thread.
 
 use mac_types::{
-    Cycle, IdMap, MemOpKind, NodeId, PhysAddr, RawRequest, SocConfig, Target, TransactionId,
+    Cycle, MemOpKind, NodeId, PhysAddr, RawRequest, SeqWindow, SocConfig, Target, TransactionId,
 };
 
 use crate::core::Core;
@@ -29,8 +29,9 @@ pub struct Node {
     cores: Vec<Core>,
     /// Core index of each thread, indexed by tid.
     thread_home: Vec<usize>,
-    /// In-flight raw requests: id -> tid.
-    pending: IdMap<TransactionId, u16>,
+    /// In-flight raw requests: id -> tid, indexed by id (`next_txn`
+    /// hands ids out in order).
+    pending: SeqWindow<u16>,
     next_txn: u64,
     nodes_in_system: usize,
     metrics: SocMetrics,
@@ -68,7 +69,7 @@ impl Node {
             cores,
             tags: vec![0; thread_home.len()],
             thread_home,
-            pending: IdMap::default(),
+            pending: SeqWindow::new(),
             next_txn: TransactionId::compose(id.0, 0).0, // node-unique id spaces
             nodes_in_system: cfg.nodes.max(1),
             metrics: SocMetrics::default(),
@@ -113,7 +114,7 @@ impl Node {
                 if sink(raw) {
                     *next_txn += 1;
                     *tag = tag.wrapping_add(1);
-                    pending.insert(id, issue.tid);
+                    pending.insert(id.0, issue.tid);
                     metrics.raw_requests += 1;
                     true
                 } else {
@@ -143,7 +144,7 @@ impl Node {
 
     /// A raw request completed (response data arrived).
     pub fn complete(&mut self, id: TransactionId, now: Cycle) {
-        if let Some(tid) = self.pending.remove(&id) {
+        if let Some(tid) = self.pending.remove(id.0) {
             if let Some(&core) = self.thread_home.get(tid as usize) {
                 self.cores[core].complete_mem(tid);
             }
@@ -154,7 +155,7 @@ impl Node {
 
     /// A fence retired inside the MAC.
     pub fn complete_fence(&mut self, raw: &RawRequest) {
-        if self.pending.remove(&raw.id).is_some() {
+        if self.pending.remove(raw.id.0).is_some() {
             if let Some(&core) = self.thread_home.get(raw.target.tid as usize) {
                 self.cores[core].complete_fence(raw.target.tid);
             }
@@ -200,7 +201,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ReplayProgram, ThreadProgram};
+    use crate::program::{ReplayProgram, ThreadOp, ThreadProgram};
 
     fn loads(addrs: &[u64]) -> Box<dyn ThreadProgram> {
         Box::new(ReplayProgram::loads(addrs.iter().copied(), 0))
@@ -277,8 +278,8 @@ mod tests {
             tags.push(r.target.tag);
             true
         });
-        let first = *n.pending.keys().next().unwrap();
-        n.complete(first, 1);
+        let first = n.pending.keys().next().unwrap();
+        n.complete(TransactionId(first), 1);
         n.tick(2, |r| {
             tags.push(r.target.tag);
             true
@@ -299,6 +300,111 @@ mod tests {
             true
         });
         assert_eq!(homes, vec![NodeId(1)]);
+    }
+
+    /// Out-of-order completions, a repeated id, an id never issued and
+    /// a fence retirement, checked against a hand-stepped model.
+    ///
+    /// Two cores, four threads at most two requests each (t0 and t2 on
+    /// core 0, t1 and t3 on core 1). Each core issues one op per cycle
+    /// from the next runnable thread, so the issue order below follows
+    /// from the round-robin pointers; `s<n>` is the n-th id issued.
+    #[test]
+    fn completions_in_any_order_unblock_their_threads() {
+        let cfg = SocConfig {
+            cores: 2,
+            max_outstanding_per_thread: 2,
+            ..default_cfg(4)
+        };
+        let load = |a: u64| ThreadOp::Mem {
+            addr: PhysAddr::new(a),
+            kind: MemOpKind::Load,
+        };
+        let fence = ThreadOp::Mem {
+            addr: PhysAddr::new(0),
+            kind: MemOpKind::Fence,
+        };
+        let programs: Vec<Box<dyn ThreadProgram>> = vec![
+            loads(&[0x100, 0x200, 0x300, 0x400]),
+            loads(&[0x1100, 0x1200]),
+            Box::new(ReplayProgram::new(vec![load(0x2100), fence, load(0x2200)])),
+            loads(&[0x3100, 0x3200, 0x3300]),
+        ];
+        let mut node = Node::new(NodeId(0), &cfg, programs);
+        let mut issued: Vec<RawRequest> = Vec::new();
+        // Tick once; return (tid, addr) of what issued.
+        fn tick(node: &mut Node, now: Cycle, issued: &mut Vec<RawRequest>) -> Vec<(u16, u64)> {
+            let before = issued.len();
+            node.tick(now, |r| {
+                issued.push(r);
+                true
+            });
+            issued[before..]
+                .iter()
+                .map(|r| (r.target.tid, r.addr.raw()))
+                .collect()
+        }
+        let check = |node: &Node, in_flight: usize, completions: u64| {
+            assert_eq!(node.in_flight(), in_flight, "in flight");
+            assert_eq!(node.completions(), completions, "completions");
+            assert!(!node.is_done());
+        };
+
+        // s0..s7: every thread fills its two slots (t2's second is the
+        // fence); then all four are blocked.
+        assert_eq!(
+            tick(&mut node, 0, &mut issued),
+            vec![(0, 0x100), (1, 0x1100)]
+        );
+        assert_eq!(
+            tick(&mut node, 1, &mut issued),
+            vec![(2, 0x2100), (3, 0x3100)]
+        );
+        assert_eq!(
+            tick(&mut node, 2, &mut issued),
+            vec![(0, 0x200), (1, 0x1200)]
+        );
+        assert_eq!(tick(&mut node, 3, &mut issued), vec![(2, 0), (3, 0x3200)]);
+        assert_eq!(tick(&mut node, 4, &mut issued), vec![]);
+        check(&node, 8, 0);
+
+        // t0's newer load first: t0 issues s8.
+        node.complete(issued[4].id, 5);
+        check(&node, 7, 1);
+        assert_eq!(tick(&mut node, 5, &mut issued), vec![(0, 0x300)]);
+        // The same id again, and one never issued: nobody unblocks.
+        node.complete(issued[4].id, 6);
+        node.complete(TransactionId::compose(0, 1000), 6);
+        check(&node, 8, 1);
+        assert_eq!(tick(&mut node, 6, &mut issued), vec![]);
+        // The fence retires: t2 issues s9. Retiring it again is a no-op.
+        let f = issued[6];
+        assert_eq!(f.kind, MemOpKind::Fence);
+        node.complete_fence(&f);
+        check(&node, 7, 2);
+        assert_eq!(tick(&mut node, 7, &mut issued), vec![(2, 0x2200)]);
+        node.complete_fence(&f);
+        check(&node, 8, 2);
+        // t3's older load: t3 issues s10.
+        node.complete(issued[3].id, 8);
+        assert_eq!(tick(&mut node, 8, &mut issued), vec![(3, 0x3300)]);
+        // t0's oldest: t0 issues s11, its last.
+        node.complete(issued[0].id, 9);
+        assert_eq!(tick(&mut node, 9, &mut issued), vec![(0, 0x400)]);
+        check(&node, 8, 4);
+        assert_eq!(issued.len(), 12);
+
+        // The rest in scrambled order.
+        for (k, n) in [11, 2, 9, 1, 10, 5, 8, 7].into_iter().enumerate() {
+            node.complete(issued[n].id, 10);
+            assert_eq!(node.in_flight(), 7 - k);
+            assert_eq!(node.completions(), 5 + k as u64);
+        }
+        assert!(!node.is_done(), "threads have not seen Done yet");
+        assert_eq!(tick(&mut node, 11, &mut issued), vec![]);
+        assert!(node.is_done());
+        let m = node.metrics();
+        assert_eq!((m.raw_requests, m.completions), (12, 12));
     }
 
     #[test]

@@ -469,12 +469,15 @@ fn kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
 // tables the replay allocates; pop intervals, accept widths, adaptive
 // votes and compute cycles feed cycle and counter arithmetic that
 // overflows far above these bounds. The fuzzer draws well inside all of
-// them, and the ARQ and accept bounds are the ones mac-serve clamps
-// submissions to.
+// them. mac-serve clamps submissions to the public ones.
 const COUNT_BOUND: RangeInclusive<u64> = 1..=64;
-const ARQ_BOUND: RangeInclusive<u64> = 1..=4096;
-const POP_BOUND: RangeInclusive<u64> = 1..=65_536;
-const ACCEPT_BOUND: RangeInclusive<u64> = 1..=64;
+/// ARQ entries a reproducer or a served job may ask for.
+pub const ARQ_BOUND: RangeInclusive<u64> = 1..=4096;
+/// MAC pop intervals, in cycles, a reproducer or a served job may ask
+/// for; the MAC adds the interval to the current cycle.
+pub const POP_BOUND: RangeInclusive<u64> = 1..=65_536;
+/// Accepts per cycle a reproducer or a served job may ask for.
+pub const ACCEPT_BOUND: RangeInclusive<u64> = 1..=64;
 const VOTE_BOUND: RangeInclusive<u64> = 0..=65_536;
 const COMPUTE_BOUND: RangeInclusive<u64> = 0..=(1 << 32);
 

@@ -31,7 +31,7 @@ use mac_coalescer::{Mac, RequestRouter, ResponseRouter};
 use mac_metrics::Sampler;
 use mac_net::NetDevice;
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{Cycle, HmcRequest, IdMap, MemOpKind, NodeId, RawRequest, SystemConfig};
+use mac_types::{Cycle, HmcRequest, MemOpKind, NodeId, RawRequest, SeqWindow, SystemConfig};
 use soc_sim::{Node, SocMetrics, ThreadProgram};
 
 use crate::driver::{issue_into_router, merge_next, raw_to_txn, tick_mac, Fabric, RunDriver};
@@ -55,9 +55,10 @@ pub struct CubeFabric {
     dev: NetDevice,
     cubes: Vec<CubeStage>,
     rsp_router: ResponseRouter,
-    /// Host link each raw request traveled out on; the coalesced
-    /// response returns on the first merged raw's link.
-    raw_link: IdMap<u64, usize>,
+    /// Host link each raw request traveled out on, keyed by raw id; the
+    /// coalesced response returns on the first merged raw's link. The
+    /// host pops raws in issue order, so ids ascend (fences leave gaps).
+    raw_link: SeqWindow<usize>,
     /// Host-side tracer (routing, fan-out).
     tracer: Tracer,
     mac_disabled: bool,
@@ -86,7 +87,7 @@ impl NetSystem {
                 })
                 .collect(),
             rsp_router: ResponseRouter::new(),
-            raw_link: IdMap::default(),
+            raw_link: SeqWindow::new(),
             tracer: Tracer::disabled(),
             mac_disabled: cfg.mac_disabled,
         };
@@ -180,7 +181,7 @@ impl Fabric for CubeFabric {
                 let (cube, rsp_ready, conflict) = self.dev.cube_access(&req, now);
                 let mut link = None;
                 for id in &req.raw_ids {
-                    let l = self.raw_link.remove(&id.0);
+                    let l = self.raw_link.remove(id.0);
                     if link.is_none() {
                         link = l;
                     }

@@ -22,10 +22,10 @@ pub mod bandwidth;
 pub mod config;
 pub mod fingerprint;
 pub mod flit;
-pub mod idhash;
 pub mod jobid;
 pub mod packet;
 pub mod request;
+pub mod seqwindow;
 pub mod stats;
 
 pub use addr::{CubeId, PhysAddr, RowId, FLITS_PER_ROW, FLIT_BYTES, ROW_BYTES};
@@ -36,12 +36,12 @@ pub use config::{
 };
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use flit::{ChunkMask, FlitMap, CHUNKS_PER_ROW, CHUNK_BYTES, FLITS_PER_CHUNK};
-pub use idhash::{IdHasher, IdMap};
 pub use jobid::JobId;
 pub use packet::{HmcPacket, PacketKind};
 pub use request::{
     HmcRequest, HmcResponse, MemOpKind, NodeId, RawRequest, ReqSize, Target, TransactionId,
 };
+pub use seqwindow::SeqWindow;
 pub use stats::{Counter, Histogram};
 
 /// Simulation time, measured in CPU clock cycles (3.3 GHz in the paper's
