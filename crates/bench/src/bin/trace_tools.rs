@@ -111,6 +111,9 @@ fn cmd_gen(args: &[String]) {
     let path = Path::new(arg(args, 3, "output path"));
     let threads = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
     let scale = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(2);
+    if scale == 0 {
+        usage_error("scale must be at least 1");
+    }
     let w = by_name(name)
         .unwrap_or_else(|| usage_error(&format!("unknown workload `{name}` (see `help`)")));
     let trace = w.generate(&WorkloadParams {

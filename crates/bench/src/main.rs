@@ -212,6 +212,16 @@ fn value(args: &[String], i: usize, flag: &str) -> String {
         .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
 }
 
+/// The workload scale following `--scale` at `args[i]`: at least 1,
+/// since several generators take its log2.
+fn scale_value(args: &[String], i: usize) -> u32 {
+    match value(args, i, "--scale").parse() {
+        Ok(0) => usage_error("--scale must be at least 1"),
+        Ok(scale) => scale,
+        Err(_) => usage_error("--scale needs an integer"),
+    }
+}
+
 fn parse_run_args(args: &[String]) -> Cli {
     let mut cli = Cli {
         filter: String::new(),
@@ -232,9 +242,7 @@ fn parse_run_args(args: &[String]) -> Cli {
                 i += 1;
             }
             "--scale" => {
-                cli.opts.scale = value(args, i, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs an integer"));
+                cli.opts.scale = scale_value(args, i);
                 i += 1;
             }
             "--out" => {
@@ -1020,9 +1028,7 @@ fn parse_guest_args(args: &[String]) -> GuestCli {
                 i += 1;
             }
             "--scale" => {
-                cli.params.scale = value(args, i, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale needs an integer"));
+                cli.params.scale = scale_value(args, i);
                 i += 1;
             }
             "--seed" => {

@@ -184,7 +184,8 @@ impl JobSpec {
             {
                 return Err(format!("unknown manifest entry `{entry}`"));
             }
-            return Ok(JobSpec::entry(entry, num("scale").unwrap_or(1) as u32));
+            let scale = clamp(num("scale").unwrap_or(1), SCALE_BOUND);
+            return Ok(JobSpec::entry(entry, scale as u32));
         }
         let Some(workload) = f.get("workload").and_then(Scalar::as_str) else {
             return Err("submit needs `entry` or `workload`".into());
@@ -195,7 +196,7 @@ impl JobSpec {
         let threads = num("threads").unwrap_or(8).clamp(1, 64) as usize;
         let mut cfg = ExperimentConfig::paper(threads);
         if let Some(v) = num("scale") {
-            cfg.workload.scale = v.min(u32::MAX as u64) as u32;
+            cfg.workload.scale = clamp(v, SCALE_BOUND) as u32;
         }
         if let Some(v) = num("seed") {
             cfg.workload.seed = v;
@@ -257,7 +258,11 @@ impl JobSpec {
     }
 }
 
-/// `v` clamped into `bound`, the fuzz reproducer's range for the field.
+/// Workload scales a job may ask for. Several generators take the
+/// scale's log2, so 0 panics them, and a trace grows with the scale.
+pub const SCALE_BOUND: RangeInclusive<u64> = 1..=64;
+
+/// `v` clamped into `bound`, the range the job accepts for the field.
 fn clamp(v: u64, bound: RangeInclusive<u64>) -> u64 {
     v.clamp(*bound.start(), *bound.end())
 }
@@ -400,6 +405,36 @@ mod tests {
         // Unclamped, the MAC's `now + pop_interval` overflowed here.
         let w = mac_workloads::by_name(workload).expect("known workload");
         mac_sim::experiment::run_workload(w.as_ref(), cfg);
+    }
+
+    #[test]
+    fn zero_and_huge_scales_are_clamped_and_run() {
+        let submit = |fields: &str| {
+            let line = format!("{{\"proto\":\"macs-1\",\"type\":\"submit\",{fields}}}");
+            JobSpec::from_fields(&decode_fields(&line).unwrap()).unwrap()
+        };
+        let spec = submit("\"workload\":\"bfs\",\"threads\":2,\"scale\":0,\"maxcycles\":20000");
+        let JobKind::Sim { workload, cfg } = &spec.kind else {
+            panic!("not a sim job: {spec:?}");
+        };
+        assert_eq!(cfg.workload.scale, 1);
+        // Unclamped, bfs took `0.ilog2()` here.
+        let w = mac_workloads::by_name(workload).expect("known workload");
+        mac_sim::experiment::run_workload(w.as_ref(), cfg);
+
+        let spec = submit("\"workload\":\"bfs\",\"scale\":4294967296");
+        let JobKind::Sim { cfg, .. } = &spec.kind else {
+            panic!("not a sim job: {spec:?}");
+        };
+        assert_eq!(cfg.workload.scale as u64, *SCALE_BOUND.end());
+        for (scale, want) in [(0, 1), (1u64 << 32, *SCALE_BOUND.end())] {
+            let spec = submit(&format!("\"entry\":\"smoke\",\"scale\":{scale}"));
+            assert_eq!(
+                spec.kind,
+                JobSpec::entry("smoke", want as u32).kind,
+                "{scale}"
+            );
+        }
     }
 
     #[test]

@@ -165,17 +165,21 @@ pub trait Fabric {
     /// fence retirement. `accepts` is the MAC accept width this cycle.
     fn tick(&mut self, now: Cycle, accepts: usize, checker: &mut Option<ConformanceChecker>);
 
-    /// Earliest cycle `>= now` at which a tick could change any state, or
-    /// `None` when every component is quiescent. Must never be later
-    /// than the true next state change.
+    /// Earliest cycle `>= now` at which a tick could change any state a
+    /// [`Fabric::catch_up`] would not, or `None` when every component is
+    /// quiescent. Must never be later than the true next such change.
     fn next_event(&self, now: Cycle) -> Option<Cycle>;
 
     /// Whether all work has drained.
     fn is_idle(&self) -> bool;
 
-    /// Bring the SoC cycle counters to `now` after a skipped span (the
-    /// one piece of state a skipped tick would have advanced).
-    fn sync_cycles(&mut self, now: Cycle);
+    /// Catch up, at the landing cycle `now` of one skip hop, on what the
+    /// skipped ticks would have done: bring the SoC cycle counters to
+    /// `now` and, when [`Fabric::next_event`] does not wake for device
+    /// completions, fan out every response due before `now` in
+    /// completion order, feeding the checker as a tick would. Runs
+    /// before the hop's observers.
+    fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>);
 
     /// Requests completed back to threads so far.
     fn completions(&self) -> u64;
@@ -569,7 +573,7 @@ impl<F: Fabric> RunDriver<F> {
     /// boundary in between so observers see exactly the cycles stepped
     /// mode shows them. Only provably idle cycles are skipped:
     /// `next_event` guarantees a tick at each skipped cycle would have
-    /// changed nothing.
+    /// changed nothing that `catch_up` does not bring forward.
     ///
     /// A retune at a boundary inside the span cannot invalidate the
     /// target: `next_pop` is absolute, the accept width only matters when
@@ -591,10 +595,10 @@ impl<F: Fabric> RunDriver<F> {
                 adapt_iv,
             );
             self.now = stop;
-            // The skipped ticks were no-ops except for the SoC cycle
-            // counters, which a stepped run would have advanced to
-            // `stop`; observers below (and the final report) read them.
-            self.fabric.sync_cycles(stop);
+            // The skipped ticks only advanced the SoC cycle counters and
+            // fanned out the responses that came due; observers below
+            // (and the final report) read both.
+            self.fabric.catch_up(stop, &mut self.checker);
             if self.metrics.should_sample(self.now) {
                 self.take_metrics_sample();
             }

@@ -62,6 +62,11 @@ pub struct CubeFabric {
     /// Host-side tracer (routing, fan-out).
     tracer: Tracer,
     mac_disabled: bool,
+    /// Whether a device completion wakes the run loop: only when threads
+    /// are capped, since a completion can then let one issue on the next
+    /// cycle. Otherwise it only retires a request, so it waits for the
+    /// next tick or [`Fabric::catch_up`] (DESIGN.md §14).
+    completion_wakes: bool,
 }
 
 /// The full-system simulator for per-cube coalescer placement.
@@ -90,8 +95,30 @@ impl NetSystem {
             raw_link: SeqWindow::new(),
             tracer: Tracer::disabled(),
             mac_disabled: cfg.mac_disabled,
+            completion_wakes: cfg.soc.max_outstanding_per_thread != usize::MAX,
         };
         RunDriver::with_fabric(cfg, fabric)
+    }
+}
+
+impl CubeFabric {
+    /// Step 5: fan every response due by `due` out to its threads, in
+    /// completion order, each stamped with its own completion cycle.
+    #[inline]
+    fn fan_out(&mut self, due: Cycle, checker: &mut Option<ConformanceChecker>) {
+        while let Some(rsp) = self.dev.pop_completed(due) {
+            let at = rsp.completed_at;
+            if let Some(c) = checker.as_mut() {
+                c.on_response(&rsp, at);
+            }
+            self.rsp_router.expand_each(&rsp, |cpl| {
+                if let Some(c) = checker.as_mut() {
+                    c.on_completion(cpl.id, at);
+                }
+                self.tracer.emit(at, || TraceEvent::Fanout { id: cpl.id.0 });
+                self.node.complete(cpl.id, at);
+            });
+        }
     }
 }
 
@@ -194,19 +221,7 @@ impl Fabric for CubeFabric {
         }
 
         // 5. Responses fan out to threads.
-        while let Some(rsp) = self.dev.pop_completed(now) {
-            if let Some(c) = checker.as_mut() {
-                c.on_response(&rsp, now);
-            }
-            self.rsp_router.expand_each(&rsp, |cpl| {
-                if let Some(c) = checker.as_mut() {
-                    c.on_completion(cpl.id, now);
-                }
-                self.tracer
-                    .emit(now, || TraceEvent::Fanout { id: cpl.id.0 });
-                self.node.complete(cpl.id, now);
-            });
-        }
+        self.fan_out(now, checker);
     }
 
     fn is_idle(&self) -> bool {
@@ -219,6 +234,9 @@ impl Fabric for CubeFabric {
             && self.dev.pending() == 0
     }
 
+    /// Device completions count only when they wake (`completion_wakes`)
+    /// or when nothing else will happen, so the run still ends on the
+    /// cycle its last response arrives.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.node.next_event(now);
         if !self.router.is_empty() {
@@ -236,11 +254,18 @@ impl Fabric for CubeFabric {
                 next = merge_next(next, Some(self.dev.next_accept(req, now)));
             }
         }
+        if next.is_some() && !self.completion_wakes {
+            return next;
+        }
         merge_next(next, self.dev.next_completion().map(|t| t.max(now)))
     }
 
-    fn sync_cycles(&mut self, now: Cycle) {
+    #[inline]
+    fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>) {
         self.node.sync_cycles(now);
+        if !self.completion_wakes {
+            self.fan_out(now - 1, checker);
+        }
     }
 
     fn completions(&self) -> u64 {

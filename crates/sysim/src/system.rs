@@ -66,6 +66,12 @@ pub struct NodeFabric {
     /// One-way interconnect latency.
     latency: Cycle,
     mac_disabled: bool,
+    /// Whether a device completion wakes the run loop. A completion can
+    /// let a thread at its outstanding cap issue on the next cycle, and a
+    /// remote completion must enter `net_responses` on its own cycle. With
+    /// uncapped threads on one node it only retires a request, so it
+    /// waits for the next tick or [`Fabric::catch_up`] (DESIGN.md §14).
+    completion_wakes: bool,
 }
 
 /// The full system simulator: host-side MACs, one per node.
@@ -119,6 +125,7 @@ impl SystemSim {
             net_responses: VecDeque::new(),
             latency: cfg.soc.interconnect_latency,
             mac_disabled: cfg.mac_disabled,
+            completion_wakes: cfg.soc.max_outstanding_per_thread != usize::MAX || cfg.soc.nodes > 1,
         };
         RunDriver::with_fabric(cfg, fabric)
     }
@@ -127,6 +134,44 @@ impl SystemSim {
 /// Origin node encoded in a transaction id (see `soc_sim::Node`).
 fn origin_of(id: TransactionId) -> usize {
     id.origin_node() as usize
+}
+
+impl NodeInstance {
+    /// Step 5: fan every response due by `due` out to its threads, in
+    /// completion order, each stamped with its own completion cycle.
+    /// Completions for another node's threads leave on the interconnect.
+    #[inline]
+    fn fan_out(
+        &mut self,
+        due: Cycle,
+        latency: Cycle,
+        net_responses: &mut VecDeque<InFlight<TransactionId>>,
+        checker: &mut Option<ConformanceChecker>,
+    ) {
+        while let Some(rsp) = self.hmc.pop_completed(due) {
+            let at = rsp.completed_at;
+            if let Some(c) = checker.as_mut() {
+                c.on_response(&rsp, at);
+            }
+            self.rsp_router.expand_each(&rsp, |cpl| {
+                // Remote completions are recorded here too: the
+                // expansion visits each raw exactly once regardless of
+                // where its thread lives.
+                if let Some(c) = checker.as_mut() {
+                    c.on_completion(cpl.id, at);
+                }
+                if origin_of(cpl.id) == self.node.id().0 as usize {
+                    self.tracer.emit(at, || TraceEvent::Fanout { id: cpl.id.0 });
+                    self.node.complete(cpl.id, at);
+                } else {
+                    net_responses.push_back(InFlight {
+                        arrives_at: at + latency,
+                        payload: cpl.id,
+                    });
+                }
+            });
+        }
+    }
 }
 
 impl Fabric for NodeFabric {
@@ -229,29 +274,7 @@ impl Fabric for NodeFabric {
             }
 
             // 5. Responses fan out to threads.
-            while let Some(rsp) = n.hmc.pop_completed(now) {
-                if let Some(c) = checker.as_mut() {
-                    c.on_response(&rsp, now);
-                }
-                n.rsp_router.expand_each(&rsp, |cpl| {
-                    // Remote completions are recorded here too: the
-                    // expansion visits each raw exactly once regardless
-                    // of where its thread lives.
-                    if let Some(c) = checker.as_mut() {
-                        c.on_completion(cpl.id, now);
-                    }
-                    let origin = origin_of(cpl.id);
-                    if origin == n.node.id().0 as usize {
-                        n.tracer.emit(now, || TraceEvent::Fanout { id: cpl.id.0 });
-                        n.node.complete(cpl.id, now);
-                    } else {
-                        self.net_responses.push_back(InFlight {
-                            arrives_at: now + latency,
-                            payload: cpl.id,
-                        });
-                    }
-                });
-            }
+            n.fan_out(now, latency, &mut self.net_responses, checker);
         }
     }
 
@@ -269,6 +292,9 @@ impl Fabric for NodeFabric {
 
     /// Interconnect queues are FIFO, so their front entry's arrival time
     /// bounds the whole queue even when a full remote router delayed it.
+    /// Device completions count only when they wake (`completion_wakes`)
+    /// or when nothing else will happen, so the run still ends on the
+    /// cycle its last response arrives.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = None;
         next = merge_next(
@@ -294,14 +320,24 @@ impl Fabric for NodeFabric {
                 // The head blocks the queue until the device admits it.
                 next = merge_next(next, Some(n.hmc.next_accept(req, now)));
             }
-            next = merge_next(next, n.hmc.next_completion().map(|t| t.max(now)));
+            if self.completion_wakes {
+                next = merge_next(next, n.hmc.next_completion().map(|t| t.max(now)));
+            }
         }
-        next
+        if next.is_some() || self.completion_wakes {
+            return next;
+        }
+        let due = self.nodes.iter().filter_map(|n| n.hmc.next_completion());
+        due.min().map(|t| t.max(now))
     }
 
-    fn sync_cycles(&mut self, now: Cycle) {
+    #[inline]
+    fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>) {
         for n in &mut self.nodes {
             n.node.sync_cycles(now);
+            if !self.completion_wakes {
+                n.fan_out(now - 1, self.latency, &mut self.net_responses, checker);
+            }
         }
     }
 

@@ -10,7 +10,10 @@
 //! HostOnly net run, and the idle-heavy latency entries), per-cube MAC
 //! placement, multi-node interconnects, disabled MAC, the HBM/DDR
 //! backends, runs with metrics sampling attached, and backpressure-heavy
-//! configs whose dispatch queues sit blocked on full device queues. A
+//! configs whose dispatch queues sit blocked on full device queues.
+//! Runs with no observer at all, in full and cut off mid-run, cover the
+//! responses the skip delivers itself when threads are uncapped (a
+//! profiled step count pins that it does). A
 //! seeded mac-check fuzz mini-campaign (50 iterations, checker + oracle
 //! attached) rides on top, exercising the fast path under adversarial
 //! configs and address streams.
@@ -22,9 +25,11 @@ use mac_sim::experiment::{
 };
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
+use mac_sim::SystemSim;
 use mac_telemetry::Profiler;
 use mac_types::{MacPlacement, MemBackend, NetTopology};
 use mac_workloads::by_name;
+use soc_sim::{ReplayProgram, ThreadProgram};
 
 /// Observers with only `hub` attached.
 fn sampled_by(hub: &MetricsHub) -> RunObservers {
@@ -251,4 +256,119 @@ fn fuzz_mini_campaign_is_clean_on_event_driven_loop() {
         report.failures
     );
     assert_eq!(report.iters, 50);
+}
+
+/// Run `workload` under `cfg` in both modes with no observer attached
+/// and assert the reports are identical; then cut both modes off at half
+/// the full run's cycles and assert that again. A cut-off run can end
+/// inside a skipped span, where only the responses the skip delivered
+/// itself separate the two modes.
+fn assert_unobserved_identical(workload: &str, cfg: &ExperimentConfig) {
+    let w = by_name(workload).expect("workload registered");
+    let full = run_workload_observed(w.as_ref(), cfg, RunObservers::default());
+    assert_eq!(
+        run_workload_stepped(w.as_ref(), cfg, RunObservers::default()),
+        full,
+        "{workload}: unobserved run diverged from stepped reference"
+    );
+    assert_eq!(full.soc.raw_requests, full.soc.completions, "{workload}");
+    let mut cut = cfg.clone();
+    cut.max_cycles = full.cycles / 2;
+    let event = run_workload_observed(w.as_ref(), &cut, RunObservers::default());
+    assert_eq!(
+        run_workload_stepped(w.as_ref(), &cut, RunObservers::default()),
+        event,
+        "{workload}: run cut off at cycle {} diverged from stepped reference",
+        cut.max_cycles
+    );
+    assert!(event.soc.completions < full.soc.completions, "{workload}");
+}
+
+#[test]
+fn unobserved_runs_are_mode_identical() {
+    // Table 1's uncapped cores: device responses are delivered by the
+    // idle-span skip itself rather than waking the loop.
+    for mac_disabled in [false, true] {
+        for backend in [MemBackend::Hmc, MemBackend::Hbm, MemBackend::Ddr] {
+            let mut cfg = small(8);
+            cfg.system.mac_disabled = mac_disabled;
+            cfg.system.backend = backend;
+            assert_unobserved_identical("stream", &cfg);
+        }
+    }
+    for placement in [MacPlacement::HostOnly, MacPlacement::PerCube] {
+        let mut cfg = small(8);
+        cfg.system = cfg.system.with_net(2, NetTopology::DaisyChain, placement);
+        assert_unobserved_identical("sg", &cfg);
+    }
+    // Capped threads: every completion wakes the loop.
+    let mut capped = small(8);
+    capped.system.soc.max_outstanding_per_thread = 4;
+    assert_unobserved_identical("gups", &capped);
+}
+
+#[test]
+fn unobserved_two_node_run_is_mode_identical() {
+    // Remote completions enter the interconnect in cycle order, so two
+    // nodes wake for every completion. `run_workload_*` builds a single
+    // node, so this drives `SystemSim::new_multi` directly.
+    let cfg = small(4);
+    let mut sys = cfg.system.clone();
+    sys.soc.nodes = 2;
+    let w = by_name("sg").expect("workload registered");
+    let run = |stepped: bool, max_cycles: u64| {
+        let node = || -> Vec<Box<dyn ThreadProgram>> {
+            w.generate(&cfg.workload)
+                .into_iter()
+                .map(|ops| Box::new(ReplayProgram::new(ops)) as Box<dyn ThreadProgram>)
+                .collect()
+        };
+        let mut sim = SystemSim::new_multi(&sys, vec![node(), node()]);
+        sim.set_stepped(stepped);
+        sim.run(max_cycles)
+    };
+    let full = run(false, cfg.max_cycles);
+    assert_eq!(run(true, cfg.max_cycles), full);
+    assert_eq!(full.soc.raw_requests, full.soc.completions);
+    let half = full.cycles / 2;
+    assert_eq!(run(true, half), run(false, half));
+}
+
+/// Steps the event-driven loop took to run `workload` under `cfg`.
+fn profiled_steps(workload: &str, cfg: &ExperimentConfig) -> (RunReport, u64) {
+    let w = by_name(workload).expect("workload registered");
+    let profiler = Profiler::enabled();
+    let obs = RunObservers {
+        profiler: profiler.clone(),
+        ..RunObservers::default()
+    };
+    let report = run_workload_observed(w.as_ref(), cfg, obs);
+    let snap = profiler.snapshot().expect("enabled");
+    let steps = snap
+        .phases
+        .iter()
+        .find(|(path, _, _)| path == "system/run/step")
+        .map(|&(_, count, _)| count)
+        .expect("run loop records its steps");
+    (report, steps)
+}
+
+#[test]
+fn responses_alone_do_not_wake_uncapped_runs() {
+    // If every response cycle were a step, a run would take at least
+    // one step per device transaction on top of the ones that issue its
+    // raw requests.
+    for (workload, mac_disabled) in [("stream", false), ("stream", true), ("hpcg", false)] {
+        let mut cfg = small(8);
+        cfg.system.mac_disabled = mac_disabled;
+        let (report, steps) = profiled_steps(workload, &cfg);
+        let work = report.soc.raw_requests + report.hmc.accesses();
+        assert!(
+            steps < work,
+            "{workload} (mac_disabled={mac_disabled}): {steps} steps for {} raw requests \
+             and {} device transactions",
+            report.soc.raw_requests,
+            report.hmc.accesses()
+        );
+    }
 }
