@@ -22,15 +22,6 @@ use mac_sim::experiment::ExperimentConfig;
 // definitions moved to `mac_sim::catalog` with the engine refactor).
 pub use mac_sim::catalog::{human_bytes, pct};
 
-/// Parse the optional scale argument (first CLI arg, default 2) —
-/// retained for the Criterion benches' command lines.
-pub fn scale_from_args() -> u32 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-}
-
 /// The standard experiment configuration for figure regeneration:
 /// Table 1 system, 8 threads, given scale.
 pub fn paper_config(scale: u32) -> ExperimentConfig {

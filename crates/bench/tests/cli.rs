@@ -1,6 +1,7 @@
 //! Command-line validation: a workload scale of 0 is a usage error
 //! (exit 2) before any work starts, not a panic inside a generator that
-//! takes the scale's log2.
+//! takes the scale's log2; a corrupt trace file is a runtime failure
+//! (exit 1), not a panic (exit 101).
 
 use std::process::Command;
 
@@ -27,4 +28,23 @@ fn zero_scale_is_a_usage_error() {
     let tools = env!("CARGO_BIN_EXE_trace_tools");
     assert_eq!(exit_code(tools, &["gen", "bfs", out, "2", "0"]), Some(2));
     assert!(!std::path::Path::new(out).exists(), "no trace is written");
+}
+
+#[test]
+fn oversized_record_count_is_a_runtime_failure() {
+    // A `.mact` header for one thread claiming u64::MAX / 12 + 1
+    // records, followed by 16 bytes: the count times the 12-byte record
+    // size overflows u64.
+    let mut raw = Vec::new();
+    raw.extend_from_slice(b"MACT");
+    raw.extend_from_slice(&1u16.to_le_bytes());
+    raw.extend_from_slice(&1u16.to_le_bytes());
+    raw.extend_from_slice(&(u64::MAX / 12 + 1).to_le_bytes());
+    raw.extend_from_slice(&[0; 16]);
+    let path = std::env::temp_dir().join(format!("mac-cli-{}-huge.mact", std::process::id()));
+    std::fs::write(&path, &raw).expect("write crafted trace");
+    let tools = env!("CARGO_BIN_EXE_trace_tools");
+    let code = exit_code(tools, &["analyze", path.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, Some(1));
 }

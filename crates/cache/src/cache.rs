@@ -4,10 +4,9 @@
 //! working sets simulate in O(accesses) time and O(cache size) memory.
 
 use mac_types::PhysAddr;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: u64,
@@ -33,16 +32,6 @@ impl CacheConfig {
         }
     }
 
-    /// A small L1: 32 KB, 8-way, 64 B lines, no prefetch.
-    pub fn l1() -> Self {
-        CacheConfig {
-            capacity: 32 << 10,
-            ways: 8,
-            line_bytes: 64,
-            prefetch_next_line: false,
-        }
-    }
-
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
         let lines = self.capacity / self.line_bytes;
@@ -51,7 +40,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found their line resident.
     pub hits: u64,
@@ -81,7 +70,7 @@ impl CacheStats {
 /// One cache way: a tag, its last-touch stamp, and the prefetch tag bit
 /// (set on lines brought in by the prefetcher, cleared on first demand
 /// hit — classic tagged next-line prefetching).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
     valid: bool,
@@ -90,7 +79,7 @@ struct Way {
 }
 
 /// A set-associative, true-LRU, write-allocate cache (tags only).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Way>>,

@@ -10,7 +10,6 @@
 //! latency window — the two limitations §2.3.2 contrasts with MAC.
 
 use mac_types::{Cycle, PhysAddr};
-use serde::{Deserialize, Serialize};
 
 /// What happened to one request offered to the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +24,7 @@ pub enum MshrOutcome {
 }
 
 /// MSHR statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MshrStats {
     /// Requests offered.
     pub requests: u64,
@@ -50,7 +49,7 @@ impl MshrStats {
 }
 
 /// One outstanding miss.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     line: u64,
     fill_at: Cycle,
@@ -58,7 +57,7 @@ struct Entry {
 }
 
 /// The MSHR file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     entries: Vec<Entry>,
     capacity: usize,

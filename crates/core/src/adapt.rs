@@ -7,8 +7,10 @@
 //! show the best setting shifts with the access pattern. This module
 //! closes the loop: [`AdaptiveController`] consumes the mac-metrics
 //! sampler signals at fixed interval boundaries and retunes the pop
-//! interval, accept width, and bypass switch inside config-declared
-//! bounds ([`mac_types::AdaptConfig`]).
+//! interval and accept width inside config-declared bounds
+//! ([`mac_types::AdaptConfig`]). The 16 B bypass switch stays where the
+//! static [`mac_types::MacConfig`] puts it (DESIGN.md §17 explains why
+//! there is no bypass axis).
 //!
 //! The controller is a *pure, deterministic* evidence-accumulation +
 //! hysteresis state machine in the network-switch arbiter idiom: no
@@ -17,28 +19,22 @@
 //! reproducible, cacheable, and byte-identical across `--jobs` counts
 //! and run-loop modes.
 //!
-//! Two evidence axes are accumulated per observation:
+//! Each observation casts one vote on the rate axis, decided by *where
+//! the queueing lives*. A backlogged device
+//! ([`DEVICE_BACKLOG_HIGH_MILLI`]) whose window shows merging is
+//! productive (the share of raw requests absorbed into merged packets
+//! is at least [`MERGE_YIELD_HIGH_MILLI`]) means device work is the
+//! binding resource and longer ARQ residency converts it into fewer,
+//! denser transactions — the axis votes *merge* (pop slower). The same
+//! backlog with no merge yield is unmergeable pressure — residency
+//! cannot buy density, and in-flight counts inflate under long
+//! latencies anyway (Little's law), so the axis holds rather than chase
+//! it. A backlogged ARQ ([`OCC_HIGH_MILLI`]) over a device with
+//! headroom means the MAC's own pop discipline is the bottleneck — the
+//! axis votes *drain* (pop faster, accept wider). Otherwise the window
+//! carries no rate signal and the evidence decays toward zero.
 //!
-//! * **rate axis** — decided by *where the queueing lives*. A
-//!   backlogged device ([`DEVICE_BACKLOG_HIGH_MILLI`]) whose window
-//!   shows merging is productive (the share of raw requests absorbed
-//!   into merged packets is at least [`MERGE_YIELD_HIGH_MILLI`]) means
-//!   device work is the binding resource and longer ARQ residency
-//!   converts it into fewer, denser transactions — the axis votes
-//!   *merge* (pop slower). The same backlog with no merge yield is
-//!   unmergeable pressure — residency cannot buy density, and
-//!   in-flight counts inflate under long latencies anyway (Little's
-//!   law), so the axis holds rather than chase it. A backlogged ARQ
-//!   ([`OCC_HIGH_MILLI`]) over a device with headroom means the MAC's
-//!   own pop discipline is the bottleneck — the axis votes *drain*
-//!   (pop faster, accept wider). Otherwise the window carries no rate
-//!   signal and the evidence decays toward zero.
-//! * **bypass axis** — a large bypass share ([`BYPASS_SHARE_HIGH_MILLI`])
-//!   combined with a high vault bank-conflict rate
-//!   ([`CONFLICT_HIGH_MILLI`]) votes to close the 16 B bypass path (let
-//!   those rows wait and merge); a calm device votes to reopen it.
-//!
-//! An axis fires only when its evidence reaches the configured
+//! The axis fires only when its evidence reaches the configured
 //! threshold, the evidence resets on firing, and any retune latches a
 //! hold of `hold_intervals` further observations during which no
 //! decision can fire — so the controller provably makes at most one
@@ -58,12 +54,6 @@ pub const DEVICE_BACKLOG_HIGH_MILLI: u32 = 750;
 /// backlogged device is latency-bound traffic the pop interval cannot
 /// help, and the rate axis holds instead of merging.
 pub const MERGE_YIELD_HIGH_MILLI: u32 = 200;
-/// Bypass share of the emitted mix above which the bypass axis starts
-/// voting to close the path.
-pub const BYPASS_SHARE_HIGH_MILLI: u32 = 400;
-/// Vault bank-conflict rate above which bypass traffic is considered to
-/// be thrashing the device.
-pub const CONFLICT_HIGH_MILLI: u32 = 250;
 
 /// One observation window's signals, all in milli-units (0..=1000).
 ///
@@ -80,12 +70,6 @@ pub struct AdaptSignals {
     /// Share of the window's raw requests that merged away: 1 − emitted
     /// packets over accepted raw requests (0 when nothing was accepted).
     pub merge_yield_milli: u32,
-    /// Bypass packets over emitted packets in the window.
-    pub bypass_share_milli: u32,
-    /// 16 B packets over emitted packets in the window.
-    pub small_packet_share_milli: u32,
-    /// Device bank conflicts over device accesses in the window.
-    pub conflict_rate_milli: u32,
 }
 
 /// One retune: the complete operating point the MAC should adopt.
@@ -95,8 +79,6 @@ pub struct AdaptDecision {
     pub pop_interval: u64,
     /// Raw requests accepted from the router per cycle.
     pub accepts_per_cycle: usize,
-    /// Whether the 16 B bypass path is open.
-    pub bypass_enabled: bool,
 }
 
 /// Pure evidence-accumulation + hysteresis controller. See the module
@@ -108,7 +90,6 @@ pub struct AdaptiveController {
     cfg: AdaptConfig,
     current: AdaptDecision,
     evidence_rate: i32,
-    evidence_bypass: i32,
     hold: u32,
     retunes: u64,
 }
@@ -132,13 +113,11 @@ impl AdaptiveController {
             accepts_per_cycle: base
                 .accepts_per_cycle
                 .clamp(cfg.min_accepts, cfg.max_accepts),
-            bypass_enabled: base.bypass_enabled,
         };
         AdaptiveController {
             cfg,
             current,
             evidence_rate: 0,
-            evidence_bypass: 0,
             hold: 0,
             retunes: 0,
         }
@@ -163,17 +142,6 @@ impl AdaptiveController {
     /// headroom), clamped to ±`evidence_threshold`.
     pub fn evidence_rate(&self) -> i32 {
         self.evidence_rate
-    }
-
-    /// Bypass-axis evidence (positive = close the path), clamped to
-    /// ±`evidence_threshold`.
-    pub fn evidence_bypass(&self) -> i32 {
-        self.evidence_bypass
-    }
-
-    /// Observations remaining in the current post-retune hold.
-    pub fn hold_remaining(&self) -> u32 {
-        self.hold
     }
 
     /// Feed one interval's signals. Returns `Some(decision)` when the
@@ -205,29 +173,16 @@ impl AdaptiveController {
         }
         self.evidence_rate = self.evidence_rate.clamp(-threshold, threshold);
 
-        // Bypass axis votes.
-        if s.bypass_share_milli >= BYPASS_SHARE_HIGH_MILLI
-            && s.conflict_rate_milli >= CONFLICT_HIGH_MILLI
-        {
-            self.evidence_bypass += 1;
-        } else {
-            self.evidence_bypass -= 1;
-        }
-        self.evidence_bypass = self.evidence_bypass.clamp(-threshold, threshold);
-
         if self.hold > 0 {
             self.hold -= 1;
             return None;
         }
 
         let mut next = self.current;
-        let mut fired = false;
         if self.evidence_rate >= threshold {
             // Drain: halve the pop interval, widen the accept port.
             next.pop_interval = (next.pop_interval / 2).max(self.cfg.min_pop_interval);
             next.accepts_per_cycle = (next.accepts_per_cycle + 1).min(self.cfg.max_accepts);
-            self.evidence_rate = 0;
-            fired = true;
         } else if self.evidence_rate <= -threshold {
             // Merge: double the pop interval, narrow the accept port.
             next.pop_interval = (next.pop_interval * 2).min(self.cfg.max_pop_interval);
@@ -235,21 +190,11 @@ impl AdaptiveController {
                 .accepts_per_cycle
                 .saturating_sub(1)
                 .max(self.cfg.min_accepts);
-            self.evidence_rate = 0;
-            fired = true;
+        } else {
+            return None;
         }
-        if self.cfg.allow_bypass_toggle {
-            if self.evidence_bypass >= threshold && next.bypass_enabled {
-                next.bypass_enabled = false;
-                self.evidence_bypass = 0;
-                fired = true;
-            } else if self.evidence_bypass <= -threshold && !next.bypass_enabled {
-                next.bypass_enabled = true;
-                self.evidence_bypass = 0;
-                fired = true;
-            }
-        }
-        if !fired || next == self.current {
+        self.evidence_rate = 0;
+        if next == self.current {
             return None;
         }
         debug_assert!(
@@ -274,7 +219,6 @@ mod tests {
             AdaptDecision {
                 pop_interval: 2,
                 accepts_per_cycle: 1,
-                bypass_enabled: true,
             },
         )
     }
@@ -286,7 +230,6 @@ mod tests {
             arq_occupancy_milli: 900,
             device_backlog_milli: 1000,
             merge_yield_milli: 600,
-            ..AdaptSignals::default()
         }
     }
 
@@ -304,7 +247,6 @@ mod tests {
         AdaptSignals {
             arq_occupancy_milli: 100,
             device_backlog_milli: 100,
-            small_packet_share_milli: 800,
             ..AdaptSignals::default()
         }
     }
@@ -317,7 +259,6 @@ mod tests {
         let d = c.observe(&mac_bound()).expect("third vote fires");
         assert_eq!(d.pop_interval, 1);
         assert_eq!(d.accepts_per_cycle, 2);
-        assert!(d.bypass_enabled);
         assert_eq!(c.retunes(), 1);
     }
 
@@ -334,7 +275,7 @@ mod tests {
 
     #[test]
     fn unmergeable_device_pressure_holds_the_point() {
-        // A deep in-flight count under an all-16 B mix (pointer-chase
+        // A deep in-flight count with nothing merging (pointer-chase
         // style latency-bound traffic) must not drag the pop interval
         // in either direction.
         let mut c = ctl(&AdaptConfig::tuned());
@@ -342,9 +283,6 @@ mod tests {
             arq_occupancy_milli: 1000,
             device_backlog_milli: 1000,
             merge_yield_milli: 0,
-            bypass_share_milli: 1000,
-            small_packet_share_milli: 950,
-            conflict_rate_milli: 800,
         };
         for _ in 0..10 {
             assert_eq!(c.observe(&s), None);
@@ -384,60 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn bypass_toggles_closed_and_back_open() {
-        let cfg = AdaptConfig {
-            evidence_threshold: 2,
-            hold_intervals: 0,
-            allow_bypass_toggle: true,
-            ..AdaptConfig::tuned()
-        };
-        let mut c = ctl(&cfg);
-        let thrash = AdaptSignals {
-            arq_occupancy_milli: 500,
-            bypass_share_milli: 700,
-            conflict_rate_milli: 600,
-            ..AdaptSignals::default()
-        };
-        assert_eq!(c.observe(&thrash), None);
-        let d = c.observe(&thrash).expect("closes bypass");
-        assert!(!d.bypass_enabled);
-        let calm = AdaptSignals {
-            arq_occupancy_milli: 500,
-            ..AdaptSignals::default()
-        };
-        assert_eq!(c.observe(&calm), None);
-        let d = c.observe(&calm).expect("reopens bypass");
-        assert!(d.bypass_enabled);
-    }
-
-    #[test]
-    fn bypass_toggle_can_be_forbidden() {
-        let cfg = AdaptConfig {
-            allow_bypass_toggle: false,
-            evidence_threshold: 1,
-            ..AdaptConfig::tuned()
-        };
-        let mut c = ctl(&cfg);
-        let thrash = AdaptSignals {
-            arq_occupancy_milli: 500,
-            bypass_share_milli: 900,
-            conflict_rate_milli: 900,
-            ..AdaptSignals::default()
-        };
-        for _ in 0..10 {
-            assert_eq!(c.observe(&thrash), None);
-        }
-        assert!(c.current().bypass_enabled);
-    }
-
-    #[test]
     fn identity_bounds_never_fire() {
         let cfg = AdaptConfig {
             min_pop_interval: 2,
             max_pop_interval: 2,
             min_accepts: 1,
             max_accepts: 1,
-            allow_bypass_toggle: false,
             evidence_threshold: 1,
             hold_intervals: 0,
             ..AdaptConfig::tuned()

@@ -7,12 +7,11 @@
 //! associative cache composed of 32 lines of 64 B".
 
 use mac_types::MacConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::flit_table::FlitTable;
 
 /// Area report for one MAC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AreaReport {
     /// ARQ storage in bytes (Figure 16's y-axis).
     pub arq_bytes: u64,

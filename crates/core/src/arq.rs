@@ -15,11 +15,10 @@
 
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, FlitMap, MacConfig, MemOpKind, RawRequest, RowId, Target, TransactionId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One ARQ entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArqEntry {
     /// A (possibly merged) group of loads or stores to one DRAM row.
     Group(GroupEntry),
@@ -28,7 +27,7 @@ pub enum ArqEntry {
 }
 
 /// The coalescable variant of an ARQ entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupEntry {
     /// Allocation sequence number, unique per ARQ instance. Purely
     /// observational: lets trace events for one entry (alloc, merges,
@@ -75,7 +74,7 @@ pub enum InsertOutcome {
 }
 
 /// The Aggregated Request Queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arq {
     entries: VecDeque<ArqEntry>,
     capacity: usize,

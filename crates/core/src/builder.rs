@@ -8,13 +8,12 @@
 
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{ChunkMask, Cycle, FlitMap, FlitTablePolicy, HmcRequest, PhysAddr};
-use serde::{Deserialize, Serialize};
 
 use crate::arq::GroupEntry;
 use crate::flit_table::FlitTable;
 
 /// Stage-1 latch: the popped entry waiting for its OR-reduce.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Stage1 {
     entry: GroupEntry,
     /// The OR-reduce result, computed once at latch time. The entry's
@@ -27,7 +26,7 @@ struct Stage1 {
 }
 
 /// Stage-2 latch: entry plus its computed chunk mask.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Stage2 {
     entry: GroupEntry,
     mask: ChunkMask,
@@ -35,7 +34,7 @@ struct Stage2 {
 }
 
 /// The pipelined builder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestBuilder {
     table: FlitTable,
     s1: Option<Stage1>,

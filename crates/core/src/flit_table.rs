@@ -16,10 +16,9 @@
 //! fixed 64 B granularity).
 
 use mac_types::{ChunkMask, FlitTablePolicy, ReqSize, CHUNK_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// One FLIT-table entry: where the packet starts and how big it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEntry {
     /// First 64 B chunk covered by the packet (`0..4`).
     pub start_chunk: u8,
@@ -35,7 +34,7 @@ impl TableEntry {
 }
 
 /// The materialized 16-entry lookup table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlitTable {
     entries: [Option<TableEntry>; 16],
     policy: FlitTablePolicy,

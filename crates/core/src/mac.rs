@@ -8,7 +8,6 @@
 
 use mac_telemetry::{TraceEvent, Tracer, POP_BUILDER, POP_BYPASS, POP_FENCE};
 use mac_types::{Cycle, FlitMap, HmcRequest, MacConfig, MemOpKind, RawRequest, ReqSize};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::arq::{Arq, ArqEntry, InsertOutcome};
@@ -17,7 +16,7 @@ use crate::flit_table::FlitTable;
 use crate::stats::{MacStats, Provenance};
 
 /// Events produced by one MAC cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MacEvent {
     /// A transaction is ready to go to the 3D-stacked memory.
     Dispatch(HmcRequest),
@@ -26,7 +25,7 @@ pub enum MacEvent {
 }
 
 /// The Memory Access Coalescer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mac {
     cfg: MacConfig,
     arq: Arq,
@@ -249,12 +248,6 @@ impl Mac {
     /// valid. Clamped to ≥ 1.
     pub fn set_pop_interval(&mut self, v: u64) {
         self.cfg.pop_interval = v.max(1);
-    }
-
-    /// Open or close the 16 B bypass path (the adaptive controller's
-    /// bypass knob). Takes effect at the next ARQ pop.
-    pub fn set_bypass_enabled(&mut self, on: bool) {
-        self.cfg.bypass_enabled = on;
     }
 
     /// Current ARQ occupancy (entries held, including a latched fence).

@@ -13,7 +13,6 @@
 //! from those that must travel back across the interconnect.
 
 use mac_types::{Cycle, HmcResponse, NodeId, RawRequest, Target, TransactionId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which queue a routed request landed in.
@@ -28,7 +27,7 @@ pub enum RoutedTo {
 }
 
 /// The three FIFO queues decoupling cores from the memory subsystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestRouter {
     node: NodeId,
     local: VecDeque<RawRequest>,
@@ -122,7 +121,7 @@ impl RequestRouter {
 }
 
 /// One completed raw request, ready for delivery to its thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawCompletion {
     /// The raw request's simulator id.
     pub id: TransactionId,
@@ -133,7 +132,7 @@ pub struct RawCompletion {
 }
 
 /// Fans device responses out to per-request completions (§3.3).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResponseRouter {
     /// Completions delivered (stat).
     pub delivered: u64,

@@ -2,10 +2,9 @@
 //! targets-per-entry distribution, and the dispatch mix.
 
 use mac_types::{Counter, ReqSize};
-use serde::{Deserialize, Serialize};
 
 /// Statistics accumulated by one MAC unit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MacStats {
     /// Raw load requests accepted.
     pub raw_loads: u64,

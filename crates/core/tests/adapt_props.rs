@@ -10,20 +10,11 @@ use mac_coalescer::{AdaptDecision, AdaptSignals, AdaptiveController};
 use mac_types::AdaptConfig;
 
 fn arb_signals() -> impl Strategy<Value = AdaptSignals> {
-    (
-        (0u32..=1000, 0u32..=1000, 0u32..=1000),
-        (0u32..=1000, 0u32..=1000, 0u32..=1000),
-    )
-        .prop_map(
-            |((occ, backlog, yield_), (bypass, small, conflict))| AdaptSignals {
-                arq_occupancy_milli: occ,
-                device_backlog_milli: backlog,
-                merge_yield_milli: yield_,
-                bypass_share_milli: bypass,
-                small_packet_share_milli: small,
-                conflict_rate_milli: conflict,
-            },
-        )
+    (0u32..=1000, 0u32..=1000, 0u32..=1000).prop_map(|(occ, backlog, yield_)| AdaptSignals {
+        arq_occupancy_milli: occ,
+        device_backlog_milli: backlog,
+        merge_yield_milli: yield_,
+    })
 }
 
 /// Arbitrary configs, *including* degenerate ones (zero intervals,
@@ -38,34 +29,29 @@ fn arb_config() -> impl Strategy<Value = AdaptConfig> {
             0usize..=4,    // min_accepts
         ),
         (
-            0usize..=8,    // max_accepts (may invert)
-            any::<bool>(), // allow_bypass_toggle
-            0u32..=5,      // evidence_threshold
-            0u32..=6,      // hold_intervals
+            0usize..=8, // max_accepts (may invert)
+            0u32..=5,   // evidence_threshold
+            0u32..=6,   // hold_intervals
         ),
     )
         .prop_map(
-            |((interval, min_pop, max_pop, min_acc), (max_acc, toggle, threshold, hold))| {
-                AdaptConfig {
-                    enabled: true,
-                    interval,
-                    min_pop_interval: min_pop,
-                    max_pop_interval: max_pop,
-                    min_accepts: min_acc,
-                    max_accepts: max_acc,
-                    allow_bypass_toggle: toggle,
-                    evidence_threshold: threshold,
-                    hold_intervals: hold,
-                }
+            |((interval, min_pop, max_pop, min_acc), (max_acc, threshold, hold))| AdaptConfig {
+                enabled: true,
+                interval,
+                min_pop_interval: min_pop,
+                max_pop_interval: max_pop,
+                min_accepts: min_acc,
+                max_accepts: max_acc,
+                evidence_threshold: threshold,
+                hold_intervals: hold,
             },
         )
 }
 
 fn arb_base() -> impl Strategy<Value = AdaptDecision> {
-    (0u64..=32, 0usize..=8, any::<bool>()).prop_map(|(pop, acc, bypass)| AdaptDecision {
+    (0u64..=32, 0usize..=8).prop_map(|(pop, acc)| AdaptDecision {
         pop_interval: pop,
         accepts_per_cycle: acc,
-        bypass_enabled: bypass,
     })
 }
 
@@ -111,9 +97,6 @@ proptest! {
             if let Some(d) = c.observe(s) {
                 prop_assert!(in_bounds(&d), "decision escaped: {d:?}");
                 prop_assert_eq!(d, c.current());
-                if !sane.allow_bypass_toggle {
-                    prop_assert_eq!(d.bypass_enabled, base.bypass_enabled);
-                }
             }
             prop_assert!(in_bounds(&c.current()));
         }

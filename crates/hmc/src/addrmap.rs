@@ -14,10 +14,9 @@
 //! ```
 
 use mac_types::{CubeId, CubeMapping, HmcConfig, NetConfig, PhysAddr, RowId, ROW_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Maps physical addresses / row ids onto vaults and banks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddrMap {
     vaults: u64,
     banks_per_vault: u64,
@@ -26,7 +25,7 @@ pub struct AddrMap {
 }
 
 /// A fully resolved DRAM location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BankAddr {
     /// Vault index, `0..vaults`.
     pub vault: u16,
@@ -87,7 +86,7 @@ impl AddrMap {
     }
 
     /// Bits consumed by the vault+bank fields above the row offset.
-    pub fn interleave_bits(&self) -> u32 {
+    fn interleave_bits(&self) -> u32 {
         self.vault_bits + self.bank_bits
     }
 }
@@ -110,7 +109,7 @@ impl AddrMap {
 ///
 /// Both carvings are bijections between `addr` and `(cube, local)` over
 /// the configured `cubes × capacity` space (see the property tests).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetAddrMap {
     inner: AddrMap,
     cubes: u64,

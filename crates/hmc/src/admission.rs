@@ -12,12 +12,11 @@
 //! probing a blocked queue every cycle (DESIGN.md §14).
 
 use mac_types::Cycle;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A bounded FIFO of in-flight accesses, each held until its release
 /// cycle.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdmissionQueue {
     /// Release cycles in admission order, including entries that have
     /// released but not yet been retired by [`AdmissionQueue::admits`].

@@ -9,10 +9,9 @@
 
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig, LinkSelectPolicy};
-use serde::{Deserialize, Serialize};
 
 /// One direction of one link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Channel {
     /// Earliest x16 time the channel is free.
     free_at_x16: u64,
@@ -38,7 +37,7 @@ impl Channel {
 }
 
 /// The host-facing link group (Table 1: 4 links).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSet {
     down: Vec<Channel>,
     up: Vec<Channel>,
@@ -148,13 +147,13 @@ impl LinkSet {
     /// Busy time summed over all downstream channels in 1/16-cycle fixed
     /// point (the lossless integer view of [`LinkSet::down_busy_cycles`],
     /// used by the metrics sampler).
-    pub fn down_busy_x16(&self) -> u64 {
+    fn down_busy_x16(&self) -> u64 {
         self.down.iter().map(|c| c.busy_x16).sum()
     }
 
     /// Busy time summed over all upstream channels in 1/16-cycle fixed
     /// point.
-    pub fn up_busy_x16(&self) -> u64 {
+    fn up_busy_x16(&self) -> u64 {
         self.up.iter().map(|c| c.busy_x16).sum()
     }
 

@@ -5,10 +5,9 @@
 //! bandwidth saved).
 
 use mac_types::{Counter, Histogram, ReqSize, CONTROL_BYTES_PER_ACCESS};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics for one simulated device.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HmcStats {
     /// Accesses by payload size: [16, 32, 64, 128, 256] B.
     pub by_size: [u64; 5],

@@ -12,10 +12,9 @@ use crate::addrmap::BankAddr;
 use crate::admission::AdmissionQueue;
 use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcConfig};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of scheduling one access at a vault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VaultSchedule {
     /// Cycle the DRAM row cycle starts.
     pub start: Cycle,
@@ -27,7 +26,7 @@ pub struct VaultSchedule {
 }
 
 /// State of all vaults and banks of the cube.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VaultSet {
     /// Earliest free cycle per bank (flat index).
     bank_free: Vec<Cycle>,
@@ -135,11 +134,6 @@ impl VaultSet {
     /// Total bank-busy cycles accumulated (for utilization reports).
     pub fn bank_busy_cycles(&self) -> u128 {
         self.bank_busy
-    }
-
-    /// Number of vault controllers.
-    pub fn vault_count(&self) -> usize {
-        self.queues.len()
     }
 
     /// Command-queue occupancy per vault at `now`: in-flight accesses

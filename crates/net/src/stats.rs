@@ -6,7 +6,6 @@
 //! it paid, and what that did to its round-trip latency.
 
 use mac_types::{Counter, Histogram};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics for one cube network.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// not bucket 9. [`Histogram::quantile`] reports the *inclusive* upper
 /// bound of the containing bucket (`2^(i+1) - 1`). The boundary tests
 /// below pin this down value by value.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
     /// Accesses served by the host-attached cube (cube 0).
     pub local_accesses: u64,

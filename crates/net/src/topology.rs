@@ -17,10 +17,9 @@
 //!   Y) routing, the classic deadlock-free NoC scheme.
 
 use mac_types::{NetConfig, NetTopology};
-use serde::{Deserialize, Serialize};
 
 /// A directed inter-cube connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Transmitting cube.
     pub from: u16,
@@ -29,7 +28,7 @@ pub struct Edge {
 }
 
 /// A topology with its precomputed routing tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     cubes: usize,
     kind: NetTopology,
@@ -174,7 +173,7 @@ impl Topology {
     }
 
     /// Next cube on the path `from -> to` (`from` when equal).
-    pub fn next_hop(&self, from: u16, to: u16) -> u16 {
+    fn next_hop(&self, from: u16, to: u16) -> u16 {
         self.next[from as usize][to as usize]
     }
 

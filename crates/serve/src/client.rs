@@ -44,11 +44,6 @@ impl ServeClient {
         }
     }
 
-    /// Set the read timeout for subsequent responses.
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.writer.set_read_timeout(timeout)
-    }
-
     fn send(&mut self, req: &Request) -> std::io::Result<()> {
         self.writer.write_all(req.encode().as_bytes())?;
         self.writer.write_all(b"\n")?;

@@ -96,7 +96,7 @@ fn json_escape(s: &str) -> String {
 
 /// Encode a field map as one line of flat JSON (no trailing newline).
 /// Fields are emitted in sorted order, so encoding is deterministic.
-pub fn encode_fields(fields: &Fields) -> String {
+fn encode_fields(fields: &Fields) -> String {
     let mut out = String::from("{");
     let mut first = true;
     for (k, v) in fields {
@@ -382,7 +382,7 @@ fn get_job(f: &Fields) -> Result<JobId, String> {
 }
 
 /// Check the `"proto"` tag and pull the `"type"` field.
-pub fn message_type(f: &Fields) -> Result<String, String> {
+fn message_type(f: &Fields) -> Result<String, String> {
     match f.get("proto").and_then(Scalar::as_str) {
         Some(PROTO_TAG) => {}
         Some(other) => return Err(format!("unsupported protocol `{other}`")),

@@ -239,11 +239,6 @@ impl Core {
             (i + t.instructions, s + t.spm_accesses, m + t.mem_ops)
         })
     }
-
-    /// Number of hardware threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
 }
 
 #[cfg(test)]

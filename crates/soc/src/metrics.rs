@@ -8,10 +8,8 @@
 //! instruction, and the memory-access rate is the fraction of memory
 //! operations that miss the scratchpads and reach the MAC.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics accumulated by one node over a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SocMetrics {
     /// Simulated cycles.
     pub cycles: u64,

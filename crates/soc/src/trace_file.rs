@@ -14,13 +14,14 @@
 //! operation (capped at `u16::MAX`; longer gaps split into NOP records
 //! with kind 255).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mac_types::{MemOpKind, PhysAddr};
 
 use crate::program::ThreadOp;
 
 const MAGIC: &[u8; 4] = b"MACT";
 const VERSION: u16 = 1;
+/// Bytes per record: kind, pad, compute gap, address.
+const RECORD_BYTES: u64 = 12;
 const KIND_LOAD: u8 = 0;
 const KIND_STORE: u8 = 1;
 const KIND_ATOMIC: u8 = 2;
@@ -29,11 +30,11 @@ const KIND_SPM: u8 = 4;
 const KIND_GAP: u8 = 255;
 
 /// Serialize per-thread operation lists into the trace format.
-pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(threads.len() as u16);
+pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(threads.len() as u16).to_le_bytes());
     for ops in threads {
         // First pass: fold Compute into the gap of the following record.
         let mut records: Vec<(u8, u16, u64)> = Vec::new();
@@ -61,15 +62,14 @@ pub fn encode_trace(threads: &[Vec<ThreadOp>]) -> Bytes {
             records.push((KIND_GAP, g, 0));
             gap -= g as u64;
         }
-        buf.put_u64_le(records.len() as u64);
+        buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
         for (kind, g, addr) in records {
-            buf.put_u8(kind);
-            buf.put_u8(0);
-            buf.put_u16_le(g);
-            buf.put_u64_le(addr);
+            buf.extend_from_slice(&[kind, 0]);
+            buf.extend_from_slice(&g.to_le_bytes());
+            buf.extend_from_slice(&addr.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 fn push_record(records: &mut Vec<(u8, u16, u64)>, kind: u8, gap: &mut u64, addr: u64) {
@@ -81,38 +81,74 @@ fn push_record(records: &mut Vec<(u8, u16, u64)>, kind: u8, gap: &mut u64, addr:
     *gap = 0;
 }
 
-/// Deserialize a trace produced by [`encode_trace`].
-pub fn decode_trace(mut raw: Bytes) -> Result<Vec<Vec<ThreadOp>>, String> {
-    if raw.remaining() < 8 {
-        return Err("truncated header".into());
+/// Little-endian reader over the part of a trace not yet decoded.
+struct FieldReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> FieldReader<'a> {
+    /// The next `N` bytes, or `None` when fewer remain.
+    fn bytes<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let head = self.rest.get(..N)?.try_into().ok()?;
+        self.rest = &self.rest[N..];
+        Some(head)
     }
-    let mut magic = [0u8; 4];
-    raw.copy_to_slice(&mut magic);
+
+    fn u16(&mut self) -> Option<u16> {
+        self.bytes().map(u16::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.bytes().map(u64::from_le_bytes)
+    }
+
+    /// Split off the next `len` bytes as a reader of their own, or
+    /// `None` when fewer remain.
+    fn split(&mut self, len: u64) -> Option<FieldReader<'a>> {
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|&l| l <= self.rest.len())?;
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some(FieldReader { rest: head })
+    }
+
+    /// One `[kind u8][pad u8][compute-gap u16][addr u64]` record.
+    fn record(&mut self) -> Option<(u8, u16, u64)> {
+        let [kind, _pad] = self.bytes()?;
+        Some((kind, self.u16()?, self.u64()?))
+    }
+}
+
+/// Deserialize a trace produced by [`encode_trace`]. A trace is user
+/// input (`trace_tools analyze`/`run`), so a truncated or corrupt one is
+/// an `Err`, never a panic.
+pub fn decode_trace(raw: &[u8]) -> Result<Vec<Vec<ThreadOp>>, String> {
+    let mut r = FieldReader { rest: raw };
+    let (Some(magic), Some(version), Some(threads)) = (r.bytes::<4>(), r.u16(), r.u16()) else {
+        return Err("truncated header".into());
+    };
     if &magic != MAGIC {
         return Err(format!("bad magic {magic:?}"));
     }
-    let version = raw.get_u16_le();
     if version != VERSION {
         return Err(format!("unsupported version {version}"));
     }
-    let threads = raw.get_u16_le() as usize;
-    let mut out = Vec::with_capacity(threads);
+    let mut out = Vec::with_capacity(threads as usize);
     for t in 0..threads {
-        if raw.remaining() < 8 {
-            return Err(format!("truncated thread {t} header"));
-        }
-        let n = raw.get_u64_le() as usize;
-        if raw.remaining() < n * 12 {
-            return Err(format!("truncated thread {t} records"));
-        }
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let kind = raw.get_u8();
-            let _pad = raw.get_u8();
-            let gap = raw.get_u16_le() as u64;
-            let addr = raw.get_u64_le();
+        let n = r
+            .u64()
+            .ok_or_else(|| format!("truncated thread {t} header"))?;
+        // The record count is untrusted: its records must fit in the
+        // bytes left, which also bounds the allocation below.
+        let mut records = n
+            .checked_mul(RECORD_BYTES)
+            .and_then(|len| r.split(len))
+            .ok_or_else(|| format!("truncated thread {t} records"))?;
+        let mut ops = Vec::with_capacity(n as usize);
+        while let Some((kind, gap, addr)) = records.record() {
             if gap > 0 {
-                ops.push(ThreadOp::Compute(gap));
+                ops.push(ThreadOp::Compute(gap as u64));
             }
             match kind {
                 KIND_GAP => {}
@@ -145,7 +181,7 @@ pub fn write_trace_file(path: &std::path::Path, threads: &[Vec<ThreadOp>]) -> st
 /// Read a trace from a file.
 pub fn read_trace_file(path: &std::path::Path) -> Result<Vec<Vec<ThreadOp>>, String> {
     let raw = std::fs::read(path).map_err(|e| e.to_string())?;
-    decode_trace(Bytes::from(raw))
+    decode_trace(&raw)
 }
 
 #[cfg(test)]
@@ -183,7 +219,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_operations() {
         let original = sample();
-        let decoded = decode_trace(encode_trace(&original)).unwrap();
+        let decoded = decode_trace(&encode_trace(&original)).unwrap();
         assert_eq!(decoded.len(), 2);
         // Compute ops may be re-folded but the memory operations and their
         // preceding gaps must match exactly.
@@ -208,7 +244,7 @@ mod tests {
                 kind: MemOpKind::Load,
             },
         ]];
-        let decoded = decode_trace(encode_trace(&original)).unwrap();
+        let decoded = decode_trace(&encode_trace(&original)).unwrap();
         let total: u64 = decoded[0]
             .iter()
             .filter_map(|op| match op {
@@ -228,13 +264,31 @@ mod tests {
 
     #[test]
     fn rejects_corruption() {
-        assert!(decode_trace(Bytes::from_static(b"oops")).is_err());
-        let mut good = BytesMut::from(&encode_trace(&sample())[..]);
-        good[0] = b'X';
-        assert!(decode_trace(good.freeze()).is_err());
+        assert!(decode_trace(b"oops").is_err());
+        let mut bad = encode_trace(&sample());
+        bad[0] = b'X';
+        assert!(decode_trace(&bad).is_err());
         // Truncation.
         let enc = encode_trace(&sample());
-        assert!(decode_trace(enc.slice(0..enc.len() - 4)).is_err());
+        assert!(decode_trace(&enc[..enc.len() - 4]).is_err());
+    }
+
+    #[test]
+    fn record_count_past_the_file_is_an_error() {
+        // One thread claiming u64::MAX / 12 + 1 records: the count times
+        // the record size overflows u64 and wraps to 8, which the 16
+        // bytes that follow would satisfy.
+        let mut raw = Vec::new();
+        raw.extend_from_slice(MAGIC);
+        raw.extend_from_slice(&VERSION.to_le_bytes());
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.extend_from_slice(&(u64::MAX / RECORD_BYTES + 1).to_le_bytes());
+        raw.extend_from_slice(&[0; 16]);
+        assert_eq!(raw.len(), 32);
+        assert_eq!(
+            decode_trace(&raw),
+            Err("truncated thread 0 records".to_string())
+        );
     }
 
     #[test]
@@ -250,7 +304,7 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let decoded = decode_trace(encode_trace(&[])).unwrap();
+        let decoded = decode_trace(&encode_trace(&[])).unwrap();
         assert!(decoded.is_empty());
     }
 }

@@ -150,7 +150,7 @@ pub fn baseline_requests() -> Vec<(String, SimRequest)> {
 /// burns a tick per stalled cycle while the fast path jumps straight to
 /// the device's next completion — so they pin the skip path's
 /// behaviour.
-pub fn latency_requests() -> Vec<(&'static str, SimRequest)> {
+fn latency_requests() -> Vec<(&'static str, SimRequest)> {
     let mut lat = ExperimentConfig::paper(1);
     lat.workload.scale = 1;
     lat.max_cycles = 50_000_000;
@@ -166,7 +166,7 @@ pub fn latency_requests() -> Vec<(&'static str, SimRequest)> {
 /// The integer end-of-run metrics recorded per entry. All are exact
 /// (tolerance 0) by default: the simulator is deterministic, so a drift
 /// in any of them is a genuine behaviour change, not noise.
-pub fn key_metrics(r: &RunReport) -> BTreeMap<String, BaselineMetric> {
+fn key_metrics(r: &RunReport) -> BTreeMap<String, BaselineMetric> {
     let mut m = BTreeMap::new();
     let mut put = |k: &str, v: u128| m.insert(k.to_string(), BaselineMetric::exact(v));
     put("cycles", r.cycles as u128);

@@ -210,10 +210,6 @@ pub trait Fabric {
 struct AdaptWindow {
     raw_total: u64,
     emitted_total: u64,
-    emitted_bypass: u64,
-    emitted_16b: u64,
-    conflicts: u64,
-    accesses: u64,
 }
 
 /// Runtime state of the adaptive controller. Lives *outside* the
@@ -250,7 +246,6 @@ impl AdaptState {
             AdaptDecision {
                 pop_interval: cfg.mac.pop_interval,
                 accepts_per_cycle: cfg.mac.accepts_per_cycle.max(1),
-                bypass_enabled: cfg.mac.bypass_enabled,
             },
         );
         Some(AdaptState {
@@ -283,12 +278,6 @@ impl AdaptState {
             arq_occupancy_milli: milli(arq_len, arq_cap),
             device_backlog_milli: milli(dev_pending, dev_vaults),
             merge_yield_milli: milli(raw.saturating_sub(emitted), raw),
-            bypass_share_milli: milli(cur.emitted_bypass.saturating_sub(p.emitted_bypass), emitted),
-            small_packet_share_milli: milli(cur.emitted_16b.saturating_sub(p.emitted_16b), emitted),
-            conflict_rate_milli: milli(
-                cur.conflicts.saturating_sub(p.conflicts),
-                cur.accesses.saturating_sub(p.accesses),
-            ),
         };
         self.prev = cur;
         s
@@ -352,7 +341,6 @@ impl<F: Fabric> RunDriver<F> {
             let d = a.ctl.current();
             for mac in fabric.macs_mut() {
                 mac.set_pop_interval(d.pop_interval);
-                mac.set_bypass_enabled(d.bypass_enabled);
             }
         }
         RunDriver {
@@ -494,7 +482,6 @@ impl<F: Fabric> RunDriver<F> {
                     let d = a.ctl.current();
                     s.gauge("pop_interval", d.pop_interval);
                     s.gauge("accepts", a.accepts as u64);
-                    s.gauge("bypass_enabled", d.bypass_enabled as u64);
                     s.gauge("retunes", a.ctl.retunes());
                 });
             }
@@ -521,15 +508,10 @@ impl<F: Fabric> RunDriver<F> {
             let m = mac.stats();
             cur.raw_total += m.raw_memory_requests();
             cur.emitted_total += m.emitted_total();
-            cur.emitted_bypass += m.emitted_bypass;
-            cur.emitted_16b += m.emitted_by_size[0];
         }
         for dev in self.fabric.devices() {
             dev_pending += dev.pending() as u64;
             dev_vaults += self.cfg.hmc.vaults as u64;
-            let h = dev.stats();
-            cur.conflicts += h.bank_conflicts;
-            cur.accesses += h.accesses();
         }
         let a = self.adapt.as_mut().expect("checked");
         a.last_decision = Some(now);
@@ -538,12 +520,10 @@ impl<F: Fabric> RunDriver<F> {
             a.accepts = d.accepts_per_cycle;
             for mac in self.fabric.macs_mut() {
                 mac.set_pop_interval(d.pop_interval);
-                mac.set_bypass_enabled(d.bypass_enabled);
             }
             self.tracer.emit(now, || TraceEvent::AdaptDecision {
                 pop_interval: d.pop_interval,
                 accepts: d.accepts_per_cycle.min(u16::MAX as usize) as u16,
-                bypass: d.bypass_enabled,
             });
         }
     }

@@ -68,7 +68,9 @@ use crate::report::RunReport;
 /// so stale entries can never be resurrected as fresh results.
 /// v3: `NetStats` gained hop/latency histograms (cache format v3).
 /// v4: `AdaptConfig` joined `SystemConfig` and its fingerprint.
-pub const CACHE_FORMAT_VERSION: u32 = 4;
+/// v5: `AdaptConfig` lost its bypass-toggle switch and that switch's
+/// fingerprint byte.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// Default metrics sampling interval in simulated cycles.
 pub const DEFAULT_METRICS_INTERVAL: u64 = 10_000;
@@ -349,7 +351,7 @@ impl SimPool {
     /// Write one `.mctr` telemetry trace per *executed* simulation under
     /// `dir`. Cached simulations produce no trace; combine with a cold
     /// cache (or `--no-cache`) to trace everything.
-    pub fn with_trace(mut self, dir: &Path) -> Self {
+    fn with_trace(mut self, dir: &Path) -> Self {
         self.trace_dir = Some(dir.to_path_buf());
         self
     }

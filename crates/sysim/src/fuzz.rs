@@ -191,7 +191,6 @@ fn gen_adapt(rng: &mut SmallRng) -> AdaptConfig {
         max_pop_interval: min_pop * pick(rng, &[1u64, 4, 8]),
         min_accepts: min_acc,
         max_accepts: min_acc + pick(rng, &[0usize, 1, 3]),
-        allow_bypass_toggle: rng.gen_bool(0.5),
         evidence_threshold: pick(rng, &[1u32, 2, 4]),
         hold_intervals: pick(rng, &[0u32, 1, 4]),
     }
@@ -270,7 +269,7 @@ fn gen_case(rng: &mut SmallRng, max_cycles: u64, adaptive: bool) -> FuzzCase {
 /// Shrink a failing case: try removing whole nodes, whole threads, op
 /// halves, and single ops, keeping each reduction that still fails.
 /// Bounded by `budget` re-runs.
-pub fn shrink_case(case: &FuzzCase, mut budget: u32) -> FuzzCase {
+fn shrink_case(case: &FuzzCase, mut budget: u32) -> FuzzCase {
     let mut best = case.clone();
     let mut progress = true;
     while progress && budget > 0 {
@@ -420,14 +419,12 @@ pub fn encode_reproducer(case: &FuzzCase, failure: &[String]) -> String {
         let a = &s.adapt;
         let _ = writeln!(
             out,
-            "adapt interval={} minpop={} maxpop={} minacc={} maxacc={} toggle={} evidence={} \
-             hold={}",
+            "adapt interval={} minpop={} maxpop={} minacc={} maxacc={} evidence={} hold={}",
             a.interval,
             a.min_pop_interval,
             a.max_pop_interval,
             a.min_accepts,
             a.max_accepts,
-            a.allow_bypass_toggle as u8,
             a.evidence_threshold,
             a.hold_intervals,
         );
@@ -612,8 +609,6 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                         a.min_accepts = bounded("minacc", v, ACCEPT_BOUND)? as usize;
                     } else if let Some(v) = kv(tok, "maxacc") {
                         a.max_accepts = bounded("maxacc", v, ACCEPT_BOUND)? as usize;
-                    } else if let Some(v) = kv(tok, "toggle") {
-                        a.allow_bypass_toggle = v == "1";
                     } else if let Some(v) = kv(tok, "evidence") {
                         a.evidence_threshold = bounded("evidence", v, VOTE_BOUND)? as u32;
                     } else if let Some(v) = kv(tok, "hold") {
@@ -835,6 +830,11 @@ mod tests {
             decode_reproducer("# mac-check fuzz reproducer v1\nconfig threads=1 table=nope\n")
                 .is_err()
         );
+        // The controller has no bypass axis, so its old switch is unknown.
+        let err =
+            decode_reproducer("# mac-check fuzz reproducer v1\nconfig threads=1\nadapt toggle=1\n")
+                .expect_err("toggle=1");
+        assert!(err.contains("unknown adapt token"), "{err}");
     }
 
     /// A minimal reproducer around one `config` and one `net` line.

@@ -347,7 +347,7 @@ pub fn manifest() -> Vec<Experiment> {
 
 /// Shell-style glob match supporting `*` (any run) and `?` (any one
 /// character), case-sensitive, anchored at both ends.
-pub fn glob_match(pattern: &str, name: &str) -> bool {
+fn glob_match(pattern: &str, name: &str) -> bool {
     let p: Vec<char> = pattern.chars().collect();
     let n: Vec<char> = name.chars().collect();
     // Iterative backtracking matcher: track the most recent `*`.

@@ -4,11 +4,10 @@ use hmc_model::HmcStats;
 use mac_coalescer::MacStats;
 use mac_net::NetStats;
 use mac_types::SystemConfig;
-use serde::{Deserialize, Serialize};
 use soc_sim::SocMetrics;
 
 /// Everything measured in one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Cycles simulated until drain.
     pub cycles: u64,

@@ -199,7 +199,7 @@ pub fn analyze(records: &[TraceRecord]) -> TraceAnalysis {
 
 impl TraceAnalysis {
     /// Total bank conflicts across all cells.
-    pub fn total_conflicts(&self) -> u64 {
+    fn total_conflicts(&self) -> u64 {
         self.bank_conflicts.values().sum()
     }
 
@@ -210,7 +210,7 @@ impl TraceAnalysis {
 
     /// Render the bank-conflict heatmap for one node as a vault x bank
     /// text grid (digits are log2-scaled intensity).
-    pub fn render_conflict_heatmap(&self, node: u16) -> String {
+    fn render_conflict_heatmap(&self, node: u16) -> String {
         let cells: Vec<(u8, u8, u64)> = self
             .bank_conflicts
             .iter()
@@ -244,7 +244,7 @@ impl TraceAnalysis {
     }
 
     /// Render per-vault occupancy summaries for one node.
-    pub fn render_vault_occupancy(&self, node: u16) -> String {
+    fn render_vault_occupancy(&self, node: u16) -> String {
         let mut vaults: Vec<(&(u16, u8), &OccupancySeries)> = self
             .vault_occupancy
             .iter()

@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic: the ASCII bytes "MCTR"
-//! 4       2     version: u16, currently 2 — readers reject any other
+//! 4       2     version: u16, currently 4 — readers reject any other
 //! 6       2     reserved: u16, written as 0, ignored on read
 //! ```
 //!
@@ -51,8 +51,9 @@ pub const MAGIC: &[u8; 4] = b"MCTR";
 /// Format version written at offset 4; readers reject mismatches.
 /// Version 2 added the multi-cube `HopEnqueue`/`HopForward` events
 /// (tags 17/18); version 3 added the adaptive-controller
-/// `AdaptDecision` event (tag 19).
-pub const VERSION: u16 = 3;
+/// `AdaptDecision` event (tag 19); version 4 dropped that event's
+/// bypass byte.
+pub const VERSION: u16 = 4;
 
 /// Largest encoded record (LinkTx/VaultActivate class: 11-byte head +
 /// 20-byte payload), used to size stack buffers.
@@ -205,11 +206,9 @@ fn encode_into(rec: &TraceRecord, buf: &mut Vec<u8>) {
         TraceEvent::AdaptDecision {
             pop_interval,
             accepts,
-            bypass,
         } => {
             buf.extend_from_slice(&pop_interval.to_le_bytes());
             buf.extend_from_slice(&accepts.to_le_bytes());
-            buf.push(bypass as u8);
         }
     }
 }
@@ -409,7 +408,6 @@ impl<R: Read> TraceReader<R> {
             19 => TraceEvent::AdaptDecision {
                 pop_interval: b.u64()?,
                 accepts: b.u16()?,
-                bypass: b.u8()? != 0,
             },
             t => {
                 return Err(io::Error::new(
@@ -581,7 +579,6 @@ mod tests {
                 event: TraceEvent::AdaptDecision {
                     pop_interval: 1,
                     accepts: 2,
-                    bypass: true,
                 },
             },
         ]
@@ -617,10 +614,11 @@ mod tests {
     fn rejects_bad_magic_and_version() {
         assert!(TraceReader::new(&b"NOPE\x01\x00\x00\x00"[..]).is_err());
         assert!(TraceReader::new(&b"MCTR\x63\x00\x00\x00"[..]).is_err());
-        // Older-version files (pre-Hop, pre-AdaptDecision events) are
-        // rejected, not misread.
+        // Older-version files (pre-Hop, pre-AdaptDecision events, and
+        // AdaptDecision with a bypass byte) are rejected, not misread.
         assert!(TraceReader::new(&b"MCTR\x01\x00\x00\x00"[..]).is_err());
         assert!(TraceReader::new(&b"MCTR\x02\x00\x00\x00"[..]).is_err());
+        assert!(TraceReader::new(&b"MCTR\x03\x00\x00\x00"[..]).is_err());
     }
 
     #[test]

@@ -210,8 +210,6 @@ pub enum TraceEvent {
         pop_interval: u64,
         /// New accept width (raw requests per cycle).
         accepts: u16,
-        /// Whether the 16 B bypass path is now open.
-        bypass: bool,
     },
 }
 
@@ -372,7 +370,6 @@ mod tests {
             TraceEvent::AdaptDecision {
                 pop_interval: 0,
                 accepts: 0,
-                bypass: false,
             },
         ];
         for (i, e) in events.iter().enumerate() {

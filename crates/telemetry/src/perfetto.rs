@@ -404,7 +404,6 @@ fn emit_node_events(out: &mut String, first: &mut bool, records: &[TraceRecord])
             TraceEvent::AdaptDecision {
                 pop_interval,
                 accepts,
-                bypass,
             } => {
                 instant(
                     out,
@@ -413,11 +412,7 @@ fn emit_node_events(out: &mut String, first: &mut bool, records: &[TraceRecord])
                     TID_ADAPT,
                     rec.cycle,
                     "retune",
-                    &[
-                        ("pop_interval", pop_interval),
-                        ("accepts", accepts as u64),
-                        ("bypass", bypass as u64),
-                    ],
+                    &[("pop_interval", pop_interval), ("accepts", accepts as u64)],
                     None,
                 );
             }

@@ -135,7 +135,7 @@ impl PartialEq for Tracer {
 impl Eq for Tracer {}
 
 /// What a run's tracing produced (embedded in `RunReport`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Whether a sink was attached for the run.
     pub enabled: bool,

@@ -21,8 +21,6 @@
 //! entry (`mac-coalescer`), not on the address itself; here we provide the
 //! `tagged_row` helper that produces the `{T, row}` comparison key.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per FLIT (FLow control unIT), the HMC protocol's basic data unit.
 pub const FLIT_BYTES: u64 = 16;
 /// Bytes per HMC DRAM row in the paper's configuration (HMC 2.1, 256 B).
@@ -45,7 +43,7 @@ pub const PHYS_ADDR_MASK: u64 = (1 << PHYS_ADDR_BITS) - 1;
 ///
 /// Constructed from a raw `u64`; bits above bit 51 are stripped, mirroring
 /// hardware that simply does not wire them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -137,7 +135,7 @@ impl std::fmt::Display for PhysAddr {
 /// (`Contiguous`) or the bits just above the vault/bank interleave
 /// (`Interleaved`). A single-cube system has zero cube bits and every
 /// address maps to `CubeId(0)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CubeId(pub u16);
 
 impl CubeId {
@@ -152,7 +150,7 @@ impl std::fmt::Display for CubeId {
 }
 
 /// Identifier of one 256 B HMC DRAM row (the unit of coalescing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
 
 impl RowId {

@@ -5,10 +5,8 @@
 //! RV64 cores x8 @3.3 GHz, 1 MB SPM/core (1 ns), 8 GB HMC with 4 links and
 //! 256 B rows (~93 ns average access), ARQ of 32 x 64 B entries.
 
-use serde::{Deserialize, Serialize};
-
 /// Core-side (node) configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Number of in-order cores per node (Table 1: 8).
     pub cores: usize,
@@ -63,7 +61,7 @@ impl Default for SocConfig {
 }
 
 /// Policy for the second builder stage's size decision (§4.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlitTablePolicy {
     /// Paper's FLIT table: the packet spans from the first to the last
     /// active 64 B chunk, rounded up to 64/128/256 B (0110 -> 128 B).
@@ -77,7 +75,7 @@ pub enum FlitTablePolicy {
 }
 
 /// MAC configuration (§4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MacConfig {
     /// ARQ entries (Table 1: 32; Figure 11 sweeps 8..64).
     pub arq_entries: usize,
@@ -147,7 +145,7 @@ impl Default for MacConfig {
 /// index on ties — which rotates round-robin under uniform load); this
 /// enum names that behavior and adds an alternative, so experiments can
 /// state which policy they measured.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LinkSelectPolicy {
     /// Earliest-free link, lowest index on ties (the historical implicit
     /// behavior — byte-identical results to before the knob existed).
@@ -159,7 +157,7 @@ pub enum LinkSelectPolicy {
 }
 
 /// HMC device configuration (Table 1 plus HMC 2.1 spec structure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HmcConfig {
     /// Serial links to the host (Table 1: 4).
     pub links: usize,
@@ -254,7 +252,7 @@ impl Default for HmcConfig {
 /// JEDEC DDR4 channel configuration (§2.2's conventional baseline):
 /// 64 B burst granularity, 8 KB open-page rows, 16 banks, one shared
 /// data bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DdrConfig {
     /// Banks in the rank.
     pub banks: usize,
@@ -291,7 +289,7 @@ impl Default for DdrConfig {
 }
 
 /// Memory back end selection (§4.3: MAC applies to both HMC and HBM).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MemBackend {
     /// Hybrid Memory Cube (the paper's evaluation device).
     #[default]
@@ -304,7 +302,7 @@ pub enum MemBackend {
 
 /// HBM device configuration (§4.3): DDR-style burst protocol, 32 B
 /// minimum access, 1 KB rows, open-page row buffers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HbmConfig {
     /// Independent channels (HBM2: 8 per stack).
     pub channels: usize,
@@ -348,7 +346,7 @@ impl Default for HbmConfig {
 
 /// Shape of the inter-cube network (HMC chaining, §7 of the HMC 2.1
 /// spec; studied by Hadidi et al. for NoC-connected stacks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NetTopology {
     /// Cubes in a line; the host attaches to cube 0. Worst-case hop
     /// count grows linearly with the chain length.
@@ -380,7 +378,7 @@ impl NetTopology {
 }
 
 /// Where the coalescer sits relative to the cube network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MacPlacement {
     /// One MAC at the host: packets crossing the network are already
     /// coalesced (fewer, larger packets pay the hop serialization).
@@ -392,7 +390,7 @@ pub enum MacPlacement {
 }
 
 /// How the cube-id field is carved out of the 52-bit physical address.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CubeMapping {
     /// Cube id = high-order capacity bits (`addr / capacity`). Cube 0
     /// owns the lowest addresses, so the mapping restricted to cube 0
@@ -409,7 +407,7 @@ pub enum CubeMapping {
 ///
 /// Disabled by default: a disabled net is the classic single-cube
 /// system and takes the `system.rs` fast path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Route requests through the cube network instead of a single
     /// directly-attached device.
@@ -457,9 +455,10 @@ impl Default for NetConfig {
 /// and is byte-identical to a system built before this struct existed.
 /// When enabled, the `AdaptiveController` in `mac-coalescer` observes
 /// sampled MAC/device signals every `interval` cycles and may retune
-/// the ARQ pop interval, the accept width, and the bypass switch —
-/// always inside the min/max bounds declared here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// the ARQ pop interval and the accept width — always inside the
+/// min/max bounds declared here. The 16 B bypass switch stays at
+/// [`MacConfig::bypass_enabled`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptConfig {
     /// Run the adaptive controller at all.
     pub enabled: bool,
@@ -474,8 +473,6 @@ pub struct AdaptConfig {
     pub min_accepts: usize,
     /// Widest accept width the controller may set.
     pub max_accepts: usize,
-    /// May the controller toggle the 16 B bypass path?
-    pub allow_bypass_toggle: bool,
     /// Consecutive-evidence votes required before a retune fires.
     pub evidence_threshold: u32,
     /// Decision intervals the controller holds still after any retune
@@ -492,7 +489,7 @@ impl AdaptConfig {
     }
 
     /// The default bounds with the controller switched on: pop interval
-    /// free in 1..=8, accept width in 1..=4, bypass toggling allowed.
+    /// free in 1..=8, accept width in 1..=4.
     pub fn tuned() -> Self {
         AdaptConfig {
             enabled: true,
@@ -501,11 +498,6 @@ impl AdaptConfig {
             // threshold still filters single-window noise.
             interval: 2048,
             hold_intervals: 2,
-            // The 16 B bypass dispatches at *pop time*, after the entry
-            // already waited out its residency — closing the path can't
-            // buy merging, it only reroutes singles through the builder
-            // at 64 B. Leave the paper's bypass setting alone.
-            allow_bypass_toggle: false,
             ..AdaptConfig::default()
         }
     }
@@ -520,7 +512,6 @@ impl Default for AdaptConfig {
             max_pop_interval: 8,
             min_accepts: 1,
             max_accepts: 4,
-            allow_bypass_toggle: true,
             evidence_threshold: 3,
             hold_intervals: 4,
         }
@@ -528,7 +519,7 @@ impl Default for AdaptConfig {
 }
 
 /// Complete system configuration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemConfig {
     /// Core-side (node) parameters.
     pub soc: SocConfig,

@@ -276,7 +276,6 @@ impl Fingerprint for AdaptConfig {
         h.write_u64(self.max_pop_interval);
         h.write_usize(self.min_accepts);
         h.write_usize(self.max_accepts);
-        h.write_bool(self.allow_bypass_toggle);
         h.write_u64(self.evidence_threshold as u64);
         h.write_u64(self.hold_intervals as u64);
     }
@@ -390,11 +389,8 @@ mod tests {
         c.adapt.max_accepts = 8;
         assert_ne!(mina, fp(&c));
         let maxa = fp(&c);
-        c.adapt.allow_bypass_toggle = false;
-        assert_ne!(maxa, fp(&c));
-        let tog = fp(&c);
         c.adapt.evidence_threshold += 1;
-        assert_ne!(tog, fp(&c));
+        assert_ne!(maxa, fp(&c));
         let ev = fp(&c);
         c.adapt.hold_intervals += 1;
         assert_ne!(ev, fp(&c));

@@ -6,8 +6,6 @@
 //! (one bit per consecutive 64 B chunk), which its second stage feeds into
 //! the FLIT table to pick the packet size.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{FLITS_PER_ROW, FLIT_BYTES, ROW_BYTES};
 
 /// Bytes per chunk — the minimum transaction granularity emitted by the
@@ -19,7 +17,7 @@ pub const CHUNKS_PER_ROW: u64 = ROW_BYTES / CHUNK_BYTES;
 pub const FLITS_PER_CHUNK: u64 = CHUNK_BYTES / FLIT_BYTES;
 
 /// 16-bit bitmap, one bit per FLIT of a 256 B HMC row (Figure 6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FlitMap(u16);
 
 impl FlitMap {
@@ -140,7 +138,7 @@ impl std::ops::BitOr for FlitMap {
 ///
 /// Produced by [`FlitMap::chunk_mask`] and consumed by the FLIT table to
 /// select the coalesced request's start chunk and size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ChunkMask(u8);
 
 impl ChunkMask {

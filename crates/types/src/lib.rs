@@ -23,7 +23,6 @@ pub mod config;
 pub mod fingerprint;
 pub mod flit;
 pub mod jobid;
-pub mod packet;
 pub mod request;
 pub mod seqwindow;
 pub mod stats;
@@ -37,7 +36,6 @@ pub use config::{
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use flit::{ChunkMask, FlitMap, CHUNKS_PER_ROW, CHUNK_BYTES, FLITS_PER_CHUNK};
 pub use jobid::JobId;
-pub use packet::{HmcPacket, PacketKind};
 pub use request::{
     HmcRequest, HmcResponse, MemOpKind, NodeId, RawRequest, ReqSize, Target, TransactionId,
 };

@@ -10,23 +10,17 @@
 //! every raw request it satisfies, so the response router can deliver data
 //! back to the originating threads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::flit::FlitMap;
 use crate::Cycle;
 
 /// Identifies a node in the multi-node NUMA system of Figure 4.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u16);
 
 /// Globally unique id assigned to each raw request by the simulator, used
 /// to track per-request latency end to end. (Not a hardware structure.)
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransactionId(pub u64);
 
 impl TransactionId {
@@ -57,7 +51,7 @@ impl TransactionId {
 }
 
 /// Kind of memory operation carried by a raw request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOpKind {
     /// Read of one FLIT.
     Load,
@@ -93,7 +87,7 @@ impl MemOpKind {
 
 /// Target information stored per merged raw request (§4.1.1, Figure 6):
 /// 2 B thread id + 2 B transaction tag + 4-bit FLIT id = 4.5 B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Target {
     /// Originating hardware thread (up to 64 K threads).
     pub tid: u16,
@@ -109,7 +103,7 @@ impl Target {
 }
 
 /// A raw, FLIT-granular memory request as emitted by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawRequest {
     /// Simulator-assigned unique id (latency tracking).
     pub id: TransactionId,
@@ -143,7 +137,7 @@ impl RawRequest {
 
 /// Size of a coalesced HMC request transaction as emitted by the request
 /// builder (§4.2: 64–256 B) or by the bypass path (16 B single-FLIT).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReqSize {
     /// Single FLIT, 16 B — only produced by the `B`-bit bypass path.
     B16,
@@ -190,7 +184,7 @@ impl ReqSize {
 }
 
 /// A coalesced (or bypassed) request transaction bound for the HMC device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmcRequest {
     /// Start address of the transaction (FLIT-aligned; chunk-aligned for
     /// builder output).
@@ -231,7 +225,7 @@ impl HmcRequest {
 }
 
 /// A response returned by the HMC device for one request transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmcResponse {
     /// Echo of the request's start address.
     pub addr: PhysAddr,

@@ -1,10 +1,8 @@
 //! Small statistics helpers shared across the simulator crates.
 
-use serde::{Deserialize, Serialize};
-
 /// Saturating event counter with mean/min/max tracking for an associated
 /// magnitude (e.g. latency per event, merged requests per entry).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Counter {
     /// Number of recorded events.
     pub events: u64,
@@ -129,7 +127,7 @@ mod tests {
 /// `[2^i, 2^(i+1))`, bucket 0 holds 0 and 1), giving ~2x resolution over
 /// any latency range with 64 fixed buckets — enough for p50/p95/p99
 /// reporting without storing samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,

@@ -1,12 +1,9 @@
 //! Property-based tests of the foundational types: the address layout,
-//! FLIT-map algebra, packet wire format, and the Eq. 1 model.
+//! the FLIT-map algebra and the Eq. 1 model.
 
 use proptest::prelude::*;
 
-use mac_types::packet::{HmcPacket, PacketKind};
-use mac_types::{
-    bandwidth_efficiency, ChunkMask, FlitMap, PhysAddr, ReqSize, CONTROL_BYTES_PER_ACCESS,
-};
+use mac_types::{bandwidth_efficiency, ChunkMask, FlitMap, PhysAddr, CONTROL_BYTES_PER_ACCESS};
 
 fn arb_addr() -> impl Strategy<Value = u64> {
     0u64..(1 << 52)
@@ -65,37 +62,6 @@ proptest! {
         let m = ChunkMask::from_bits(bits);
         prop_assert!(m.span() >= m.count() as u8);
         prop_assert!(m.span() <= 4);
-    }
-
-    /// Packet headers round-trip through the wire format for every kind
-    /// and size, and corrupting any byte is detected by the CRC.
-    #[test]
-    fn packet_round_trip_and_crc(
-        addr in arb_addr(),
-        tag in any::<u32>(),
-        kind_idx in 0usize..6,
-        size_idx in 0usize..5,
-        corrupt_byte in 0usize..14,
-        corrupt_bit in 0u8..8,
-    ) {
-        let kind = [
-            PacketKind::ReadRequest,
-            PacketKind::ReadResponse,
-            PacketKind::WriteRequest,
-            PacketKind::WriteResponse,
-            PacketKind::AtomicRequest,
-            PacketKind::AtomicResponse,
-        ][kind_idx];
-        let size = [ReqSize::B16, ReqSize::B32, ReqSize::B64, ReqSize::B128, ReqSize::B256]
-            [size_idx];
-        let p = HmcPacket { kind, addr: PhysAddr::new(addr & !0xF), size, tag };
-        let enc = p.encode();
-        prop_assert_eq!(HmcPacket::decode(enc.clone()), Some(p.clone()));
-
-        let mut bad = bytes::BytesMut::from(&enc[..]);
-        bad[corrupt_byte] ^= 1 << corrupt_bit;
-        let decoded = HmcPacket::decode(bad.freeze());
-        prop_assert_ne!(decoded, Some(p), "corruption must not decode to the original");
     }
 
     /// Eq. 1 is monotone in the request size and bounded by (0, 1).
