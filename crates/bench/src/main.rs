@@ -143,7 +143,7 @@ fuzz options:
   --iters N              random cases to run (default 100)
   --seed S               campaign seed (default 1)
   --out DIR              reproducer directory (default `results/fuzz`)
-  --max-cycles N         cycle cap per case (default 2000000)
+  --max-cycles N         cycle cap per case, 1..=200000000 (default 2000000)
   --smoke                also run the deterministic checked smoke set
   --adaptive             draw a random enabled AdaptConfig per case
   --replay FILE          re-run one reproducer file instead of fuzzing
@@ -546,7 +546,14 @@ fn fuzz_main(args: &[String]) {
             "--max-cycles" => {
                 opts.max_cycles = value(args, i, "--max-cycles")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--max-cycles needs an integer"));
+                    .ok()
+                    .filter(|n| fuzz::MAX_CYCLES_BOUND.contains(n))
+                    .unwrap_or_else(|| {
+                        usage_error(&format!(
+                            "--max-cycles needs an integer in {:?}",
+                            fuzz::MAX_CYCLES_BOUND
+                        ))
+                    });
                 i += 1;
             }
             "--smoke" => smoke = true,

@@ -1,7 +1,8 @@
-//! Command-line validation: a workload scale of 0 is a usage error
-//! (exit 2) before any work starts, not a panic inside a generator that
-//! takes the scale's log2; a corrupt trace file is a runtime failure
-//! (exit 1), not a panic (exit 101).
+//! Command-line validation: a workload scale of 0 or a fuzz cycle cap
+//! outside the reproducer's bound is a usage error (exit 2) before any
+//! work starts, not a panic inside a generator that takes the scale's
+//! log2 or a reproducer that cannot be replayed; a corrupt trace file is
+//! a runtime failure (exit 1), not a panic (exit 101).
 
 use std::process::Command;
 
@@ -28,6 +29,19 @@ fn zero_scale_is_a_usage_error() {
     let tools = env!("CARGO_BIN_EXE_trace_tools");
     assert_eq!(exit_code(tools, &["gen", "bfs", out, "2", "0"]), Some(2));
     assert!(!std::path::Path::new(out).exists(), "no trace is written");
+}
+
+#[test]
+fn out_of_range_fuzz_cycle_cap_is_a_usage_error() {
+    // A campaign must not write reproducers its own decoder rejects.
+    let bench = env!("CARGO_BIN_EXE_mac-bench");
+    let out = std::env::temp_dir().join(format!("mac-cli-{}-fuzz", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    for cap in ["0", "200000001", "18446744073709551615"] {
+        let args = ["fuzz", "--iters", "1", "--out", out, "--max-cycles", cap];
+        assert_eq!(exit_code(bench, &args), Some(2), "--max-cycles {cap}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "no campaign ran");
 }
 
 #[test]

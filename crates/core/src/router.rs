@@ -69,6 +69,16 @@ impl RequestRouter {
         }
     }
 
+    /// Free slots in the local and global queues, in that order: how
+    /// many more locally generated requests [`RequestRouter::route`]
+    /// accepts into each before it stalls.
+    pub fn free_slots(&self) -> (usize, usize) {
+        (
+            self.depth.saturating_sub(self.local.len()),
+            self.depth.saturating_sub(self.global.len()),
+        )
+    }
+
     /// Accept a raw request arriving from a remote node. Returns `false`
     /// (and drops nothing) when the remote queue is full.
     pub fn accept_remote(&mut self, raw: RawRequest) -> bool {
@@ -209,11 +219,19 @@ mod tests {
     #[test]
     fn queues_backpressure_independently() {
         let mut r = RequestRouter::new(NodeId(0), 1);
+        assert_eq!(r.free_slots(), (1, 1));
         assert_eq!(r.route(raw(1, 0, 0)), RoutedTo::Local);
         assert_eq!(r.route(raw(2, 0, 0)), RoutedTo::Stalled);
         // Global queue still has room.
+        assert_eq!(r.free_slots(), (0, 1));
         assert_eq!(r.route(raw(3, 0, 1)), RoutedTo::Global);
         assert_eq!(r.route(raw(4, 0, 1)), RoutedTo::Stalled);
+        assert_eq!(r.free_slots(), (0, 0));
+        // Remote arrivals and pops for the MAC move only their queues.
+        assert!(r.accept_remote(raw(5, 1, 0)));
+        assert_eq!(r.free_slots(), (0, 0));
+        assert_eq!(r.pop_for_mac().map(|q| q.id.0), Some(1));
+        assert_eq!(r.free_slots(), (1, 0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::ops::RangeInclusive;
 
 use mac_sim::engine::{experiment_cache_key, SimRequest};
 use mac_sim::experiment::ExperimentConfig;
-use mac_sim::fuzz::{ACCEPT_BOUND, ARQ_BOUND, POP_BOUND};
+use mac_sim::fuzz::{ACCEPT_BOUND, ARQ_BOUND, MAX_CYCLES_BOUND, POP_BOUND};
 use mac_types::{CubeMapping, JobId, MacPlacement, NetTopology};
 
 use crate::proto::{Fields, Msg, Scalar};
@@ -202,7 +202,7 @@ impl JobSpec {
             cfg.workload.seed = v;
         }
         if let Some(v) = num("maxcycles") {
-            cfg.max_cycles = v.max(1);
+            cfg.max_cycles = clamp(v, MAX_CYCLES_BOUND);
         }
         if flag("nomac").unwrap_or(false) {
             cfg.system.mac_disabled = true;
@@ -405,6 +405,24 @@ mod tests {
         // Unclamped, the MAC's `now + pop_interval` overflowed here.
         let w = mac_workloads::by_name(workload).expect("known workload");
         mac_sim::experiment::run_workload(w.as_ref(), cfg);
+    }
+
+    #[test]
+    fn zero_and_huge_cycle_caps_are_clamped() {
+        for (maxcycles, want) in [
+            (0, *MAX_CYCLES_BOUND.start()),
+            (u64::MAX, *MAX_CYCLES_BOUND.end()),
+            (20_000, 20_000),
+        ] {
+            let line = format!(
+                "{{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"sg\",\"maxcycles\":{maxcycles}}}"
+            );
+            let spec = JobSpec::from_fields(&decode_fields(&line).unwrap()).unwrap();
+            let JobKind::Sim { cfg, .. } = &spec.kind else {
+                panic!("not a sim job: {spec:?}");
+            };
+            assert_eq!(cfg.max_cycles, want, "maxcycles {maxcycles}");
+        }
     }
 
     #[test]

@@ -83,7 +83,40 @@ impl Node {
 
     /// Advance every core one cycle. `sink` receives the raw requests the
     /// cores issue and returns whether the router accepted each.
-    pub fn tick(&mut self, now: Cycle, mut sink: impl FnMut(RawRequest) -> bool) {
+    pub fn tick(&mut self, now: Cycle, sink: impl FnMut(RawRequest) -> bool) {
+        self.tick_with(now, usize::MAX, usize::MAX, sink, |_, _| {});
+    }
+
+    /// [`Node::tick`] against a request router whose local and global
+    /// queues have `local_room` and `global_room` free slots. The node
+    /// refuses an operation whose queue is full by itself, before it
+    /// builds the request: `refuse` gets the id and address the request
+    /// would have carried, and the thread holds the operation, exactly
+    /// as if the router had refused it. Every other issue goes to
+    /// `accept`, which must queue it.
+    pub fn tick_bounded(
+        &mut self,
+        now: Cycle,
+        local_room: usize,
+        global_room: usize,
+        mut accept: impl FnMut(RawRequest),
+        refuse: impl FnMut(TransactionId, PhysAddr),
+    ) {
+        let sink = |raw| {
+            accept(raw);
+            true
+        };
+        self.tick_with(now, local_room, global_room, sink, refuse);
+    }
+
+    fn tick_with(
+        &mut self,
+        now: Cycle,
+        mut local_room: usize,
+        mut global_room: usize,
+        mut sink: impl FnMut(RawRequest) -> bool,
+        mut refuse: impl FnMut(TransactionId, PhysAddr),
+    ) {
         let node = self.id;
         let nodes = self.nodes_in_system;
         let next_txn = &mut self.next_txn;
@@ -93,17 +126,27 @@ impl Node {
         for core in &mut self.cores {
             core.tick(now, |issue| {
                 let id = TransactionId(*next_txn);
+                let home = if issue.kind == MemOpKind::Fence {
+                    node // fences are local to the node's MAC
+                } else {
+                    home_of(issue.addr, nodes)
+                };
+                let room = if home == node {
+                    &mut local_room
+                } else {
+                    &mut global_room
+                };
+                if *room == 0 {
+                    refuse(id, issue.addr);
+                    return false;
+                }
                 let tag = &mut tags[issue.tid as usize];
                 let raw = RawRequest {
                     id,
                     addr: issue.addr,
                     kind: issue.kind,
                     node,
-                    home: if issue.kind == MemOpKind::Fence {
-                        node // fences are local to the node's MAC
-                    } else {
-                        home_of(issue.addr, nodes)
-                    },
+                    home,
                     target: Target {
                         tid: issue.tid,
                         tag: *tag,
@@ -112,6 +155,7 @@ impl Node {
                     issued_at: now,
                 };
                 if sink(raw) {
+                    *room -= 1;
                     *next_txn += 1;
                     *tag = tag.wrapping_add(1);
                     pending.insert(id.0, issue.tid);

@@ -66,8 +66,10 @@ pub(crate) fn raw_to_txn(raw: &RawRequest, now: Cycle) -> HmcRequest {
 }
 
 /// Pipeline step 1 in both topologies: tick `node`'s cores at `now`,
-/// routing each issued raw request into `router`. Every routing outcome
-/// is traced; an accepted issue is fed to the checker.
+/// routing each issued raw request into `router`. The node refuses an
+/// issue whose router queue is full by itself, without building the
+/// request (`Node::tick_bounded`). Every routing outcome is traced; an
+/// accepted issue is fed to the checker.
 pub(crate) fn issue_into_router(
     node: &mut Node,
     router: &mut RequestRouter,
@@ -75,26 +77,34 @@ pub(crate) fn issue_into_router(
     checker: &mut Option<ConformanceChecker>,
     now: Cycle,
 ) {
-    node.tick(now, |raw| {
-        let (id, addr) = (raw.id.0, raw.addr.raw());
-        let routed = router.route(raw);
-        tracer.emit(now, || TraceEvent::RawRoute {
-            id,
-            addr,
-            queue: match routed {
+    let (local_room, global_room) = router.free_slots();
+    node.tick_bounded(
+        now,
+        local_room,
+        global_room,
+        |raw| {
+            let queue = match router.route(raw) {
                 RoutedTo::Local => ROUTE_LOCAL,
                 RoutedTo::Global => ROUTE_GLOBAL,
-                RoutedTo::Stalled => ROUTE_STALLED,
-            },
-        });
-        let accepted = routed != RoutedTo::Stalled;
-        if accepted {
+                RoutedTo::Stalled => unreachable!("the node issues only into free slots"),
+            };
+            tracer.emit(now, || TraceEvent::RawRoute {
+                id: raw.id.0,
+                addr: raw.addr.raw(),
+                queue,
+            });
             if let Some(c) = checker.as_mut() {
                 c.on_raw_issued(&raw, now);
             }
-        }
-        accepted
-    });
+        },
+        |id, addr| {
+            tracer.emit(now, || TraceEvent::RawRoute {
+                id: id.0,
+                addr: addr.raw(),
+                queue: ROUTE_STALLED,
+            })
+        },
+    );
 }
 
 /// Advance `mac` one cycle: dispatched transactions join `dispatch_q`,

@@ -30,7 +30,7 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             system: SystemConfig::default(),
             workload: WorkloadParams::default(),
-            max_cycles: 200_000_000,
+            max_cycles: *crate::fuzz::MAX_CYCLES_BOUND.end(),
         }
     }
 }

@@ -475,17 +475,23 @@ pub const ARQ_BOUND: RangeInclusive<u64> = 1..=4096;
 pub const POP_BOUND: RangeInclusive<u64> = 1..=65_536;
 /// Accepts per cycle a reproducer or a served job may ask for.
 pub const ACCEPT_BOUND: RangeInclusive<u64> = 1..=64;
+/// Cycle caps a reproducer, a fuzz campaign or a served job may ask
+/// for. The top is [`ExperimentConfig`]'s default cap, so no input can
+/// hold a run for longer than an unconfigured experiment.
+///
+/// [`ExperimentConfig`]: crate::experiment::ExperimentConfig
+pub const MAX_CYCLES_BOUND: RangeInclusive<u64> = 1..=200_000_000;
 const VOTE_BOUND: RangeInclusive<u64> = 0..=65_536;
 const COMPUTE_BOUND: RangeInclusive<u64> = 0..=(1 << 32);
 
 /// Parse a reproducer produced by [`encode_reproducer`]. Reproducers
 /// are user input to `mac-bench fuzz --replay`, so anything the
 /// simulator cannot replay is an `Err`, never a panic: a thread or node
-/// count outside 1..=64, an ARQ outside 1..=4096 entries, a pop
-/// interval, accept width, adaptive bound or compute op outside the
-/// range that keeps the replay's arithmetic from overflowing, a cube
-/// count or network shape that cannot be wired, or several nodes under
-/// per-cube MACs.
+/// count outside 1..=64, an ARQ outside 1..=4096 entries, a cycle cap
+/// outside [`MAX_CYCLES_BOUND`], a pop interval, accept width, adaptive
+/// bound or compute op outside the range that keeps the replay's
+/// arithmetic from overflowing, a cube count or network shape that
+/// cannot be wired, or several nodes under per-cube MACs.
 pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     match lines.next() {
@@ -515,7 +521,8 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
         let mut toks = line.split_whitespace();
         match toks.next() {
             Some("maxcycles") => {
-                max_cycles = parse(toks.next().ok_or("maxcycles needs a value")?)?;
+                let v = toks.next().ok_or("maxcycles needs a value")?;
+                max_cycles = bounded("maxcycles", v, MAX_CYCLES_BOUND)?;
             }
             Some("config") => {
                 let mut threads_cfg = 1usize;
@@ -904,6 +911,17 @@ mod tests {
                 decode_reproducer(&format!("{header}{bad}\n")).is_err(),
                 "{bad}"
             );
+        }
+        // A cycle cap of zero ends the run before it starts; one above
+        // the default cap holds the replay for as long as it asks.
+        for bad in ["0", "200000001", "18446744073709551615"] {
+            let text = format!("{header}maxcycles {bad}\n");
+            assert!(decode_reproducer(&text).is_err(), "maxcycles {bad}");
+        }
+        for good in [MAX_CYCLES_BOUND.start(), MAX_CYCLES_BOUND.end()] {
+            let case = decode_reproducer(&format!("{header}maxcycles {good}\n"))
+                .expect("the bounds themselves are allowed");
+            assert_eq!(case.max_cycles, *good);
         }
         // Per-cube MACs model one host node; more cannot be replayed.
         let percube = "enabled=1 cubes=2 placement=percube";
