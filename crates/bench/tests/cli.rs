@@ -2,7 +2,8 @@
 //! outside the reproducer's bound is a usage error (exit 2) before any
 //! work starts, not a panic inside a generator that takes the scale's
 //! log2 or a reproducer that cannot be replayed; a corrupt trace file is
-//! a runtime failure (exit 1), not a panic (exit 101).
+//! a runtime failure (exit 1), not a panic (exit 101); and a well-formed
+//! trace with extreme field values renders (exit 0).
 
 use std::process::Command;
 
@@ -61,4 +62,31 @@ fn oversized_record_count_is_a_runtime_failure() {
     let code = exit_code(tools, &["analyze", path.to_str().expect("utf-8 temp path")]);
     std::fs::remove_file(&path).ok();
     assert_eq!(code, Some(1));
+}
+
+#[test]
+fn conflict_in_vault_255_renders() {
+    // A v4 `.mctr` header and one `BankConflict` record naming vault and
+    // bank 255: 1 tag byte, node, cycle, vault, bank, waited.
+    let mut raw = Vec::new();
+    raw.extend_from_slice(b"MCTR");
+    raw.extend_from_slice(&4u16.to_le_bytes());
+    raw.extend_from_slice(&0u16.to_le_bytes());
+    raw.push(14);
+    raw.extend_from_slice(&0u16.to_le_bytes());
+    raw.extend_from_slice(&7u64.to_le_bytes());
+    raw.extend_from_slice(&[255, 255]);
+    raw.extend_from_slice(&3u64.to_le_bytes());
+    assert_eq!(raw.len(), 29);
+    let path = std::env::temp_dir().join(format!("mac-cli-{}-v255.mctr", std::process::id()));
+    std::fs::write(&path, &raw).expect("write crafted trace");
+    let json = path.with_extension("json");
+    let tools = env!("CARGO_BIN_EXE_trace_tools");
+    let trace = path.to_str().expect("utf-8 temp path");
+    let events = exit_code(tools, &["events", trace]);
+    let perfetto = exit_code(tools, &["perfetto", trace, json.to_str().expect("utf-8")]);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&json).ok();
+    assert_eq!(events, Some(0), "events");
+    assert_eq!(perfetto, Some(0), "perfetto");
 }

@@ -22,12 +22,14 @@
 //! | I9 | Each raw request is served from the row and FLIT its address decodes to. |
 //! | I10 | Target records are conserved: `targets` parallels `raw_ids` and every target's FLIT is present in the packet's map. |
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 
 use mac_types::{
-    Cycle, HmcRequest, HmcResponse, MacPlacement, MemOpKind, RawRequest, ReqSize, SystemConfig,
-    TransactionId, FLITS_PER_CHUNK,
+    Cycle, HmcRequest, HmcResponse, MacPlacement, MemOpKind, RawRequest, ReqSize, SeqWindow,
+    SystemConfig, TransactionId, FLITS_PER_CHUNK,
 };
+
+use crate::table::{IssueLog, IssueTable, Issued, ThreadTable, NO_GROUP};
 
 /// Number of checked invariants (they are numbered `1..=INVARIANTS`).
 pub const INVARIANTS: u8 = 10;
@@ -150,59 +152,80 @@ pub struct FinishProbe {
     pub stats: StatsProbe,
 }
 
-/// Lifecycle record for one accepted raw request.
-#[derive(Debug, Clone, Copy)]
-struct Issued {
-    addr: mac_types::PhysAddr,
-    kind: MemOpKind,
-    thread: (u16, u16),
-    /// Fence id pending on this thread when the request was issued (must
-    /// be retired before this request may dispatch — I5).
-    after_fence: Option<u64>,
-    dispatched: bool,
-    completed: bool,
-}
-
 /// Outstanding dispatched transaction awaiting its response.
 #[derive(Debug, Clone)]
 struct DispatchRec {
     addr: mac_types::PhysAddr,
     size: ReqSize,
-    raw_ids: Vec<u64>,
+    /// Position of the dispatch's first raw id in the checker's
+    /// `group_ids`, counted over every id ever dispatched.
+    ids_at: u64,
+    /// Raw ids the dispatch carried.
+    ids: usize,
     targets: usize,
     dispatched_at: Cycle,
+}
+
+/// The stored violations and the count beyond the cap.
+#[derive(Debug, Default)]
+struct Findings {
+    stored: Vec<Violation>,
+    suppressed: u64,
+}
+
+impl Findings {
+    fn violate(&mut self, invariant: u8, cycle: Cycle, detail: String) {
+        if self.stored.len() < MAX_STORED {
+            self.stored.push(Violation {
+                invariant,
+                cycle,
+                detail,
+            });
+        } else {
+            self.suppressed += 1;
+        }
+    }
 }
 
 /// The invariant checker. See the module docs for the invariant list.
 ///
 /// Construct with [`ConformanceChecker::new`], feed the hooks from the
 /// run loop, then call [`ConformanceChecker::finish`] once.
+///
+/// Its tables are indexed by the ids the simulator assigns in sequence
+/// (see the `table` module), so each hook costs a few array accesses
+/// per raw id.
 #[derive(Debug)]
 pub struct ConformanceChecker {
     mac_enabled: bool,
     /// Fences pass through a MAC's ARQ (false in baseline mode and in
     /// per-cube placement, where the host packetizer retires them).
     fences_via_mac: bool,
-    issued: HashMap<u64, Issued>,
-    /// `(node, tid)` -> id of that thread's currently pending fence.
-    fence_pending: HashMap<(u16, u16), u64>,
-    /// Program-order issue log per `(node, tid)`, for the oracle diff.
-    per_thread: BTreeMap<(u16, u16), Vec<(u64, MemOpKind)>>,
-    /// Raw memory requests served per row (key: row number), accumulated
-    /// at dispatch — diffed against the oracle's own address decode.
-    served_per_row: BTreeMap<u64, u64>,
+    /// Issue record and open dispatch group of every raw id seen.
+    issued: IssueTable,
+    /// Issued raw requests not yet completed.
+    open: u64,
+    /// Pending fence and program-order issue log per `(node, tid)`.
+    threads: ThreadTable,
+    /// Row of every raw memory request, appended at dispatch and sorted
+    /// by [`Self::finish`] — diffed against the oracle's own decode.
+    rows: Vec<u64>,
     counts: KindCounts,
     dispatches: u64,
     responses: u64,
     completions: u64,
     fence_retires: u64,
-    groups: HashMap<u64, DispatchRec>,
-    /// raw id -> dispatch group, for matching responses back (I3).
-    raw_group: HashMap<u64, u64>,
+    /// Dispatches awaiting their response, by the checker's own group
+    /// number.
+    groups: SeqWindow<DispatchRec>,
+    /// Raw ids of the open dispatches in group order, oldest first. Read
+    /// only when a response mixes in a foreign id.
+    group_ids: VecDeque<u64>,
+    /// Position of `group_ids[0]` among every id ever dispatched.
+    group_ids_base: u64,
     next_group: u64,
     prev_probe: Option<StatsProbe>,
-    violations: Vec<Violation>,
-    suppressed: u64,
+    findings: Findings,
     finished: bool,
 }
 
@@ -214,35 +237,27 @@ impl ConformanceChecker {
         ConformanceChecker {
             mac_enabled: !cfg.mac_disabled,
             fences_via_mac: !cfg.mac_disabled && !per_cube,
-            issued: HashMap::new(),
-            fence_pending: HashMap::new(),
-            per_thread: BTreeMap::new(),
-            served_per_row: BTreeMap::new(),
+            issued: IssueTable::default(),
+            open: 0,
+            threads: ThreadTable::default(),
+            rows: Vec::new(),
             counts: KindCounts::default(),
             dispatches: 0,
             responses: 0,
             completions: 0,
             fence_retires: 0,
-            groups: HashMap::new(),
-            raw_group: HashMap::new(),
+            groups: SeqWindow::new(),
+            group_ids: VecDeque::new(),
+            group_ids_base: 0,
             next_group: 0,
             prev_probe: None,
-            violations: Vec::new(),
-            suppressed: 0,
+            findings: Findings::default(),
             finished: false,
         }
     }
 
     fn violate(&mut self, invariant: u8, cycle: Cycle, detail: String) {
-        if self.violations.len() < MAX_STORED {
-            self.violations.push(Violation {
-                invariant,
-                cycle,
-                detail,
-            });
-        } else {
-            self.suppressed += 1;
-        }
+        self.findings.violate(invariant, cycle, detail);
     }
 
     /// A raw request was *accepted* by the router (rejected issues retry
@@ -261,10 +276,12 @@ impl ConformanceChecker {
                 ),
             );
         }
-        if let Some(&pending) = self.fence_pending.get(&thread) {
+        let state = self.threads.entry(thread);
+        let after_fence = state.fence;
+        if let Some(pending) = after_fence {
             // The core model blocks a thread on its pending fence, so any
             // issue past one is an ordering bug in the issue path itself.
-            self.violate(
+            self.findings.violate(
                 5,
                 now,
                 format!(
@@ -272,7 +289,16 @@ impl ConformanceChecker {
                 ),
             );
         }
-        let after_fence = self.fence_pending.get(&thread).copied();
+        match raw.kind {
+            MemOpKind::Load => self.counts.loads += 1,
+            MemOpKind::Store => self.counts.stores += 1,
+            MemOpKind::Atomic => self.counts.atomics += 1,
+            MemOpKind::Fence => {
+                self.counts.fences += 1;
+                state.fence = Some(id);
+            }
+        }
+        state.log.push((raw.addr.raw(), raw.kind));
         let rec = Issued {
             addr: raw.addr,
             kind: raw.kind,
@@ -281,58 +307,53 @@ impl ConformanceChecker {
             dispatched: false,
             completed: false,
         };
-        if self.issued.insert(id, rec).is_some() {
+        self.open += 1;
+        if let Some(old) = self.issued.entry(id).rec.replace(rec) {
+            if !old.completed {
+                self.open -= 1;
+            }
             self.violate(1, now, format!("raw id {id:#x} issued twice"));
         }
-        match raw.kind {
-            MemOpKind::Load => self.counts.loads += 1,
-            MemOpKind::Store => self.counts.stores += 1,
-            MemOpKind::Atomic => self.counts.atomics += 1,
-            MemOpKind::Fence => {
-                self.counts.fences += 1;
-                self.fence_pending.insert(thread, id);
-            }
-        }
-        self.per_thread
-            .entry(thread)
-            .or_default()
-            .push((raw.addr.raw(), raw.kind));
     }
 
     /// A fence retired (MAC event or host packetizer).
     pub fn on_fence_retired(&mut self, raw: &RawRequest, now: Cycle) {
         let id = raw.id.0;
         let thread = (raw.node.0, raw.target.tid);
-        match self.issued.get_mut(&id) {
-            None => self.violate(5, now, format!("unknown fence {id:#x} retired")),
+        match self.issued.get_mut(id).and_then(|slot| slot.rec.as_mut()) {
+            None => self
+                .findings
+                .violate(5, now, format!("unknown fence {id:#x} retired")),
             Some(rec) => {
                 let kind = rec.kind;
                 let double = rec.completed;
                 rec.completed = true;
+                if !double {
+                    self.open -= 1;
+                }
                 if kind != MemOpKind::Fence {
-                    self.violate(
+                    self.findings.violate(
                         5,
                         now,
                         format!("{kind:?} {id:#x} retired via the fence path"),
                     );
                 }
                 if double {
-                    self.violate(5, now, format!("fence {id:#x} retired twice"));
+                    self.findings
+                        .violate(5, now, format!("fence {id:#x} retired twice"));
                 }
             }
         }
-        match self.fence_pending.get(&thread) {
-            Some(&pending) if pending == id => {
-                self.fence_pending.remove(&thread);
+        match self.threads.get_mut(thread) {
+            Some(state) if state.fence == Some(id) => state.fence = None,
+            state => {
+                let pends = state.and_then(|s| s.fence);
+                self.findings.violate(
+                    5,
+                    now,
+                    format!("fence {id:#x} retired but thread {thread:?} pends {pends:?}"),
+                );
             }
-            other => self.violate(
-                5,
-                now,
-                format!(
-                    "fence {id:#x} retired but thread {thread:?} pends {:?}",
-                    other.copied()
-                ),
-            ),
         }
         self.fence_retires += 1;
     }
@@ -451,76 +472,21 @@ impl ConformanceChecker {
         }
         let group = self.next_group;
         self.next_group += 1;
+        let ids_at = self.group_ids_base + self.group_ids.len() as u64;
         for raw_id in &req.raw_ids {
             let id = raw_id.0;
-            match self.issued.get(&id).copied() {
-                None => self.violate(2, now, format!("dispatch carries unknown raw {id:#x}")),
-                Some(rec) => {
-                    if rec.kind == MemOpKind::Fence {
-                        self.violate(2, now, format!("fence {id:#x} inside a dispatch"));
-                    }
-                    if rec.dispatched {
-                        self.violate(2, now, format!("raw {id:#x} dispatched twice"));
-                    }
-                    let flag_ok = match rec.kind {
-                        MemOpKind::Load => !req.is_write && !req.is_atomic,
-                        MemOpKind::Store => req.is_write && !req.is_atomic,
-                        MemOpKind::Atomic => req.is_atomic && !req.is_write,
-                        MemOpKind::Fence => false,
-                    };
-                    if !flag_ok {
-                        self.violate(
-                            6,
-                            now,
-                            format!(
-                                "raw {id:#x} ({:?}) inside a write={} atomic={} dispatch",
-                                rec.kind, req.is_write, req.is_atomic
-                            ),
-                        );
-                    }
-                    if rec.addr.row() != addr.row() {
-                        self.violate(
-                            9,
-                            now,
-                            format!(
-                                "raw {id:#x} @ row {:#x} served by dispatch @ row {:#x}",
-                                rec.addr.row().0,
-                                addr.row().0
-                            ),
-                        );
-                    }
-                    if !req.flit_map.get(rec.addr.flit()) {
-                        self.violate(
-                            9,
-                            now,
-                            format!(
-                                "raw {id:#x} FLIT {} missing from dispatch map {}",
-                                rec.addr.flit(),
-                                req.flit_map
-                            ),
-                        );
-                    }
-                    if let Some(fence) = rec.after_fence {
-                        let fence_open = self.issued.get(&fence).is_some_and(|f| !f.completed);
-                        if fence_open {
-                            self.violate(
-                                5,
-                                now,
-                                format!(
-                                    "raw {id:#x} dispatched before its fence {fence:#x} retired"
-                                ),
-                            );
-                        }
-                    }
-                    if rec.kind != MemOpKind::Fence {
-                        *self.served_per_row.entry(rec.addr.row().0).or_default() += 1;
-                    }
-                    if let Some(rec) = self.issued.get_mut(&id) {
-                        rec.dispatched = true;
-                    }
-                }
+            self.group_ids.push_back(id);
+            let slot = self.issued.entry(id);
+            let rec = slot.rec;
+            if let Some(r) = &mut slot.rec {
+                r.dispatched = true;
             }
-            if self.raw_group.insert(id, group).is_some() {
+            let prior = std::mem::replace(&mut slot.group, group);
+            match rec {
+                None => self.violate(2, now, format!("dispatch carries unknown raw {id:#x}")),
+                Some(rec) => self.check_carried(id, &rec, req, now),
+            }
+            if prior != NO_GROUP {
                 self.violate(2, now, format!("raw {id:#x} already in an open dispatch"));
             }
         }
@@ -529,11 +495,78 @@ impl ConformanceChecker {
             DispatchRec {
                 addr,
                 size: req.size,
-                raw_ids: req.raw_ids.iter().map(|i| i.0).collect(),
+                ids_at,
+                ids: req.raw_ids.len(),
                 targets: req.targets.len(),
                 dispatched_at: now,
             },
         );
+    }
+
+    /// Check one issued raw request `rec` (id `id`, as it was before this
+    /// dispatch) against the dispatch `req` carrying it.
+    fn check_carried(&mut self, id: u64, rec: &Issued, req: &HmcRequest, now: Cycle) {
+        if rec.kind == MemOpKind::Fence {
+            self.violate(2, now, format!("fence {id:#x} inside a dispatch"));
+        }
+        if rec.dispatched {
+            self.violate(2, now, format!("raw {id:#x} dispatched twice"));
+        }
+        let flag_ok = match rec.kind {
+            MemOpKind::Load => !req.is_write && !req.is_atomic,
+            MemOpKind::Store => req.is_write && !req.is_atomic,
+            MemOpKind::Atomic => req.is_atomic && !req.is_write,
+            MemOpKind::Fence => false,
+        };
+        if !flag_ok {
+            self.violate(
+                6,
+                now,
+                format!(
+                    "raw {id:#x} ({:?}) inside a write={} atomic={} dispatch",
+                    rec.kind, req.is_write, req.is_atomic
+                ),
+            );
+        }
+        if rec.addr.row() != req.addr.row() {
+            self.violate(
+                9,
+                now,
+                format!(
+                    "raw {id:#x} @ row {:#x} served by dispatch @ row {:#x}",
+                    rec.addr.row().0,
+                    req.addr.row().0
+                ),
+            );
+        }
+        if !req.flit_map.get(rec.addr.flit()) {
+            self.violate(
+                9,
+                now,
+                format!(
+                    "raw {id:#x} FLIT {} missing from dispatch map {}",
+                    rec.addr.flit(),
+                    req.flit_map
+                ),
+            );
+        }
+        if let Some(fence) = rec.after_fence {
+            let fence_open = self
+                .issued
+                .get(fence)
+                .and_then(|slot| slot.rec)
+                .is_some_and(|f| !f.completed);
+            if fence_open {
+                self.violate(
+                    5,
+                    now,
+                    format!("raw {id:#x} dispatched before its fence {fence:#x} retired"),
+                );
+            }
+        }
+        if rec.kind != MemOpKind::Fence {
+            self.rows.push(rec.addr.row().0);
+        }
     }
 
     /// The device completed a transaction.
@@ -547,16 +580,26 @@ impl ConformanceChecker {
             );
             return;
         };
-        let Some(&group) = self.raw_group.get(&first.0) else {
-            self.violate(
-                3,
-                now,
-                format!("response for raw {:#x} without an open dispatch", first.0),
-            );
-            return;
+        let group = match self.issued.get(first.0) {
+            Some(slot) if slot.group != NO_GROUP => slot.group,
+            _ => {
+                self.violate(
+                    3,
+                    now,
+                    format!("response for raw {:#x} without an open dispatch", first.0),
+                );
+                return;
+            }
         };
+        // Every id the response carries must still be open in `group`;
+        // each is closed as it is matched, so a repeated id fails too.
+        let mut mixed = false;
         for id in &rsp.raw_ids {
-            if self.raw_group.remove(&id.0) != Some(group) {
+            let was = self.issued.get_mut(id.0).map_or(NO_GROUP, |slot| {
+                std::mem::replace(&mut slot.group, NO_GROUP)
+            });
+            if was != group {
+                mixed = true;
                 self.violate(
                     3,
                     now,
@@ -564,14 +607,25 @@ impl ConformanceChecker {
                 );
             }
         }
-        let Some(rec) = self.groups.remove(&group) else {
+        let Some(rec) = self.groups.remove(group) else {
             self.violate(3, now, format!("dispatch group {group} responded twice"));
             return;
         };
-        let mut rsp_ids: Vec<u64> = rsp.raw_ids.iter().map(|i| i.0).collect();
-        let mut req_ids = rec.raw_ids.clone();
-        rsp_ids.sort_unstable();
-        req_ids.sort_unstable();
+        // Unmixed, the response's ids are distinct ids of this dispatch,
+        // so they are its id multiset exactly when the counts agree (a
+        // dispatch that repeated an id has fewer distinct ids than its
+        // count). Otherwise compare the sorted lists.
+        let same_ids = if mixed {
+            let at = (rec.ids_at - self.group_ids_base) as usize;
+            let mut sent: Vec<u64> = self.group_ids.range(at..at + rec.ids).copied().collect();
+            let mut got: Vec<u64> = rsp.raw_ids.iter().map(|i| i.0).collect();
+            sent.sort_unstable();
+            got.sort_unstable();
+            sent == got
+        } else {
+            rsp.raw_ids.len() == rec.ids
+        };
+        self.release_group_ids();
         if rsp.addr != rec.addr || rsp.size != rec.size {
             self.violate(
                 3,
@@ -585,7 +639,7 @@ impl ConformanceChecker {
                 ),
             );
         }
-        if rsp_ids != req_ids || rsp.targets.len() != rec.targets {
+        if !same_ids || rsp.targets.len() != rec.targets {
             self.violate(
                 3,
                 now,
@@ -607,20 +661,43 @@ impl ConformanceChecker {
         }
     }
 
+    /// Drop the raw ids older than the oldest open dispatch's.
+    fn release_group_ids(&mut self) {
+        let keep_from = match self.groups.keys().next() {
+            Some(oldest) => self
+                .groups
+                .get(oldest)
+                .map_or(self.group_ids_base, |g| g.ids_at),
+            None => self.group_ids_base + self.group_ids.len() as u64,
+        };
+        let done = (keep_from - self.group_ids_base) as usize;
+        self.group_ids.drain(..done);
+        self.group_ids_base = keep_from;
+    }
+
     /// A per-request completion was delivered toward its thread.
     pub fn on_completion(&mut self, id: TransactionId, now: Cycle) {
         let id = id.0;
-        match self.issued.get_mut(&id) {
-            None => self.violate(1, now, format!("completion for unknown raw {id:#x}")),
+        match self.issued.get_mut(id).and_then(|slot| slot.rec.as_mut()) {
+            None => self
+                .findings
+                .violate(1, now, format!("completion for unknown raw {id:#x}")),
             Some(rec) => {
                 let double = rec.completed;
                 let dispatched = rec.dispatched;
                 rec.completed = true;
                 if double {
-                    self.violate(1, now, format!("raw {id:#x} completed twice"));
+                    self.findings
+                        .violate(1, now, format!("raw {id:#x} completed twice"));
+                } else {
+                    self.open -= 1;
                 }
                 if !dispatched {
-                    self.violate(2, now, format!("raw {id:#x} completed without a dispatch"));
+                    self.findings.violate(
+                        2,
+                        now,
+                        format!("raw {id:#x} completed without a dispatch"),
+                    );
                 }
             }
         }
@@ -729,6 +806,7 @@ impl ConformanceChecker {
             return;
         }
         self.finished = true;
+        self.rows.sort_unstable();
         self.on_cycle_batch(now, &probe.stats);
         if !probe.idle {
             self.violate(
@@ -736,27 +814,29 @@ impl ConformanceChecker {
                 now,
                 format!(
                     "run hit the cycle cap before draining ({} raw requests still open)",
-                    self.issued.values().filter(|r| !r.completed).count()
+                    self.open
                 ),
             );
             return; // The strict equalities below only hold for drained runs.
         }
-        let mut leftovers: Vec<(u64, Issued)> = self
-            .issued
-            .iter()
-            .filter(|(_, r)| !r.completed)
-            .map(|(&id, &r)| (id, r))
-            .collect();
-        leftovers.sort_unstable_by_key(|(id, _)| *id);
-        for (id, rec) in leftovers.into_iter().take(8) {
-            self.violate(
-                1,
-                now,
-                format!(
-                    "raw {id:#x} ({:?} by thread {:?}) never completed (dispatched: {})",
-                    rec.kind, rec.thread, rec.dispatched
-                ),
-            );
+        if self.open > 0 {
+            let mut leftovers: Vec<(u64, Issued)> = self
+                .issued
+                .issued()
+                .filter(|(_, r)| !r.completed)
+                .map(|(id, &r)| (id, r))
+                .collect();
+            leftovers.sort_unstable_by_key(|(id, _)| *id);
+            for (id, rec) in leftovers.into_iter().take(8) {
+                self.violate(
+                    1,
+                    now,
+                    format!(
+                        "raw {id:#x} ({:?} by thread {:?}) never completed (dispatched: {})",
+                        rec.kind, rec.thread, rec.dispatched
+                    ),
+                );
+            }
         }
         if !self.groups.is_empty() {
             self.violate(
@@ -765,12 +845,9 @@ impl ConformanceChecker {
                 format!("{} dispatches never got a response", self.groups.len()),
             );
         }
-        if !self.fence_pending.is_empty() {
-            self.violate(
-                5,
-                now,
-                format!("{} fences still pending at idle", self.fence_pending.len()),
-            );
+        let pending = self.threads.pending_fences();
+        if pending > 0 {
+            self.violate(5, now, format!("{pending} fences still pending at idle"));
         }
         let s = probe.stats;
         let mut equalities: Vec<(u8, &str, u64, u64)> = vec![
@@ -861,22 +938,22 @@ impl ConformanceChecker {
 
     /// Violations recorded so far (capped; see [`Self::suppressed`]).
     pub fn violations(&self) -> &[Violation] {
-        &self.violations
+        &self.findings.stored
     }
 
     /// Consume the checker, returning its violations.
     pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
+        self.findings.stored
     }
 
     /// Violations beyond the storage cap.
     pub fn suppressed(&self) -> u64 {
-        self.suppressed
+        self.findings.suppressed
     }
 
     /// True when no violation was detected.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.suppressed == 0
+        self.findings.stored.is_empty() && self.findings.suppressed == 0
     }
 
     /// Per-kind totals of accepted raw requests.
@@ -894,14 +971,25 @@ impl ConformanceChecker {
         self.completions + self.fence_retires
     }
 
-    /// Program-order issue log per `(node, tid)` — `(address, kind)`.
-    pub fn per_thread_log(&self) -> &BTreeMap<(u16, u16), Vec<(u64, MemOpKind)>> {
-        &self.per_thread
+    /// Program-order issue log of `thread` — `(address, kind)`.
+    pub(crate) fn thread_log(&self, thread: (u16, u16)) -> &[(u64, MemOpKind)] {
+        self.threads.get(thread).map_or(&[], |t| &t.log)
     }
 
-    /// Raw memory requests served per row number, accumulated at dispatch.
-    pub fn served_per_row(&self) -> &BTreeMap<u64, u64> {
-        &self.served_per_row
+    /// Every thread that issued, with its log, ordered by `(node, tid)`.
+    pub(crate) fn thread_logs(&self) -> Vec<((u16, u16), &IssueLog)> {
+        self.threads
+            .sorted()
+            .into_iter()
+            .filter(|(_, t)| !t.log.is_empty())
+            .map(|(thread, t)| (thread, &t.log))
+            .collect()
+    }
+
+    /// Row number of every raw memory request dispatched (sorted once
+    /// [`Self::finish`] has run).
+    pub(crate) fn served_rows(&self) -> &[u64] {
+        &self.rows
     }
 }
 

@@ -30,6 +30,7 @@
 
 pub mod invariants;
 pub mod oracle;
+mod table;
 
 pub use invariants::{
     invariant_description, ConformanceChecker, FinishProbe, KindCounts, StatsProbe, Violation,

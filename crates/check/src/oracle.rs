@@ -10,6 +10,7 @@
 //! difference is a functional bug in the simulator regardless of which
 //! invariants happened to fire.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use mac_types::{MemOpKind, PhysAddr};
@@ -23,9 +24,18 @@ use crate::invariants::{ConformanceChecker, KindCounts};
 pub struct OracleReplay {
     /// `(node, tid)` -> program-order `(address, kind)` memory stream.
     per_thread: BTreeMap<(u16, u16), Vec<(u64, MemOpKind)>>,
-    /// Raw memory requests (loads/stores/atomics) each row must serve.
-    served_per_row: BTreeMap<u64, u64>,
+    /// Row of every raw memory request (load/store/atomic), sorted.
+    rows: Vec<u64>,
     counts: KindCounts,
+}
+
+/// Requests per row of a sorted row list.
+fn row_counts(sorted: &[u64]) -> BTreeMap<u64, u64> {
+    let mut counts = BTreeMap::new();
+    for &row in sorted {
+        *counts.entry(row).or_default() += 1;
+    }
+    counts
 }
 
 impl OracleReplay {
@@ -55,13 +65,14 @@ impl OracleReplay {
                                 MemOpKind::Fence => oracle.counts.fences += 1,
                             }
                             if kind != MemOpKind::Fence {
-                                *oracle.served_per_row.entry(addr.row().0).or_default() += 1;
+                                oracle.rows.push(addr.row().0);
                             }
                         }
                     }
                 }
             }
         }
+        oracle.rows.sort_unstable();
         oracle
     }
 
@@ -71,8 +82,8 @@ impl OracleReplay {
     }
 
     /// Expected raw memory requests per row number.
-    pub fn served_per_row(&self) -> &BTreeMap<u64, u64> {
-        &self.served_per_row
+    pub fn served_per_row(&self) -> BTreeMap<u64, u64> {
+        row_counts(&self.rows)
     }
 
     /// Diff the oracle's expectations against what the checker observed.
@@ -97,9 +108,8 @@ impl OracleReplay {
         }
 
         // Program-order streams, both directions.
-        let sim = checker.per_thread_log();
         for (thread, expected) in &self.per_thread {
-            let got = sim.get(thread).map(Vec::as_slice).unwrap_or(&[]);
+            let got = checker.thread_log(*thread);
             if got != expected.as_slice() {
                 let first_bad = expected
                     .iter()
@@ -118,31 +128,43 @@ impl OracleReplay {
                 ));
             }
         }
-        for thread in sim.keys() {
-            if !self.per_thread.contains_key(thread) && !sim[thread].is_empty() {
+        for (thread, log) in checker.thread_logs() {
+            if !self.per_thread.contains_key(&thread) {
                 out.push(format!(
                     "simulator issued {} ops for thread {:?} the oracle never ran",
-                    sim[thread].len(),
+                    log.len(),
                     thread
                 ));
             }
         }
 
-        // Row-level service accounting.
-        let sim_rows = checker.served_per_row();
-        for (&row, &expected) in &self.served_per_row {
-            let got = sim_rows.get(&row).copied().unwrap_or(0);
-            if got != expected {
-                out.push(format!(
-                    "row {row:#x} served {got} raw requests, oracle expects {expected}"
-                ));
+        // Row-level service accounting: equal sorted row lists serve
+        // every row equally often; only a difference needs the counts.
+        let sim_rows = match checker.served_rows() {
+            rows if rows.is_sorted() => Cow::Borrowed(rows),
+            rows => {
+                let mut rows = rows.to_vec();
+                rows.sort_unstable();
+                Cow::Owned(rows)
             }
-        }
-        for (&row, &got) in sim_rows {
-            if !self.served_per_row.contains_key(&row) {
-                out.push(format!(
-                    "row {row:#x} served {got} raw requests the oracle never decoded"
-                ));
+        };
+        if *sim_rows != self.rows {
+            let expected_rows = row_counts(&self.rows);
+            let sim_rows = row_counts(&sim_rows);
+            for (&row, &expected) in &expected_rows {
+                let got = sim_rows.get(&row).copied().unwrap_or(0);
+                if got != expected {
+                    out.push(format!(
+                        "row {row:#x} served {got} raw requests, oracle expects {expected}"
+                    ));
+                }
+            }
+            for (&row, &got) in &sim_rows {
+                if !expected_rows.contains_key(&row) {
+                    out.push(format!(
+                        "row {row:#x} served {got} raw requests the oracle never decoded"
+                    ));
+                }
             }
         }
         out

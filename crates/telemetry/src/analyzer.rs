@@ -27,7 +27,7 @@ pub struct PowHistogram {
     pub buckets: [u64; 24],
     /// Values recorded.
     pub count: u64,
-    /// Sum of recorded values.
+    /// Sum of recorded values (saturating at `u64::MAX`).
     pub sum: u64,
     /// Largest recorded value.
     pub max: u64,
@@ -42,7 +42,7 @@ impl PowHistogram {
         };
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 
@@ -123,7 +123,7 @@ pub struct TraceAnalysis {
     pub vault_occupancy: HashMap<(u16, u8), OccupancySeries>,
     /// Bank conflicts keyed by (node, vault, bank).
     pub bank_conflicts: HashMap<(u16, u8, u8), u64>,
-    /// Total cycles spent waiting on busy banks.
+    /// Total cycles spent waiting on busy banks (saturating).
     pub conflict_wait_cycles: u64,
     /// Records analyzed.
     pub records: u64,
@@ -181,7 +181,7 @@ pub fn analyze(records: &[TraceRecord]) -> TraceAnalysis {
                 waited,
             } => {
                 *a.bank_conflicts.entry((rec.node, vault, bank)).or_insert(0) += 1;
-                a.conflict_wait_cycles += waited;
+                a.conflict_wait_cycles = a.conflict_wait_cycles.saturating_add(waited);
             }
             _ => {}
         }
@@ -220,9 +220,20 @@ impl TraceAnalysis {
         if cells.is_empty() {
             return format!("  node{node}: no bank conflicts\n");
         }
-        let vaults = cells.iter().map(|&(v, _, _)| v).max().unwrap_or(0) + 1;
-        let banks = cells.iter().map(|&(_, b, _)| b).max().unwrap_or(0) + 1;
-        let mut grid = vec![vec![0u64; banks as usize]; vaults as usize];
+        // Sized in usize: vault or bank 255 needs 256 rows or columns.
+        let vaults = cells
+            .iter()
+            .map(|&(v, _, _)| usize::from(v))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let banks = cells
+            .iter()
+            .map(|&(_, b, _)| usize::from(b))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let mut grid = vec![vec![0u64; banks]; vaults];
         for (v, b, c) in cells {
             grid[v as usize][b as usize] = c;
         }
