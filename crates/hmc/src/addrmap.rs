@@ -73,12 +73,6 @@ impl AddrMap {
         self.locate_row(addr.row())
     }
 
-    /// Total banks in the cube.
-    #[inline]
-    pub fn total_banks(&self) -> usize {
-        (self.vaults * self.banks_per_vault) as usize
-    }
-
     /// Number of vaults.
     #[inline]
     pub fn vaults(&self) -> usize {
@@ -147,18 +141,6 @@ impl NetAddrMap {
             cube_shift,
             inner,
         }
-    }
-
-    /// Number of cubes in the network.
-    #[inline]
-    pub fn cubes(&self) -> usize {
-        self.cubes as usize
-    }
-
-    /// The per-cube address map (vault/bank resolution).
-    #[inline]
-    pub fn inner(&self) -> &AddrMap {
-        &self.inner
     }
 
     /// Which cube owns `addr`.
@@ -243,7 +225,6 @@ mod tests {
     #[test]
     fn default_geometry() {
         let m = map();
-        assert_eq!(m.total_banks(), 512);
         assert_eq!(m.vaults(), 32);
         assert_eq!(m.interleave_bits(), 9);
     }

@@ -17,31 +17,21 @@
 //! serialization and low bank count cap its throughput far below a
 //! coalesced HMC.
 
-use mac_types::{Cycle, DdrConfig, HmcRequest, HmcResponse};
+use mac_types::{Cycle, DdrConfig, HmcRequest};
 
 use crate::admission::AdmissionQueue;
-use crate::completion::CompletionQueue;
 use crate::device_trait::MemoryDevice;
-use crate::stats::HmcStats;
-
-/// One DDR bank with its open row.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bank {
-    open_row: Option<u64>,
-    free_at: Cycle,
-}
+use crate::open_page::OpenPageChannel;
+use crate::response::ResponsePath;
 
 /// A simulated DDR4 channel (single rank).
 #[derive(Debug, Clone)]
 pub struct DdrDevice {
     cfg: DdrConfig,
-    banks: Vec<Bank>,
-    bus_free_at: Cycle,
-    last_issue: Cycle,
+    channel: OpenPageChannel,
     /// Controller command queue (`queue_depth`), held until completion.
     queue: AdmissionQueue,
-    stats: HmcStats,
-    completion: CompletionQueue,
+    responses: ResponsePath,
 }
 
 impl DdrDevice {
@@ -50,12 +40,9 @@ impl DdrDevice {
         assert!(cfg.banks.is_power_of_two());
         DdrDevice {
             cfg: cfg.clone(),
-            banks: vec![Bank::default(); cfg.banks],
-            bus_free_at: 0,
-            last_issue: 0,
+            channel: OpenPageChannel::new(cfg.banks, cfg.t_rcd, cfg.t_cl, cfg.t_rp),
             queue: AdmissionQueue::new(cfg.queue_depth),
-            stats: HmcStats::default(),
-            completion: CompletionQueue::new(),
+            responses: ResponsePath::default(),
         }
     }
 
@@ -66,33 +53,6 @@ impl DdrDevice {
         let bank = (burst as usize) & (self.cfg.banks - 1);
         let row = (burst >> self.cfg.banks.trailing_zeros()) / (self.cfg.row_bytes / 64);
         (bank, row)
-    }
-
-    /// Schedule one 64 B burst; returns its data-done time.
-    fn schedule_burst(&mut self, addr: u64, arrival: Cycle) -> (Cycle, bool, bool) {
-        let (bank_idx, row) = self.locate(addr);
-        let issue = arrival.max(self.last_issue + 1);
-        self.last_issue = issue;
-        let bank = &mut self.banks[bank_idx];
-        let start = bank.free_at.max(issue);
-        let conflict = bank.free_at > issue;
-        let row_hit = bank.open_row == Some(row);
-        let ready = if row_hit {
-            start + self.cfg.t_cl
-        } else {
-            let pre = if bank.open_row.is_some() {
-                self.cfg.t_rp
-            } else {
-                0
-            };
-            start + pre + self.cfg.t_rcd + self.cfg.t_cl
-        };
-        let bus_start = ready.max(self.bus_free_at);
-        let done = bus_start + self.cfg.t_burst;
-        self.bus_free_at = done;
-        bank.free_at = done;
-        bank.open_row = Some(row);
-        (done, row_hit, conflict)
     }
 }
 
@@ -107,58 +67,31 @@ impl MemoryDevice for DdrDevice {
 
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         // The controller splits any transaction into 64 B bursts.
-        let payload = req.size.bytes();
-        let bursts = payload.div_ceil(64).max(1);
+        let bursts = req.size.bytes().div_ceil(64).max(1);
         let arrival = now + self.cfg.interface_latency;
         let mut done = arrival;
         let mut any_conflict = false;
         let mut hits = 0u64;
         for b in 0..bursts {
-            let (d, hit, conflict) = self.schedule_burst(req.addr.raw() + b * 64, arrival);
-            done = done.max(d);
-            any_conflict |= conflict;
-            hits += hit as u64;
+            let (bank, row) = self.locate(req.addr.raw() + b * 64);
+            let access = self.channel.access(bank, row, arrival, self.cfg.t_burst);
+            done = done.max(access.done);
+            any_conflict |= access.conflict;
+            hits += access.row_hit as u64;
         }
         let completed = done + self.cfg.interface_latency;
         self.queue.push(completed);
-
-        let latency = completed.saturating_sub(req.dispatched_at.min(now));
-        self.stats.record_access(
-            req.size,
-            req.useful_bytes(),
-            req.merged_count().max(1),
-            any_conflict,
-            latency,
-        );
-        self.stats.row_hits += hits;
-
-        let rsp = HmcResponse {
-            addr: req.addr,
-            size: req.size,
-            is_write: req.is_write,
-            targets: req.targets,
-            raw_ids: req.raw_ids,
-            completed_at: completed,
-            conflicts: any_conflict as u64,
-        };
-        self.completion.push(completed, rsp);
+        self.responses.count_row_hits(hits);
+        self.responses.finish(req, any_conflict, completed, now);
         completed
     }
 
-    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
-        self.completion.pop_due(now)
+    fn responses(&self) -> &ResponsePath {
+        &self.responses
     }
 
-    fn pending(&self) -> usize {
-        self.completion.len()
-    }
-
-    fn next_completion(&self) -> Option<Cycle> {
-        self.completion.next_at()
-    }
-
-    fn stats(&self) -> &HmcStats {
-        &self.stats
+    fn responses_mut(&mut self) -> &mut ResponsePath {
+        &mut self.responses
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -1,39 +1,27 @@
-//! The assembled HMC device: links + crossbar/logic layer + vaults.
+//! The assembled HMC device: host port + crossbar/logic layer + vaults.
 //!
-//! [`HmcDevice::submit`] pushes one request transaction through the full
-//! path and schedules its response;
-//! [`MemoryDevice::pop_completed`](crate::MemoryDevice::pop_completed)
-//! hands finished responses back to the front end in completion order.
+//! [`MemoryDevice::submit`] pushes one request transaction through the
+//! full path and hands the finished access to the device's
+//! [`ResponsePath`], which returns responses to the front end in
+//! completion order.
 
-use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{Cycle, HmcConfig, HmcRequest, HmcResponse};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mac_telemetry::Tracer;
+use mac_types::{Cycle, HmcConfig, HmcRequest};
 
 use crate::addrmap::AddrMap;
-use crate::completion::CompletionQueue;
-use crate::link::LinkSet;
-use crate::stats::HmcStats;
+use crate::device_trait::MemoryDevice;
+use crate::host::HostPort;
+use crate::response::ResponsePath;
 use crate::vault::VaultSet;
 
 /// A simulated HMC cube.
 #[derive(Debug, Clone)]
 pub struct HmcDevice {
     map: AddrMap,
-    links: LinkSet,
+    port: HostPort,
     vaults: VaultSet,
-    stats: HmcStats,
     logic_latency: u64,
-    /// Link retry injection (HMC CRC/retry protocol).
-    link_error_rate: f64,
-    retry_penalty: u64,
-    rng: SmallRng,
-    /// Retransmissions performed (stat).
-    pub retries: u64,
-    /// In-flight responses, due in completion order.
-    completion: CompletionQueue,
-    tracer: Tracer,
+    responses: ResponsePath,
 }
 
 impl HmcDevice {
@@ -41,168 +29,73 @@ impl HmcDevice {
     pub fn new(cfg: &HmcConfig) -> Self {
         HmcDevice {
             map: AddrMap::new(cfg),
-            links: LinkSet::new(cfg),
+            port: HostPort::new(cfg),
             vaults: VaultSet::new(cfg),
-            stats: HmcStats::default(),
             logic_latency: cfg.logic_latency,
-            link_error_rate: cfg.link_error_rate.clamp(0.0, 0.99),
-            retry_penalty: cfg.retry_penalty,
-            rng: SmallRng::seed_from_u64(cfg.error_seed),
-            retries: 0,
-            completion: CompletionQueue::new(),
-            tracer: Tracer::disabled(),
+            responses: ResponsePath::default(),
         }
     }
 
-    /// Attach a tracer and propagate it to the links and vaults
-    /// (disabled by default; tracing is observational).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.links.set_tracer(tracer.clone());
-        self.vaults.set_tracer(tracer.clone());
-        self.tracer = tracer;
+    /// Host-link CRC replays performed so far.
+    pub fn retries(&self) -> u64 {
+        self.port.retries()
     }
+}
 
-    /// Whether the vault serving `addr` has queue room at `now`. Callers
-    /// should hold the request and retry next cycle when this is false.
-    pub fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
+impl MemoryDevice for HmcDevice {
+    /// Whether the vault serving `req` has queue room at `now`.
+    fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         let loc = self.map.locate(req.addr);
         self.vaults.can_accept(loc.vault, now)
     }
 
-    /// Earliest cycle `>= now` at which [`HmcDevice::can_accept`] returns
-    /// true for `req`. Non-mutating.
-    pub fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
         let loc = self.map.locate(req.addr);
         self.vaults.next_accept(loc.vault, now)
     }
 
-    /// Submit one request transaction at cycle `now` (non-decreasing
-    /// across calls). Returns the cycle at which the response will have
-    /// fully arrived back at the host.
-    pub fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        let payload = req.size.bytes();
-        // Packet lengths (§2.2.2): 1 control FLIT per packet; data FLITs
-        // ride the request for writes, the response for reads. Atomics
-        // carry one operand/result FLIT each way.
-        let (req_flits, rsp_flits) = if req.is_atomic {
-            (2, 2)
-        } else if req.is_write {
-            (1 + req.size.flits(), 1)
-        } else {
-            (1, 1 + req.size.flits())
-        };
-
-        let (link, mut at_cube) = self.links.send_request(now, req_flits);
-        // Link retry: a CRC-failed packet is replayed from the retry
-        // buffer after the timeout, re-serializing on the same link.
-        while self.link_error_rate > 0.0 && self.rng.gen_bool(self.link_error_rate) {
-            self.retries += 1;
-            at_cube = self
-                .links
-                .send_response(link, at_cube + self.retry_penalty, 0)
-                .max(at_cube + self.retry_penalty);
-            let (_, resent) = self.links.send_request(at_cube, req_flits);
-            at_cube = resent;
-        }
-        let at_vault = at_cube + self.logic_latency;
+    /// Host link -> logic layer -> vault -> logic layer -> host link;
+    /// returns the cycle the response has fully arrived at the host.
+    fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
+        let (req_flits, rsp_flits) = HostPort::packet_flits(&req);
+        let (link, at_cube) = self.port.send_request(now, req_flits);
         let loc = self.map.locate(req.addr);
-        let sched = self.vaults.schedule(loc, at_vault, payload);
-        let rsp_ready = sched.done + self.logic_latency;
-        let completed = self.links.send_response(link, rsp_ready, rsp_flits);
-
-        let latency = completed.saturating_sub(req.dispatched_at.min(now));
-        self.tracer.emit(completed, || TraceEvent::HmcComplete {
-            addr: req.addr.raw(),
-            targets: req.targets.len() as u8,
-            latency,
-        });
-        self.stats.record_access(
-            req.size,
-            req.useful_bytes(),
-            req.merged_count().max(1),
-            sched.conflict,
-            latency,
-        );
-
-        let rsp = HmcResponse {
-            addr: req.addr,
-            size: req.size,
-            is_write: req.is_write,
-            targets: req.targets,
-            raw_ids: req.raw_ids,
-            completed_at: completed,
-            conflicts: sched.conflict as u64,
-        };
-        self.completion.push(completed, rsp);
+        let sched = self
+            .vaults
+            .schedule(loc, at_cube + self.logic_latency, req.size.bytes());
+        let completed = self
+            .port
+            .send_response(link, sched.done + self.logic_latency, rsp_flits);
+        self.responses.finish(req, sched.conflict, completed, now);
         completed
     }
 
-    /// Number of in-flight (submitted, not yet drained) transactions.
-    pub fn pending(&self) -> usize {
-        self.completion.len()
+    fn responses(&self) -> &ResponsePath {
+        &self.responses
     }
 
-    /// Earliest completion cycle among in-flight transactions, if any.
-    /// Front ends use this to fast-forward idle periods.
-    pub fn next_completion(&self) -> Option<Cycle> {
-        self.completion.next_at()
+    fn responses_mut(&mut self) -> &mut ResponsePath {
+        &mut self.responses
     }
 
-    /// Accumulated device statistics.
-    pub fn stats(&self) -> &HmcStats {
-        &self.stats
+    /// Attach a tracer and propagate it to the links and vaults
+    /// (disabled by default; tracing is observational).
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.port.set_tracer(tracer.clone());
+        self.vaults.set_tracer(tracer.clone());
+        self.responses.set_tracer(tracer);
     }
 
-    /// Bank-busy cycles (utilization accounting).
-    pub fn bank_busy_cycles(&self) -> u128 {
-        self.vaults.bank_busy_cycles()
-    }
-
-    /// The device's address map (shared with front-end components).
-    pub fn addr_map(&self) -> &AddrMap {
-        &self.map
-    }
-
-    /// Append one metrics sample: cumulative access/conflict counters,
-    /// in-flight transaction gauge, link FLIT utilization, per-vault
-    /// queue depths. Observational — reads state, never mutates it.
-    pub fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
-        s.counter("accesses", self.stats.accesses());
-        s.counter("bank_conflicts", self.stats.bank_conflicts);
-        s.gauge("inflight", self.completion.len() as u64);
-        self.links.sample_metrics(s);
+    /// Cumulative access/conflict counters, the in-flight gauge, link
+    /// FLIT utilization and per-vault queue depths.
+    fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
+        s.counter("accesses", self.stats().accesses());
+        s.counter("bank_conflicts", self.stats().bank_conflicts);
+        s.gauge("inflight", self.pending() as u64);
+        self.port.sample_metrics(s);
         self.vaults.sample_metrics(now, s);
     }
-}
 
-impl crate::device_trait::MemoryDevice for HmcDevice {
-    fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
-        HmcDevice::can_accept(self, req, now)
-    }
-    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
-        HmcDevice::next_accept(self, req, now)
-    }
-    fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        HmcDevice::submit(self, req, now)
-    }
-    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
-        self.completion.pop_due(now)
-    }
-    fn pending(&self) -> usize {
-        HmcDevice::pending(self)
-    }
-    fn next_completion(&self) -> Option<Cycle> {
-        HmcDevice::next_completion(self)
-    }
-    fn stats(&self) -> &crate::stats::HmcStats {
-        HmcDevice::stats(self)
-    }
-    fn set_tracer(&mut self, tracer: Tracer) {
-        HmcDevice::set_tracer(self, tracer)
-    }
-    fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
-        HmcDevice::sample_metrics(self, now, s)
-    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -364,7 +257,7 @@ mod retry_tests {
         for i in 0..100 {
             dev.submit(read_req(i * 0x1000, i), i);
         }
-        assert_eq!(dev.retries, 0);
+        assert_eq!(dev.retries(), 0);
     }
 
     #[test]
@@ -382,9 +275,9 @@ mod retry_tests {
             t_dirty = t_dirty.max(dirty.submit(read_req(i * 0x1000, i), i));
         }
         assert!(
-            dirty.retries > 20,
+            dirty.retries() > 20,
             "expected retries at 30% BER: {}",
-            dirty.retries
+            dirty.retries()
         );
         assert!(
             dirty.stats().latency.mean() > clean.stats().latency.mean(),
@@ -405,7 +298,7 @@ mod retry_tests {
             for i in 0..100u64 {
                 d.submit(read_req(i * 0x100, i), i);
             }
-            (d.retries, d.stats().latency.sum)
+            (d.retries(), d.stats().latency.sum)
         };
         assert_eq!(run(), run());
     }

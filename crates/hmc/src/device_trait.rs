@@ -1,15 +1,22 @@
-//! The common interface of 3D-stacked memory back ends.
+//! The common interface of the memory back ends.
 //!
 //! The MAC is device-agnostic by design (§4.3): it emits packetized
-//! transactions and consumes responses. Both [`crate::HmcDevice`] and
-//! [`crate::HbmDevice`] implement this trait, so the full-system
-//! simulator switches back ends with a configuration flag.
+//! transactions and consumes responses. [`crate::HmcDevice`],
+//! [`crate::HbmDevice`], [`crate::DdrDevice`] and `mac_net::NetDevice`
+//! implement this trait, so the full-system simulator switches back
+//! ends with a configuration flag. Each implements only its timing
+//! model: where a request goes ([`MemoryDevice::can_accept`],
+//! [`MemoryDevice::next_accept`]) and when its data is done
+//! ([`MemoryDevice::submit`]). `submit` hands the finished access to
+//! the device's [`ResponsePath`], and the drain, the in-flight count
+//! and the statistics below are written once, against that path.
 
 use mac_types::{Cycle, HmcRequest, HmcResponse};
 
+use crate::response::ResponsePath;
 use crate::stats::HmcStats;
 
-/// A transaction-driven 3D-stacked memory device.
+/// A transaction-driven memory device.
 pub trait MemoryDevice {
     /// Whether the device can enqueue a request for this address at `now`
     /// (finite internal queues provide backpressure).
@@ -25,11 +32,19 @@ pub trait MemoryDevice {
     /// calls); returns its completion cycle.
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle;
 
+    /// The device's response path.
+    fn responses(&self) -> &ResponsePath;
+
+    /// The device's response path, mutably.
+    fn responses_mut(&mut self) -> &mut ResponsePath;
+
     /// Pop the earliest response completed by `now`, if any. Responses
     /// completing in the same cycle come out in submission order. This
     /// is the one drain primitive: the run loops call it until it
     /// returns `None`.
-    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse>;
+    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
+        self.responses_mut().pop_completed(now)
+    }
 
     /// Pop every response completed by `now`, in completion order, into
     /// a fresh `Vec`.
@@ -38,13 +53,19 @@ pub trait MemoryDevice {
     }
 
     /// Transactions submitted but not yet drained.
-    fn pending(&self) -> usize;
+    fn pending(&self) -> usize {
+        self.responses().pending()
+    }
 
     /// Earliest outstanding completion, if any (idle fast-forwarding).
-    fn next_completion(&self) -> Option<Cycle>;
+    fn next_completion(&self) -> Option<Cycle> {
+        self.responses().next_completion()
+    }
 
     /// Accumulated statistics.
-    fn stats(&self) -> &HmcStats;
+    fn stats(&self) -> &HmcStats {
+        self.responses().stats()
+    }
 
     /// Attach a tracer. Devices without instrumentation ignore it.
     fn set_tracer(&mut self, _tracer: mac_telemetry::Tracer) {}

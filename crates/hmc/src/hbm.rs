@@ -8,43 +8,27 @@
 //! map to 2–8 bursts.
 //!
 //! This module implements that device: channels with per-channel command
-//! buses, open-page banks with row-buffer hit/miss/conflict timing, and
-//! the same transaction-driven interface as [`crate::HmcDevice`] via the
-//! [`crate::MemoryDevice`] trait, so the full-system simulator
-//! can swap back ends with one config switch.
+//! and data buses over open-page banks (the bank step it shares with
+//! [`crate::DdrDevice`]), behind the same [`crate::MemoryDevice`] trait as
+//! [`crate::HmcDevice`], so the full-system simulator can swap back ends
+//! with one config switch.
 
-use mac_types::{Cycle, HbmConfig, HmcRequest, HmcResponse};
+use mac_types::{Cycle, HbmConfig, HmcRequest, PhysAddr};
 
 use crate::admission::AdmissionQueue;
-use crate::completion::CompletionQueue;
 use crate::device_trait::MemoryDevice;
-use crate::stats::HmcStats;
-
-/// One open-page bank: the currently open row (if any) and busy time.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bank {
-    open_row: Option<u64>,
-    free_at: Cycle,
-}
-
-/// One channel: command-bus issue limit and in-flight accounting.
-#[derive(Debug, Clone, Default)]
-struct Channel {
-    last_issue: Cycle,
-    /// Data-bus free time (bursts serialize on the channel bus).
-    bus_free_at: Cycle,
-    /// Command queue (`channel_queue_depth`), held until completion.
-    queue: AdmissionQueue,
-}
+use crate::open_page::OpenPageChannel;
+use crate::response::ResponsePath;
 
 /// A simulated HBM stack.
 #[derive(Debug, Clone)]
 pub struct HbmDevice {
     cfg: HbmConfig,
-    banks: Vec<Bank>,
-    channels: Vec<Channel>,
-    stats: HmcStats,
-    completion: CompletionQueue,
+    channels: Vec<OpenPageChannel>,
+    /// Per-channel command queue (`channel_queue_depth`), each access
+    /// held until its completion.
+    queues: Vec<AdmissionQueue>,
+    responses: ResponsePath,
 }
 
 impl HbmDevice {
@@ -52,29 +36,23 @@ impl HbmDevice {
     pub fn new(cfg: &HbmConfig) -> Self {
         assert!(cfg.channels.is_power_of_two());
         assert!(cfg.banks_per_channel.is_power_of_two());
+        let channel = OpenPageChannel::new(cfg.banks_per_channel, cfg.t_rcd, cfg.t_cl, cfg.t_rp);
         HbmDevice {
             cfg: cfg.clone(),
-            banks: vec![Bank::default(); cfg.channels * cfg.banks_per_channel],
-            channels: vec![
-                Channel {
-                    queue: AdmissionQueue::new(cfg.channel_queue_depth),
-                    ..Channel::default()
-                };
-                cfg.channels
-            ],
-            stats: HmcStats::default(),
-            completion: CompletionQueue::new(),
+            channels: vec![channel; cfg.channels],
+            queues: vec![AdmissionQueue::new(cfg.channel_queue_depth); cfg.channels],
+            responses: ResponsePath::default(),
         }
     }
 
     /// HBM interleaves 1 KB rows across channels, banks above that.
-    fn locate(&self, addr: mac_types::PhysAddr) -> (usize, usize, u64) {
+    /// Returns `(channel, bank within the channel, row)`.
+    fn locate(&self, addr: PhysAddr) -> (usize, usize, u64) {
         let row_bits = self.cfg.row_bytes.trailing_zeros();
         let global_row = addr.raw() >> row_bits;
         let channel = (global_row as usize) & (self.cfg.channels - 1);
-        let bank_in_ch = ((global_row as usize) >> self.cfg.channels.trailing_zeros())
+        let bank = ((global_row as usize) >> self.cfg.channels.trailing_zeros())
             & (self.cfg.banks_per_channel - 1);
-        let bank = channel * self.cfg.banks_per_channel + bank_in_ch;
         (channel, bank, global_row)
     }
 }
@@ -82,100 +60,34 @@ impl HbmDevice {
 impl MemoryDevice for HbmDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
         let (ch, _, _) = self.locate(req.addr);
-        self.channels[ch].queue.admits(now)
+        self.queues[ch].admits(now)
     }
 
     fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
         let (ch, _, _) = self.locate(req.addr);
-        self.channels[ch].queue.next_admit(now)
+        self.queues[ch].next_admit(now)
     }
 
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        let (ch, bank_idx, row) = self.locate(req.addr);
-        let payload = req.size.bytes();
-        let bursts = payload.div_ceil(32).max(1);
-
-        // Command arrives after the PHY/interface latency.
+        let (ch, bank, row) = self.locate(req.addr);
+        let bursts = req.size.bytes().div_ceil(32).max(1);
+        // The command reaches the channel after the PHY latency.
         let arrival = now + self.cfg.interface_latency;
-        let c = &mut self.channels[ch];
-        let issue = arrival.max(c.last_issue + 1);
-        c.last_issue = issue;
-
-        let bank = &mut self.banks[bank_idx];
-        let bank_ready = bank.free_at.max(issue);
-        let conflict = bank.free_at > issue;
-
-        // Open-page timing: row hit pays CAS only; row miss/empty pays
-        // (PRE +) ACT + CAS.
-        let row_hit = self.cfg.open_page && bank.open_row == Some(row);
-        let access_start = bank_ready;
-        let ready_for_data = if row_hit {
-            access_start + self.cfg.t_cl
-        } else {
-            // A row left open by the open-page policy must precharge
-            // before the new activate; closed-page banks precharge on
-            // completion, and empty banks need no precharge either.
-            let pre = if self.cfg.open_page && bank.open_row.is_some() {
-                self.cfg.t_rp
-            } else {
-                0
-            };
-            access_start + pre + self.cfg.t_rcd + self.cfg.t_cl
-        };
-        // Bursts serialize on the channel's data bus.
-        let bus_start = ready_for_data.max(c.bus_free_at);
-        let data_done = bus_start + bursts * self.cfg.t_burst_per_32b;
-        c.bus_free_at = data_done;
-
-        bank.free_at = if self.cfg.open_page {
-            data_done // row stays open
-        } else {
-            data_done + self.cfg.t_rp // auto-precharge
-        };
-        bank.open_row = if self.cfg.open_page { Some(row) } else { None };
-
-        let completed = data_done + self.cfg.interface_latency;
-        c.queue.push(completed);
-
-        let latency = completed.saturating_sub(req.dispatched_at.min(now));
-        self.stats.record_access(
-            req.size,
-            req.useful_bytes(),
-            req.merged_count().max(1),
-            conflict,
-            latency,
-        );
-        if row_hit {
-            self.stats.row_hits += 1;
-        }
-
-        let rsp = HmcResponse {
-            addr: req.addr,
-            size: req.size,
-            is_write: req.is_write,
-            targets: req.targets,
-            raw_ids: req.raw_ids,
-            completed_at: completed,
-            conflicts: conflict as u64,
-        };
-        self.completion.push(completed, rsp);
+        let access =
+            self.channels[ch].access(bank, row, arrival, bursts * self.cfg.t_burst_per_32b);
+        let completed = access.done + self.cfg.interface_latency;
+        self.queues[ch].push(completed);
+        self.responses.count_row_hits(access.row_hit as u64);
+        self.responses.finish(req, access.conflict, completed, now);
         completed
     }
 
-    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
-        self.completion.pop_due(now)
+    fn responses(&self) -> &ResponsePath {
+        &self.responses
     }
 
-    fn pending(&self) -> usize {
-        self.completion.len()
-    }
-
-    fn next_completion(&self) -> Option<Cycle> {
-        self.completion.next_at()
-    }
-
-    fn stats(&self) -> &HmcStats {
-        &self.stats
+    fn responses_mut(&mut self) -> &mut ResponsePath {
+        &mut self.responses
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -235,18 +147,6 @@ mod tests {
             "row hit {second_latency} should beat row miss {first_latency}"
         );
         assert_eq!(d.stats().row_hits, 1);
-    }
-
-    #[test]
-    fn closed_page_config_never_hits() {
-        let cfg = HbmConfig {
-            open_page: false,
-            ..HbmConfig::default()
-        };
-        let mut d = HbmDevice::new(&cfg);
-        let first = d.submit(req(0x4000, ReqSize::B64, 0), 0);
-        d.submit(req(0x4100, ReqSize::B64, first + 1), first + 1);
-        assert_eq!(d.stats().row_hits, 0);
     }
 
     #[test]

@@ -1,0 +1,100 @@
+//! The host port of an HMC cube: packet sizing, the host link group and
+//! the link retry protocol.
+//!
+//! A single cube ([`crate::HmcDevice`]) and a cube network
+//! (`mac_net::NetDevice`) attach to the host the same way, so they share
+//! this one type. With the same configuration both draw the same retry
+//! sequence from the same seeded RNG and pick the same links, which is
+//! what makes a 1-cube network bit-identical to a single cube.
+
+use mac_telemetry::Tracer;
+use mac_types::{Cycle, HmcConfig, HmcRequest};
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use crate::link::LinkSet;
+
+/// The host's link group to its cube, with CRC retry injection.
+#[derive(Debug, Clone)]
+pub struct HostPort {
+    links: LinkSet,
+    /// Probability a request packet fails CRC and is replayed.
+    error_rate: f64,
+    retry_penalty: u64,
+    rng: SmallRng,
+    /// Replays performed.
+    retries: u64,
+}
+
+impl HostPort {
+    /// Build the host port for a cube configuration.
+    pub fn new(cfg: &HmcConfig) -> Self {
+        HostPort {
+            links: LinkSet::new(cfg),
+            error_rate: cfg.link_error_rate.clamp(0.0, 0.99),
+            retry_penalty: cfg.retry_penalty,
+            rng: SmallRng::seed_from_u64(cfg.error_seed),
+            retries: 0,
+        }
+    }
+
+    /// Request and response packet lengths of `req` in FLITs (§2.2.2):
+    /// one control FLIT per packet; data FLITs ride the request for
+    /// writes and the response for reads. Atomics carry one
+    /// operand/result FLIT each way.
+    #[inline]
+    pub fn packet_flits(req: &HmcRequest) -> (u64, u64) {
+        if req.is_atomic {
+            (2, 2)
+        } else if req.is_write {
+            (1 + req.size.flits(), 1)
+        } else {
+            (1, 1 + req.size.flits())
+        }
+    }
+
+    /// Serialize a request packet of `flits` onto the host links at
+    /// `now`. Returns `(link its response returns on, cycle the packet
+    /// has fully arrived at the cube)`.
+    ///
+    /// A packet that fails CRC is replayed from the retry buffer: the
+    /// timeout passes on the first link's upstream channel, then the
+    /// packet re-serializes on the earliest-free link.
+    #[inline]
+    pub fn send_request(&mut self, now: Cycle, flits: u64) -> (usize, Cycle) {
+        let (link, mut at_cube) = self.links.send_request(now, flits);
+        while self.error_rate > 0.0 && self.rng.gen_bool(self.error_rate) {
+            self.retries += 1;
+            at_cube = self
+                .links
+                .send_response(link, at_cube + self.retry_penalty, 0)
+                .max(at_cube + self.retry_penalty);
+            let (_, resent) = self.links.send_request(at_cube, flits);
+            at_cube = resent;
+        }
+        (link, at_cube)
+    }
+
+    /// Serialize a response packet of `flits`, ready at `now`, upstream
+    /// on `link`. Returns the cycle it has fully arrived at the host.
+    #[inline]
+    pub fn send_response(&mut self, link: usize, now: Cycle, flits: u64) -> Cycle {
+        self.links.send_response(link, now, flits)
+    }
+
+    /// CRC replays performed so far.
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Attach a tracer to the host links.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.links.set_tracer(tracer);
+    }
+
+    /// Append the host links' FLIT-utilization series.
+    pub fn sample_metrics(&self, s: &mut mac_metrics::Sampler<'_>) {
+        self.links.sample_metrics(s);
+    }
+}

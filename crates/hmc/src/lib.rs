@@ -18,12 +18,18 @@
 //! * **Bandwidth accounting**: data vs. control bytes on the links, from
 //!   which Figures 13 and 14 are computed.
 //!
-//! The device is *transaction-driven*: [`HmcDevice::submit`] analytically
-//! schedules a request through link → crossbar → vault queue → bank →
-//! response link and returns its completion time, provided submissions
-//! arrive in non-decreasing cycle order (which a cycle-driven front end
-//! guarantees). Completed responses are popped one at a time with
-//! [`MemoryDevice::pop_completed`].
+//! The device is *transaction-driven*: [`MemoryDevice::submit`]
+//! analytically schedules a request through link → crossbar → vault
+//! queue → bank → response link and returns its completion time,
+//! provided submissions arrive in non-decreasing cycle order (which a
+//! cycle-driven front end guarantees). Completed responses are popped one
+//! at a time with [`MemoryDevice::pop_completed`].
+//!
+//! The HBM ([`HbmDevice`]) and DDR4 ([`DdrDevice`]) back ends and
+//! `mac_net::NetDevice` sit behind the same trait. Each keeps only its
+//! timing model; they share the [`ResponsePath`] that turns a finished
+//! access into a response and a statistic, the HMC [`HostPort`] (cube and
+//! cube network), and the open-page bank step (HBM and DDR).
 
 #![warn(missing_docs)]
 
@@ -34,7 +40,10 @@ pub mod ddr;
 pub mod device;
 mod device_trait;
 pub mod hbm;
+mod host;
 pub mod link;
+mod open_page;
+mod response;
 pub mod stats;
 pub mod vault;
 
@@ -45,6 +54,8 @@ pub use ddr::DdrDevice;
 pub use device::HmcDevice;
 pub use device_trait::MemoryDevice;
 pub use hbm::HbmDevice;
+pub use host::HostPort;
 pub use link::LinkSet;
+pub use response::ResponsePath;
 pub use stats::HmcStats;
 pub use vault::VaultSet;

@@ -8,7 +8,7 @@
 //! not accumulate rounding error.
 
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{Cycle, HmcConfig, LinkSelectPolicy};
+use mac_types::{Cycle, HmcConfig};
 
 /// One direction of one link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,10 +30,6 @@ impl Channel {
         self.busy_x16 += dur;
         (start / 16, self.free_at_x16.div_ceil(16))
     }
-
-    fn free_at(&self) -> Cycle {
-        self.free_at_x16.div_ceil(16)
-    }
 }
 
 /// The host-facing link group (Table 1: 4 links).
@@ -42,7 +38,6 @@ pub struct LinkSet {
     down: Vec<Channel>,
     up: Vec<Channel>,
     flit_x16: u64,
-    policy: LinkSelectPolicy,
     tracer: Tracer,
 }
 
@@ -54,7 +49,6 @@ impl LinkSet {
             down: vec![Channel::default(); cfg.links],
             up: vec![Channel::default(); cfg.links],
             flit_x16: cfg.flit_cycles_x16(),
-            policy: cfg.link_select,
             tracer: Tracer::disabled(),
         }
     }
@@ -64,15 +58,18 @@ impl LinkSet {
         self.tracer = tracer;
     }
 
-    /// Pick a downstream channel per the configured
-    /// [`LinkSelectPolicy`] and serialize a request packet of `flits` on
-    /// it. Returns `(link index, cycle the packet has fully arrived at
-    /// the cube)`.
+    /// Serialize a request packet of `flits` on the earliest-free
+    /// downstream channel, lowest index on ties (under uniform load this
+    /// rotates round-robin). Returns `(link index, cycle the packet has
+    /// fully arrived at the cube)`.
     pub fn send_request(&mut self, now: Cycle, flits: u64) -> (usize, Cycle) {
-        let link = match self.policy {
-            LinkSelectPolicy::RoundRobin => self.earliest_free_down(),
-            LinkSelectPolicy::LeastLoaded => self.least_busy_down(),
-        };
+        let link = self
+            .down
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.free_at_x16)
+            .map(|(i, _)| i)
+            .expect("non-empty link set");
         let (start, done) = self.down[link].transmit(now, flits, self.flit_x16);
         if flits > 0 {
             self.tracer.emit(now, || TraceEvent::LinkTx {
@@ -106,42 +103,9 @@ impl LinkSet {
         done
     }
 
-    /// The historical implicit selection: earliest-free channel, lowest
-    /// index on ties. Under uniform packet sizes this rotates
-    /// round-robin, hence the policy name.
-    fn earliest_free_down(&self) -> usize {
-        self.down
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.free_at_x16)
-            .map(|(i, _)| i)
-            .expect("non-empty link set")
-    }
-
-    /// Channel with the least accumulated busy time, lowest index on
-    /// ties.
-    fn least_busy_down(&self) -> usize {
-        self.down
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.busy_x16)
-            .map(|(i, _)| i)
-            .expect("non-empty link set")
-    }
-
-    /// Earliest cycle at which any downstream channel is free.
-    pub fn earliest_down_free(&self) -> Cycle {
-        self.down.iter().map(|c| c.free_at()).min().unwrap_or(0)
-    }
-
     /// Busy cycles summed over all downstream channels.
     pub fn down_busy_cycles(&self) -> f64 {
         self.down.iter().map(|c| c.busy_x16 as f64 / 16.0).sum()
-    }
-
-    /// Busy cycles summed over all upstream channels.
-    pub fn up_busy_cycles(&self) -> f64 {
-        self.up.iter().map(|c| c.busy_x16 as f64 / 16.0).sum()
     }
 
     /// Busy time summed over all downstream channels in 1/16-cycle fixed
@@ -162,16 +126,6 @@ impl LinkSet {
     pub fn sample_metrics(&self, s: &mut mac_metrics::Sampler<'_>) {
         s.counter("link_down_busy_x16", self.down_busy_x16());
         s.counter("link_up_busy_x16", self.up_busy_x16());
-    }
-
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.down.len()
-    }
-
-    /// Always false: constructed with at least one link.
-    pub fn is_empty(&self) -> bool {
-        self.down.is_empty()
     }
 }
 
@@ -238,18 +192,17 @@ mod tests {
         l.send_request(0, 10);
         let expected = 10.0 * HmcConfig::default().flit_cycles_x16() as f64 / 16.0;
         assert!((l.down_busy_cycles() - expected).abs() < 1e-9);
-        assert_eq!(l.up_busy_cycles(), 0.0);
+        assert_eq!(l.up_busy_x16(), 0);
     }
 
     #[test]
     fn round_robin_default_is_byte_identical_to_legacy_selection() {
         // The legacy `send_request` picked min-by-`free_at_x16` (first
         // index on ties) with no policy knob. Replaying a skewed traffic
-        // mix against an oracle of that algorithm must leave the policy'd
-        // LinkSet in exactly the same state, link for link and x16-tick
-        // for x16-tick.
+        // mix against an oracle of that algorithm must leave the LinkSet
+        // in exactly the same state, link for link and x16-tick for
+        // x16-tick.
         let cfg = HmcConfig::default();
-        assert_eq!(cfg.link_select, mac_types::LinkSelectPolicy::RoundRobin);
         let mut l = LinkSet::new(&cfg);
         let flit_x16 = cfg.flit_cycles_x16();
         let mut oracle = vec![Channel::default(); cfg.links];
@@ -274,45 +227,5 @@ mod tests {
             assert_eq!(l.down[i].free_at_x16, o.free_at_x16);
             assert_eq!(l.down[i].busy_x16, o.busy_x16);
         }
-    }
-
-    #[test]
-    fn least_loaded_differs_only_under_skewed_sizes() {
-        let cfg = HmcConfig {
-            link_select: mac_types::LinkSelectPolicy::LeastLoaded,
-            ..HmcConfig::default()
-        };
-        let mut ll = LinkSet::new(&cfg);
-        let mut rr = LinkSet::new(&HmcConfig::default());
-        // Uniform packets: both policies rotate identically.
-        for _ in 0..16 {
-            assert_eq!(ll.send_request(0, 4).0, rr.send_request(0, 4).0);
-        }
-        // Two links, one early giant packet on link 0 and a later small
-        // one on link 1: round-robin (earliest free) returns to link 0
-        // once its serialization window has passed, while least-loaded
-        // still remembers link 0's accumulated busy time and avoids it.
-        let seq = |policy| {
-            let mut l = LinkSet::new(&HmcConfig {
-                links: 2,
-                link_select: policy,
-                ..HmcConfig::default()
-            });
-            assert_eq!(l.send_request(0, 17).0, 0, "first pick ties to link 0");
-            assert_eq!(l.send_request(30, 1).0, 1, "idle link 1 is earliest free");
-            l.send_request(32, 1).0
-        };
-        assert_eq!(seq(mac_types::LinkSelectPolicy::RoundRobin), 0);
-        assert_eq!(seq(mac_types::LinkSelectPolicy::LeastLoaded), 1);
-    }
-
-    #[test]
-    fn earliest_free_advances_under_load() {
-        let mut l = links();
-        assert_eq!(l.earliest_down_free(), 0);
-        for _ in 0..8 {
-            l.send_request(0, 17);
-        }
-        assert!(l.earliest_down_free() > 0);
     }
 }

@@ -65,13 +65,6 @@ impl VaultSet {
         self.tracer = tracer;
     }
 
-    /// Closed-page service time for `payload_bytes` of data: the bank is
-    /// occupied for activate + column + burst + precharge.
-    pub fn service_cycles(&self, payload_bytes: u64) -> u64 {
-        let bursts = payload_bytes.div_ceil(32).max(1);
-        self.t_rcd + self.t_cl + bursts * self.t_burst_per_32b + self.t_rp
-    }
-
     /// Whether the vault's command queue has room at `now`.
     pub fn can_accept(&mut self, vault: u16, now: Cycle) -> bool {
         self.queues[vault as usize].admits(now)
@@ -131,23 +124,13 @@ impl VaultSet {
         }
     }
 
-    /// Total bank-busy cycles accumulated (for utilization reports).
-    pub fn bank_busy_cycles(&self) -> u128 {
-        self.bank_busy
-    }
-
-    /// Command-queue occupancy per vault at `now`: in-flight accesses
-    /// whose service has not yet finished. Non-mutating — sampling must
-    /// not prune the queues [`VaultSet::can_accept`] relies on.
-    pub fn queue_depths(&self, now: Cycle) -> Vec<usize> {
-        self.queues.iter().map(|q| q.depth_at(now)).collect()
-    }
-
-    /// Append per-vault queue-depth gauges and the cumulative bank-busy
-    /// counter.
+    /// Append per-vault queue-depth gauges (accesses whose service has
+    /// not finished by `now`) and the cumulative bank-busy counter.
+    /// Non-mutating: sampling must not prune the queues
+    /// [`VaultSet::can_accept`] relies on.
     pub fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
-        for (i, depth) in self.queue_depths(now).into_iter().enumerate() {
-            s.gauge(&format!("vault{i}_queue"), depth as u64);
+        for (i, q) in self.queues.iter().enumerate() {
+            s.gauge(&format!("vault{i}_queue"), q.depth_at(now) as u64);
         }
         s.counter(
             "bank_busy_cycles",
@@ -165,16 +148,6 @@ mod tests {
     fn setup() -> (VaultSet, AddrMap) {
         let cfg = HmcConfig::default();
         (VaultSet::new(&cfg), AddrMap::new(&cfg))
-    }
-
-    #[test]
-    fn service_time_scales_with_payload() {
-        let (v, _) = setup();
-        let s16 = v.service_cycles(16);
-        let s256 = v.service_cycles(256);
-        assert!(s256 > s16);
-        // 256 B = 8 bursts vs 1 burst: difference is 7 burst times.
-        assert_eq!(s256 - s16, 7 * HmcConfig::default().t_burst_per_32b);
     }
 
     #[test]
@@ -220,7 +193,7 @@ mod tests {
         assert!(!b.conflict);
         // Issue limit delays start by 1 cycle, but service overlaps.
         assert!(b.start <= a.start + 1);
-        assert!(b.done < a.done + v.service_cycles(256));
+        assert!(b.done < a.done + HmcConfig::default().dram_service_cycles(256));
     }
 
     #[test]

@@ -54,7 +54,8 @@ proptest! {
     }
 
     /// `depth_at` is the count of pushed releases still in the future:
-    /// the per-vault gauge `VaultSet::queue_depths` has always reported.
+    /// the per-vault queue gauge `VaultSet::sample_metrics` has always
+    /// reported.
     #[test]
     fn depth_at_counts_unreleased_entries(
         depth in 1usize..6,

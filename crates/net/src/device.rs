@@ -2,9 +2,11 @@
 //!
 //! [`NetDevice`] implements [`hmc_model::MemoryDevice`], so the
 //! full-system simulator can swap it in wherever a single
-//! [`hmc_model::HmcDevice`] fits. Internally it holds one vault/bank
-//! complex per cube, a routed [`Fabric`] between them, and the host's
-//! link group in front of cube 0.
+//! [`hmc_model::HmcDevice`] fits. It attaches to the host through the
+//! single cube's [`HostPort`] (packet sizes, host links, CRC retry) and
+//! returns responses through the same [`ResponsePath`]; what it adds is
+//! the cube address map, one vault/bank complex per cube, the routed
+//! [`Fabric`] between them and [`NetStats`].
 //!
 //! A transaction's path generalizes the single-device pipeline:
 //!
@@ -14,17 +16,14 @@
 //! ```
 //!
 //! With one cube the bracketed stages vanish and every arithmetic step —
-//! including the link-retry RNG draw sequence — matches
-//! [`hmc_model::HmcDevice::submit`] exactly; a 1-cube network is the
-//! single-device model, bit for bit. That equivalence is what lets the
-//! chain-sweep experiments attribute every cycle of divergence to the
-//! fabric itself.
+//! including the link-retry RNG draw sequence — matches the single
+//! device exactly; a 1-cube network is the single-device model, bit for
+//! bit. That equivalence is what lets the chain-sweep experiments
+//! attribute every cycle of divergence to the fabric itself.
 
-use hmc_model::{CompletionQueue, HmcStats, LinkSet, MemoryDevice, NetAddrMap, VaultSet};
-use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{CubeId, Cycle, HmcConfig, HmcRequest, HmcResponse, NetConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use hmc_model::{HostPort, MemoryDevice, NetAddrMap, ResponsePath, VaultSet};
+use mac_telemetry::Tracer;
+use mac_types::{CubeId, Cycle, HmcConfig, HmcRequest, NetConfig};
 
 use crate::fabric::Fabric;
 use crate::stats::NetStats;
@@ -35,20 +34,13 @@ use crate::topology::Topology;
 pub struct NetDevice {
     map: NetAddrMap,
     topo: Topology,
-    host_links: LinkSet,
+    port: HostPort,
     fabric: Fabric,
     /// One vault/bank complex per cube.
     vaults: Vec<VaultSet>,
-    stats: HmcStats,
-    net_stats: NetStats,
     logic_latency: u64,
-    link_error_rate: f64,
-    retry_penalty: u64,
-    rng: SmallRng,
-    /// Host-link retransmissions performed (stat).
-    pub retries: u64,
-    completion: CompletionQueue,
-    tracer: Tracer,
+    net_stats: NetStats,
+    responses: ResponsePath,
 }
 
 impl NetDevice {
@@ -56,58 +48,27 @@ impl NetDevice {
     /// links), `net` the network shape.
     pub fn new(cfg: &HmcConfig, net: &NetConfig) -> Self {
         let topo = Topology::new(net);
-        let fabric = Fabric::new(cfg, net, &topo);
         NetDevice {
             map: NetAddrMap::new(cfg, net),
-            host_links: LinkSet::new(cfg),
-            fabric,
+            port: HostPort::new(cfg),
+            fabric: Fabric::new(cfg, net, &topo),
             vaults: (0..net.cubes).map(|_| VaultSet::new(cfg)).collect(),
-            stats: HmcStats::default(),
-            net_stats: NetStats::new(net.cubes),
             logic_latency: cfg.logic_latency,
-            link_error_rate: cfg.link_error_rate.clamp(0.0, 0.99),
-            retry_penalty: cfg.retry_penalty,
-            rng: SmallRng::seed_from_u64(cfg.error_seed),
-            retries: 0,
-            completion: CompletionQueue::new(),
-            tracer: Tracer::disabled(),
+            net_stats: NetStats::new(net.cubes),
+            responses: ResponsePath::default(),
             topo,
         }
     }
 
-    /// Request/response packet lengths in FLITs, per HMC §2.2.2 —
-    /// identical to the single-device accounting.
-    pub fn packet_flits(req: &HmcRequest) -> (u64, u64) {
-        if req.is_atomic {
-            (2, 2)
-        } else if req.is_write {
-            (1 + req.size.flits(), 1)
-        } else {
-            (1, 1 + req.size.flits())
-        }
-    }
-
-    /// Serialize a request of `flits` onto the host links (with CRC
-    /// retry injection), then forward it hop by hop to `dest`. Returns
-    /// `(host link used, cycle fully arrived at dest)`.
+    /// Serialize a request of `flits` through the host port, then
+    /// forward it hop by hop to `dest`. Returns `(host link used, cycle
+    /// fully arrived at dest)`.
     ///
     /// Exposed so a per-cube-placement system loop can push raw
     /// (un-coalesced) packets to a remote cube's ingress.
     pub fn deliver_request(&mut self, dest: u16, now: Cycle, flits: u64) -> (usize, Cycle) {
-        let (link, mut at_cube) = self.host_links.send_request(now, flits);
-        while self.link_error_rate > 0.0 && self.rng.gen_bool(self.link_error_rate) {
-            self.retries += 1;
-            at_cube = self
-                .host_links
-                .send_response(link, at_cube + self.retry_penalty, 0)
-                .max(at_cube + self.retry_penalty);
-            let (_, resent) = self.host_links.send_request(at_cube, flits);
-            at_cube = resent;
-        }
-        let path = self.topo.path(0, dest);
-        let mut t = at_cube;
-        for w in path.windows(2) {
-            let edge = self.topo.edge_index(w[0], w[1]);
+        let (link, mut t) = self.port.send_request(now, flits);
+        for &edge in self.topo.route(0, dest) {
             t = self.fabric.forward(&self.topo, edge, t, flits, dest, false);
         }
         (link, t)
@@ -117,13 +78,11 @@ impl NetDevice {
     /// by hop, then serialize it upstream on host link `link`. Returns
     /// the cycle it has fully arrived at the host.
     pub fn deliver_response(&mut self, src: u16, link: usize, now: Cycle, flits: u64) -> Cycle {
-        let path = self.topo.path(src, 0);
         let mut t = now;
-        for w in path.windows(2) {
-            let edge = self.topo.edge_index(w[0], w[1]);
+        for &edge in self.topo.route(src, 0) {
             t = self.fabric.forward(&self.topo, edge, t, flits, 0, true);
         }
-        self.host_links.send_response(link, t, flits)
+        self.port.send_response(link, t, flits)
     }
 
     /// Pass a request through its home cube's logic layer and vault,
@@ -137,8 +96,8 @@ impl NetDevice {
         (cube, sched.done + self.logic_latency, sched.conflict)
     }
 
-    /// Record a finished access (device + network stats, trace event)
-    /// and queue its response for [`MemoryDevice::pop_completed`].
+    /// Record a finished access in the network stats and hand it to the
+    /// response path for [`MemoryDevice::pop_completed`].
     pub fn finish_access(
         &mut self,
         req: HmcRequest,
@@ -147,86 +106,15 @@ impl NetDevice {
         completed: Cycle,
         now: Cycle,
     ) {
-        let latency = completed.saturating_sub(req.dispatched_at.min(now));
-        self.tracer.emit(completed, || TraceEvent::HmcComplete {
-            addr: req.addr.raw(),
-            targets: req.targets.len() as u8,
-            latency,
-        });
-        self.stats.record_access(
-            req.size,
-            req.useful_bytes(),
-            req.merged_count().max(1),
-            conflict,
-            latency,
-        );
-        let hops = self.topo.hops(0, cube.0);
+        let latency = self.responses.finish(req, conflict, completed, now);
+        let hops = self.topo.route(0, cube.0).len();
         self.net_stats
             .record_access(cube.0, hops, conflict, latency);
-
-        let rsp = HmcResponse {
-            addr: req.addr,
-            size: req.size,
-            is_write: req.is_write,
-            targets: req.targets,
-            raw_ids: req.raw_ids,
-            completed_at: completed,
-            conflicts: conflict as u64,
-        };
-        self.completion.push(completed, rsp);
     }
 
     /// The network's address map (cube + vault/bank decomposition).
     pub fn addr_map(&self) -> &NetAddrMap {
         &self.map
-    }
-
-    /// The network's topology and routing tables.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Whether the vault that would serve `req` has queue room at `now`,
-    /// at whichever cube owns the address.
-    pub fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
-        let (cube, loc) = self.map.locate(req.addr);
-        self.vaults[cube.0 as usize].can_accept(loc.vault, now)
-    }
-
-    /// Earliest cycle `>= now` at which [`NetDevice::can_accept`] returns
-    /// true for `req`. Non-mutating.
-    pub fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
-        let (cube, loc) = self.map.locate(req.addr);
-        self.vaults[cube.0 as usize].next_accept(loc.vault, now)
-    }
-
-    /// Submit one transaction at cycle `now` (non-decreasing across
-    /// calls); returns the cycle its response has fully arrived back at
-    /// the host.
-    pub fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        let (req_flits, rsp_flits) = Self::packet_flits(&req);
-        let dest = self.map.cube_of(req.addr);
-        let (link, at_cube) = self.deliver_request(dest.0, now, req_flits);
-        let (cube, rsp_ready, conflict) = self.cube_access(&req, at_cube);
-        debug_assert_eq!(cube, dest);
-        let completed = self.deliver_response(cube.0, link, rsp_ready, rsp_flits);
-        self.finish_access(req, cube, conflict, completed, now);
-        completed
-    }
-
-    /// Transactions submitted but not yet drained.
-    pub fn pending(&self) -> usize {
-        self.completion.len()
-    }
-
-    /// Earliest outstanding completion, if any.
-    pub fn next_completion(&self) -> Option<Cycle> {
-        self.completion.next_at()
-    }
-
-    /// Accumulated per-access device statistics (aggregated over cubes).
-    pub fn stats(&self) -> &HmcStats {
-        &self.stats
     }
 
     /// Network-level statistics, with fabric transit counters folded in.
@@ -237,33 +125,66 @@ impl NetDevice {
         s
     }
 
-    /// Bank-busy cycles summed over every cube (utilization accounting).
-    pub fn bank_busy_cycles(&self) -> u128 {
-        self.vaults.iter().map(|v| v.bank_busy_cycles()).sum()
+    /// Host-link CRC replays performed so far.
+    pub fn retries(&self) -> u64 {
+        self.port.retries()
+    }
+}
+
+impl MemoryDevice for NetDevice {
+    /// Whether the vault that would serve `req` has queue room at `now`,
+    /// at whichever cube owns the address.
+    fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
+        let (cube, loc) = self.map.locate(req.addr);
+        self.vaults[cube.0 as usize].can_accept(loc.vault, now)
     }
 
-    /// Attach a tracer. Host-link and completion events keep the
-    /// caller's node tag; vault and hop events are re-tagged with the
-    /// cube id that produced them, so per-vault analyzers resolve per
-    /// cube.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.host_links.set_tracer(tracer.clone());
+    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
+        let (cube, loc) = self.map.locate(req.addr);
+        self.vaults[cube.0 as usize].next_accept(loc.vault, now)
+    }
+
+    /// Returns the cycle the response has fully arrived back at the
+    /// host.
+    fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
+        let (req_flits, rsp_flits) = HostPort::packet_flits(&req);
+        let dest = self.map.cube_of(req.addr);
+        let (link, at_cube) = self.deliver_request(dest.0, now, req_flits);
+        let (cube, rsp_ready, conflict) = self.cube_access(&req, at_cube);
+        debug_assert_eq!(cube, dest);
+        let completed = self.deliver_response(cube.0, link, rsp_ready, rsp_flits);
+        self.finish_access(req, cube, conflict, completed, now);
+        completed
+    }
+
+    fn responses(&self) -> &ResponsePath {
+        &self.responses
+    }
+
+    fn responses_mut(&mut self) -> &mut ResponsePath {
+        &mut self.responses
+    }
+
+    /// Host-link and completion events keep the caller's node tag;
+    /// vault and hop events are re-tagged with the cube id that
+    /// produced them, so per-vault analyzers resolve per cube.
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.port.set_tracer(tracer.clone());
         for (c, v) in self.vaults.iter_mut().enumerate() {
             v.set_tracer(tracer.for_node(c as u16));
         }
         self.fabric.set_tracer(&tracer);
-        self.tracer = tracer;
+        self.responses.set_tracer(tracer);
     }
 
-    /// Append one metrics sample: host-link utilization, fabric transit
-    /// load, local/remote access counters, and per-cube vault queue
-    /// depths plus access/conflict counters (scoped `cube{c}/...`).
-    /// Observational — reads state, never mutates it.
-    pub fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
+    /// Host-link utilization, fabric transit load, local/remote access
+    /// counters, and per-cube vault queue depths plus access/conflict
+    /// counters (scoped `cube{c}/...`).
+    fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
         s.counter("local_accesses", self.net_stats.local_accesses);
         s.counter("remote_accesses", self.net_stats.remote_accesses);
-        s.gauge("inflight", self.completion.len() as u64);
-        self.host_links.sample_metrics(s);
+        s.gauge("inflight", self.pending() as u64);
+        self.port.sample_metrics(s);
         self.fabric.sample_metrics(s);
         for (c, vaults) in self.vaults.iter().enumerate() {
             s.scoped(&format!("cube{c}"), |s| {
@@ -273,36 +194,7 @@ impl NetDevice {
             });
         }
     }
-}
 
-impl MemoryDevice for NetDevice {
-    fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
-        NetDevice::can_accept(self, req, now)
-    }
-    fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
-        NetDevice::next_accept(self, req, now)
-    }
-    fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        NetDevice::submit(self, req, now)
-    }
-    fn pop_completed(&mut self, now: Cycle) -> Option<HmcResponse> {
-        self.completion.pop_due(now)
-    }
-    fn pending(&self) -> usize {
-        NetDevice::pending(self)
-    }
-    fn next_completion(&self) -> Option<Cycle> {
-        NetDevice::next_completion(self)
-    }
-    fn stats(&self) -> &HmcStats {
-        NetDevice::stats(self)
-    }
-    fn set_tracer(&mut self, tracer: Tracer) {
-        NetDevice::set_tracer(self, tracer)
-    }
-    fn sample_metrics(&self, now: Cycle, s: &mut mac_metrics::Sampler<'_>) {
-        NetDevice::sample_metrics(self, now, s)
-    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -369,7 +261,7 @@ mod tests {
                 let b = netdev.submit(read_req(addr, size, t), t);
                 assert_eq!(a, b, "request {i} diverged (error rate {error_rate})");
             }
-            assert_eq!(single.retries, netdev.retries);
+            assert_eq!(single.retries(), netdev.retries());
             assert_eq!(single.stats(), netdev.stats());
             let ns = netdev.net_stats();
             assert_eq!(ns.remote_accesses, 0);

@@ -101,11 +101,6 @@ impl Fabric {
             .sum()
     }
 
-    /// Configured pass-through latency per hop, in cycles.
-    pub fn forward_latency(&self) -> u64 {
-        self.forward_latency
-    }
-
     /// Append fabric transit-load series: cumulative FLITs and busy
     /// x16-cycles summed over every inter-cube edge.
     pub fn sample_metrics(&self, s: &mut mac_metrics::Sampler<'_>) {
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn each_hop_pays_forward_latency_plus_serialization() {
         let (topo, mut f) = setup(2);
-        let edge = topo.edge_index(0, 1);
+        let edge = topo.route(0, 1)[0];
         let done = f.forward(&topo, edge, 100, 1, 1, false);
         // 40 cycles pass-through + ~1.75 cycles for 1 FLIT at 28/16.
         assert_eq!(done, 100 + 40 + 2);
@@ -150,8 +145,8 @@ mod tests {
     #[test]
     fn transit_traffic_contends_per_edge() {
         let (topo, mut f) = setup(3);
-        let e01 = topo.edge_index(0, 1);
-        let e12 = topo.edge_index(1, 2);
+        let e01 = topo.route(0, 1)[0];
+        let e12 = topo.route(1, 2)[0];
         // Saturate edge 0->1 with large packets; edge 1->2 stays clear.
         let mut last = 0;
         for _ in 0..8 {
@@ -168,8 +163,8 @@ mod tests {
     #[test]
     fn opposite_directions_do_not_contend() {
         let (topo, mut f) = setup(2);
-        let down = topo.edge_index(0, 1);
-        let up = topo.edge_index(1, 0);
+        let down = topo.route(0, 1)[0];
+        let up = topo.route(1, 0)[0];
         let d = f.forward(&topo, down, 0, 17, 1, false);
         let u = f.forward(&topo, up, 0, 17, 0, true);
         assert_eq!(d, u, "distinct directed edges have distinct channels");

@@ -14,9 +14,9 @@
 //! so coalescer *placement* (host-side vs. one MAC per cube ingress)
 //! becomes a measurable design axis.
 //!
-//! Everything is deterministic: routing is table-driven, link
-//! arbitration inherits [`mac_types::LinkSelectPolicy`], and error
-//! injection only runs on the host link. A 1-cube network reproduces
+//! Everything is deterministic: routing is table-driven, each link
+//! group sends on its earliest-free link (lowest index on ties), and
+//! error injection only runs on the host link. A 1-cube network reproduces
 //! the single-device model bit for bit (see
 //! `device::tests::one_cube_matches_hmc_device_exactly`), which anchors
 //! the network results to the validated single-cube baseline.

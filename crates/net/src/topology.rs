@@ -3,8 +3,8 @@
 //! The HMC protocol chains cubes over the same serial links a host
 //! uses, with each cube's logic layer forwarding foreign packets
 //! (HMC 2.1 §7). This module describes who is wired to whom and
-//! precomputes, for every (source, destination) pair, the full hop
-//! path — routing is table-driven and deterministic, so simulations
+//! precomputes, for every (source, destination) pair, the edges of its
+//! route — routing is table-driven and deterministic, so simulations
 //! are reproducible and the result cache can key on the config alone.
 //!
 //! Three shapes are modeled, matching the configurations studied by
@@ -27,16 +27,15 @@ pub struct Edge {
     pub to: u16,
 }
 
-/// A topology with its precomputed routing tables.
+/// A topology with its precomputed routes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     cubes: usize,
-    kind: NetTopology,
     /// All directed edges, in deterministic order.
     edges: Vec<Edge>,
-    /// `next[from][to]` = next cube on the path from `from` to `to`
-    /// (`from` itself when already there).
-    next: Vec<Vec<u16>>,
+    /// `routes[from * cubes + to]`: indices into `edges` along the route
+    /// `from -> to`, in order (empty when `from == to`).
+    routes: Vec<Vec<usize>>,
 }
 
 impl Topology {
@@ -100,27 +99,35 @@ impl Topology {
             }
         }
 
-        let next = (0..n)
-            .map(|from| {
-                (0..n)
-                    .map(|to| Self::next_hop_of(net.topology, n, from, to))
-                    .collect()
+        let routes = (0..n * n)
+            .map(|i| {
+                let (from, to) = (i / n, i % n);
+                let mut route = Vec::new();
+                let mut at = from;
+                while at != to {
+                    let next = Self::next_hop_of(net.topology, n, at, to);
+                    let edge = edges
+                        .iter()
+                        .position(|e| e.from as usize == at && e.to as usize == next)
+                        .unwrap_or_else(|| panic!("no edge {at} -> {next}"));
+                    route.push(edge);
+                    at = next;
+                    assert!(route.len() < n, "routing loop from {from} toward {to}");
+                }
+                route
             })
             .collect();
 
         Topology {
             cubes: n,
-            kind: net.topology,
             edges,
-            next,
+            routes,
         }
     }
 
-    fn next_hop_of(kind: NetTopology, n: usize, from: usize, to: usize) -> u16 {
-        if from == to {
-            return from as u16;
-        }
-        let hop = match kind {
+    /// Next cube on the way from `from` to a different cube `to`.
+    fn next_hop_of(kind: NetTopology, n: usize, from: usize, to: usize) -> usize {
+        match kind {
             NetTopology::DaisyChain => {
                 if to > from {
                     from + 1
@@ -145,8 +152,7 @@ impl Topology {
                     from ^ 2
                 }
             }
-        };
-        hop as u16
+        }
     }
 
     /// Number of cubes.
@@ -154,57 +160,17 @@ impl Topology {
         self.cubes
     }
 
-    /// The shape this topology was built from.
-    pub fn kind(&self) -> NetTopology {
-        self.kind
-    }
-
     /// All directed edges in deterministic order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
-    /// Index of a directed edge in [`Self::edges`].
-    pub fn edge_index(&self, from: u16, to: u16) -> usize {
-        self.edges
-            .iter()
-            .position(|e| e.from == from && e.to == to)
-            .unwrap_or_else(|| panic!("no edge {from} -> {to}"))
-    }
-
-    /// Next cube on the path `from -> to` (`from` when equal).
-    fn next_hop(&self, from: u16, to: u16) -> u16 {
-        self.next[from as usize][to as usize]
-    }
-
-    /// Full cube sequence `from, ..., to` (both endpoints included).
-    pub fn path(&self, from: u16, to: u16) -> Vec<u16> {
-        let mut path = vec![from];
-        let mut at = from;
-        while at != to {
-            let nxt = self.next_hop(at, to);
-            assert_ne!(nxt, at, "routing loop at cube {at} toward {to}");
-            path.push(nxt);
-            at = nxt;
-            assert!(
-                path.len() <= self.cubes,
-                "path longer than the cube count: {path:?}"
-            );
-        }
-        path
-    }
-
-    /// Hop count (edges traversed) from `from` to `to`.
-    pub fn hops(&self, from: u16, to: u16) -> usize {
-        self.path(from, to).len() - 1
-    }
-
-    /// Worst-case hop count from cube 0 (the host attach point).
-    pub fn diameter_from_host(&self) -> usize {
-        (0..self.cubes as u16)
-            .map(|c| self.hops(0, c))
-            .max()
-            .unwrap_or(0)
+    /// Indices into [`Self::edges`] along the route `from -> to`, in
+    /// order; its length is the hop count.
+    #[inline]
+    pub fn route(&self, from: u16, to: u16) -> &[usize] {
+        debug_assert!((to as usize) < self.cubes, "no cube {to}");
+        &self.routes[from as usize * self.cubes + to as usize]
     }
 }
 
@@ -220,24 +186,38 @@ mod tests {
         }
     }
 
+    /// The cubes a route visits, `from` and `to` included.
+    fn path(t: &Topology, from: u16, to: u16) -> Vec<u16> {
+        let hops = t.route(from, to).iter().map(|&e| t.edges()[e].to);
+        std::iter::once(from).chain(hops).collect()
+    }
+
+    /// Worst-case hop count from cube 0 (the host attach point).
+    fn diameter_from_host(t: &Topology) -> usize {
+        (0..t.cubes() as u16)
+            .map(|c| t.route(0, c).len())
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn chain_paths_are_linear() {
         let t = Topology::new(&net(4, NetTopology::DaisyChain));
-        assert_eq!(t.path(0, 3), vec![0, 1, 2, 3]);
-        assert_eq!(t.path(3, 0), vec![3, 2, 1, 0]);
-        assert_eq!(t.hops(0, 0), 0);
-        assert_eq!(t.diameter_from_host(), 3);
+        assert_eq!(path(&t, 0, 3), vec![0, 1, 2, 3]);
+        assert_eq!(path(&t, 3, 0), vec![3, 2, 1, 0]);
+        assert_eq!(t.route(0, 0).len(), 0);
+        assert_eq!(diameter_from_host(&t), 3);
         assert_eq!(t.edges().len(), 6);
     }
 
     #[test]
     fn ring_takes_the_shorter_arc() {
         let t = Topology::new(&net(8, NetTopology::Ring));
-        assert_eq!(t.path(0, 2), vec![0, 1, 2]);
-        assert_eq!(t.path(0, 6), vec![0, 7, 6]);
+        assert_eq!(path(&t, 0, 2), vec![0, 1, 2]);
+        assert_eq!(path(&t, 0, 6), vec![0, 7, 6]);
         // Equidistant: ties go clockwise.
-        assert_eq!(t.path(0, 4), vec![0, 1, 2, 3, 4]);
-        assert_eq!(t.diameter_from_host(), 4);
+        assert_eq!(path(&t, 0, 4), vec![0, 1, 2, 3, 4]);
+        assert_eq!(diameter_from_host(&t), 4);
         assert_eq!(t.edges().len(), 16);
     }
 
@@ -247,17 +227,17 @@ mod tests {
         assert!(t1.edges().is_empty());
         let t2 = Topology::new(&net(2, NetTopology::Ring));
         assert_eq!(t2.edges().len(), 2, "no duplicate parallel edges");
-        assert_eq!(t2.path(0, 1), vec![0, 1]);
+        assert_eq!(path(&t2, 0, 1), vec![0, 1]);
     }
 
     #[test]
     fn mesh_routes_dimension_order() {
         let t = Topology::new(&net(4, NetTopology::Mesh2x2));
         // 0 -> 3 corrects X first (0 -> 1), then Y (1 -> 3).
-        assert_eq!(t.path(0, 3), vec![0, 1, 3]);
-        assert_eq!(t.path(3, 0), vec![3, 2, 0]);
-        assert_eq!(t.path(2, 1), vec![2, 3, 1]);
-        assert_eq!(t.diameter_from_host(), 2);
+        assert_eq!(path(&t, 0, 3), vec![0, 1, 3]);
+        assert_eq!(path(&t, 3, 0), vec![3, 2, 0]);
+        assert_eq!(path(&t, 2, 1), vec![2, 3, 1]);
+        assert_eq!(diameter_from_host(&t), 2);
         assert_eq!(t.edges().len(), 8);
     }
 
@@ -277,12 +257,12 @@ mod tests {
             let t = Topology::new(&net(n, kind));
             for a in 0..n as u16 {
                 for b in 0..n as u16 {
-                    let p = t.path(a, b);
+                    let p = path(&t, a, b);
                     assert_eq!(p.first(), Some(&a));
                     assert_eq!(p.last(), Some(&b));
-                    // Every consecutive pair is a real edge.
-                    for w in p.windows(2) {
-                        assert!(t.edges().iter().any(|e| e.from == w[0] && e.to == w[1]));
+                    // Every hop leaves from where the previous one arrived.
+                    for (w, &e) in p.windows(2).zip(t.route(a, b)) {
+                        assert_eq!((t.edges()[e].from, t.edges()[e].to), (w[0], w[1]));
                     }
                 }
             }

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use hmc_model::{CompletionQueue, MemoryDevice};
+use hmc_model::{CompletionQueue, HostPort, MemoryDevice};
 use mac_check::ConformanceChecker;
 use mac_coalescer::{Mac, RequestRouter, ResponseRouter};
 use mac_metrics::Sampler;
@@ -204,7 +204,7 @@ impl Fabric for CubeFabric {
                     break;
                 }
                 let req = self.cubes[i].dispatch_q.pop_front().expect("checked");
-                let rsp_flits = NetDevice::packet_flits(&req).1;
+                let rsp_flits = HostPort::packet_flits(&req).1;
                 let (cube, rsp_ready, conflict) = self.dev.cube_access(&req, now);
                 let mut link = None;
                 for id in &req.raw_ids {

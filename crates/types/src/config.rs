@@ -138,24 +138,6 @@ impl Default for MacConfig {
     }
 }
 
-/// How [`HmcConfig::links`] are chosen when a request packet is sent
-/// down to the cube.
-///
-/// Historically the selection was implicit (earliest-free link, first
-/// index on ties — which rotates round-robin under uniform load); this
-/// enum names that behavior and adds an alternative, so experiments can
-/// state which policy they measured.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LinkSelectPolicy {
-    /// Earliest-free link, lowest index on ties (the historical implicit
-    /// behavior — byte-identical results to before the knob existed).
-    #[default]
-    RoundRobin,
-    /// Link with the least accumulated busy time, lowest index on ties.
-    /// Differs from `RoundRobin` only under non-uniform packet sizes.
-    LeastLoaded,
-}
-
 /// HMC device configuration (Table 1 plus HMC 2.1 spec structure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HmcConfig {
@@ -197,8 +179,6 @@ pub struct HmcConfig {
     pub retry_penalty: u64,
     /// Seed for the error-injection RNG (deterministic runs).
     pub error_seed: u64,
-    /// How request packets are spread over the host links.
-    pub link_select: LinkSelectPolicy,
 }
 
 impl HmcConfig {
@@ -244,7 +224,6 @@ impl Default for HmcConfig {
             link_error_rate: 0.0,
             retry_penalty: 100,
             error_seed: 0x5EED,
-            link_select: LinkSelectPolicy::RoundRobin,
         }
     }
 }
@@ -320,9 +299,6 @@ pub struct HbmConfig {
     pub t_burst_per_32b: u64,
     /// PHY/interface latency each way, in core cycles.
     pub interface_latency: u64,
-    /// Open-page policy (row buffers stay open; §2.2.1 notes HBM's 1 KB
-    /// rows make this viable where HMC's 256 B rows do not).
-    pub open_page: bool,
     /// Per-channel command queue depth.
     pub channel_queue_depth: usize,
 }
@@ -338,7 +314,6 @@ impl Default for HbmConfig {
             t_rp: 46,
             t_burst_per_32b: 2,
             interface_latency: 40,
-            open_page: true,
             channel_queue_depth: 32,
         }
     }
@@ -670,7 +645,6 @@ mod tests {
         assert!(!c.net.enabled);
         assert_eq!(c.net.cubes, 1);
         assert_eq!(c.net.cube_bits(), 0);
-        assert_eq!(c.hmc.link_select, LinkSelectPolicy::RoundRobin);
     }
 
     #[test]

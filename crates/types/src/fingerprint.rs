@@ -27,8 +27,8 @@
 //! resurrected under a new meaning.
 
 use crate::config::{
-    AdaptConfig, CubeMapping, DdrConfig, FlitTablePolicy, HbmConfig, HmcConfig, LinkSelectPolicy,
-    MacConfig, MacPlacement, MemBackend, NetConfig, NetTopology, SocConfig, SystemConfig,
+    AdaptConfig, CubeMapping, DdrConfig, FlitTablePolicy, HbmConfig, HmcConfig, MacConfig,
+    MacPlacement, MemBackend, NetConfig, NetTopology, SocConfig, SystemConfig,
 };
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -178,16 +178,8 @@ impl Fingerprint for HmcConfig {
         h.write_f64(self.link_error_rate);
         h.write_u64(self.retry_penalty);
         h.write_u64(self.error_seed);
-        self.link_select.fingerprint(h);
-    }
-}
-
-impl Fingerprint for LinkSelectPolicy {
-    fn fingerprint(&self, h: &mut Fnv128) {
-        h.write_bytes(&[match self {
-            LinkSelectPolicy::RoundRobin => 0,
-            LinkSelectPolicy::LeastLoaded => 1,
-        }]);
+        // The retired link-selection knob: always earliest-free (was 0).
+        h.write_bytes(&[0]);
     }
 }
 
@@ -253,7 +245,8 @@ impl Fingerprint for HbmConfig {
         h.write_u64(self.t_rp);
         h.write_u64(self.t_burst_per_32b);
         h.write_u64(self.interface_latency);
-        h.write_bool(self.open_page);
+        // The retired page-policy knob: HBM banks are always open-page.
+        h.write_bool(true);
         h.write_usize(self.channel_queue_depth);
     }
 }
@@ -313,6 +306,35 @@ mod tests {
         assert_eq!(fp(&SystemConfig::paper(4)), fp(&SystemConfig::paper(4)));
     }
 
+    /// Cache entries and mac-serve job ids are named by these digests,
+    /// so they must survive any change that keeps behaviour; a retired
+    /// knob hashes its fixed value in its old place.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use crate::config::{MacPlacement, NetTopology};
+        let hex = |c: SystemConfig| {
+            let mut h = Fnv128::new();
+            c.fingerprint(&mut h);
+            h.hex()
+        };
+        let base = SystemConfig::default;
+        for (cfg, want) in [
+            (base(), "93f96e4c0302008f7758e92382cc21d8"),
+            (base().with_hbm(), "303aa63516bf723f30b47b636019e56b"),
+            (base().with_ddr(), "6fcc1ea304a1dabbd1ecac567fdb8332"),
+            (
+                base().with_net(4, NetTopology::Ring, MacPlacement::PerCube),
+                "50efb9d9cbb2d5618fd96b5c8260ccf0",
+            ),
+            (
+                base().with_adapt(AdaptConfig::tuned()),
+                "af8997cc57e1bc1d450b01a0cc15c9cd",
+            ),
+        ] {
+            assert_eq!(hex(cfg), want);
+        }
+    }
+
     #[test]
     fn every_knob_changes_the_hash() {
         let base = fp(&SystemConfig::default());
@@ -337,9 +359,6 @@ mod tests {
         assert_ne!(base, fp(&c));
         let mut c = SystemConfig::default();
         c.mac.flit_table = FlitTablePolicy::Always256;
-        assert_ne!(base, fp(&c));
-        let mut c = SystemConfig::default();
-        c.hmc.link_select = LinkSelectPolicy::LeastLoaded;
         assert_ne!(base, fp(&c));
     }
 
