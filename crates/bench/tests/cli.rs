@@ -3,7 +3,8 @@
 //! work starts, not a panic inside a generator that takes the scale's
 //! log2 or a reproducer that cannot be replayed; a corrupt trace file is
 //! a runtime failure (exit 1), not a panic (exit 101); and a well-formed
-//! trace with extreme field values renders (exit 0).
+//! trace with extreme field values renders (exit 0), its conflict
+//! heatmap one row per vault that has a conflict.
 
 use std::process::Command;
 
@@ -64,10 +65,10 @@ fn oversized_record_count_is_a_runtime_failure() {
     assert_eq!(code, Some(1));
 }
 
-#[test]
-fn conflict_in_vault_255_renders() {
-    // A v4 `.mctr` header and one `BankConflict` record naming vault and
-    // bank 255: 1 tag byte, node, cycle, vault, bank, waited.
+/// A 29-byte trace: a v4 `.mctr` header and one `BankConflict` record
+/// naming vault and bank 255 (1 tag byte, node, cycle, vault, bank,
+/// waited), written under a name unique to this process and `tag`.
+fn vault_255_trace(tag: &str) -> std::path::PathBuf {
     let mut raw = Vec::new();
     raw.extend_from_slice(b"MCTR");
     raw.extend_from_slice(&4u16.to_le_bytes());
@@ -78,8 +79,15 @@ fn conflict_in_vault_255_renders() {
     raw.extend_from_slice(&[255, 255]);
     raw.extend_from_slice(&3u64.to_le_bytes());
     assert_eq!(raw.len(), 29);
-    let path = std::env::temp_dir().join(format!("mac-cli-{}-v255.mctr", std::process::id()));
+    let name = format!("mac-cli-{}-{tag}.mctr", std::process::id());
+    let path = std::env::temp_dir().join(name);
     std::fs::write(&path, &raw).expect("write crafted trace");
+    path
+}
+
+#[test]
+fn conflict_in_vault_255_renders() {
+    let path = vault_255_trace("v255");
     let json = path.with_extension("json");
     let tools = env!("CARGO_BIN_EXE_trace_tools");
     let trace = path.to_str().expect("utf-8 temp path");
@@ -89,4 +97,27 @@ fn conflict_in_vault_255_renders() {
     std::fs::remove_file(&json).ok();
     assert_eq!(events, Some(0), "events");
     assert_eq!(perfetto, Some(0), "perfetto");
+}
+
+#[test]
+fn conflict_heatmap_prints_only_conflicting_vaults() {
+    // One conflict gets one heatmap row, not a row for every vault up to
+    // the one it names.
+    let path = vault_255_trace("v255-size");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_tools"))
+        .args(["events", path.to_str().expect("utf-8 temp path")])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("v255 "),
+        "vault 255 has a heatmap row:\n{text}"
+    );
+    assert!(
+        out.stdout.len() < 2048,
+        "{} bytes for one conflict:\n{text}",
+        out.stdout.len()
+    );
 }

@@ -185,8 +185,7 @@ pub trait Fabric {
 
     /// Catch up, at the landing cycle `now` of one skip hop, on what the
     /// skipped ticks would have done: bring the SoC cycle counters to
-    /// `now` and, when [`Fabric::next_event`] does not wake for device
-    /// completions, fan out every response due before `now` in
+    /// `now` and fan out every device response due before `now` in
     /// completion order, feeding the checker as a tick would. Runs
     /// before the hop's observers.
     fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>);
@@ -660,6 +659,12 @@ impl<F: Fabric> RunDriver<F> {
                         self.skip_cooldown = self.skip_backoff;
                     } else {
                         self.skip_backoff = 0;
+                        // The hop delivered the last responses at the
+                        // cycle after they completed, where stepped mode
+                        // ends too.
+                        if self.fabric.is_idle() {
+                            break;
+                        }
                     }
                 }
             }

@@ -62,10 +62,11 @@ pub struct CubeFabric {
     /// Host-side tracer (routing, fan-out).
     tracer: Tracer,
     mac_disabled: bool,
-    /// Whether a device completion wakes the run loop: only when threads
-    /// are capped, since a completion can then let one issue on the next
-    /// cycle. Otherwise it only retires a request, so it waits for the
-    /// next tick or [`Fabric::catch_up`] (DESIGN.md §14).
+    /// Whether every device completion wakes the run loop, on the cycle
+    /// after it: only when threads are capped, since a completion can
+    /// then let one issue on the next cycle. Otherwise it only retires a
+    /// request, so it waits for the next tick or [`Fabric::catch_up`]
+    /// (DESIGN.md §14).
     completion_wakes: bool,
 }
 
@@ -234,9 +235,10 @@ impl Fabric for CubeFabric {
             && self.dev.pending() == 0
     }
 
-    /// Device completions count only when they wake (`completion_wakes`)
-    /// or when nothing else will happen, so the run still ends on the
-    /// cycle its last response arrives.
+    /// A device completion at `t` counts as an event at `t + 1`, which
+    /// [`Fabric::catch_up`] delivers it at. It counts when completions
+    /// wake (`completion_wakes`) or when nothing else will happen, so the
+    /// run still ends on the cycle after its last response arrives.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.node.next_event(now);
         if !self.router.is_empty() {
@@ -257,15 +259,13 @@ impl Fabric for CubeFabric {
         if next.is_some() && !self.completion_wakes {
             return next;
         }
-        merge_next(next, self.dev.next_completion().map(|t| t.max(now)))
+        merge_next(next, self.dev.next_completion().map(|t| (t + 1).max(now)))
     }
 
     #[inline]
     fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>) {
         self.node.sync_cycles(now);
-        if !self.completion_wakes {
-            self.fan_out(now - 1, checker);
-        }
+        self.fan_out(now - 1, checker);
     }
 
     fn completions(&self) -> u64 {

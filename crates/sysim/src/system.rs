@@ -66,10 +66,11 @@ pub struct NodeFabric {
     /// One-way interconnect latency.
     latency: Cycle,
     mac_disabled: bool,
-    /// Whether a device completion wakes the run loop. A completion can
-    /// let a thread at its outstanding cap issue on the next cycle, and a
-    /// remote completion must enter `net_responses` on its own cycle. With
-    /// uncapped threads on one node it only retires a request, so it
+    /// Whether every device completion wakes the run loop, on the cycle
+    /// after it. A completion can let a thread at its outstanding cap
+    /// issue on the next cycle, and remote completions must enter
+    /// `net_responses` one cycle at a time, in cycle order. With uncapped
+    /// threads on one node a completion only retires a request, so it
     /// waits for the next tick or [`Fabric::catch_up`] (DESIGN.md §14).
     completion_wakes: bool,
 }
@@ -292,9 +293,12 @@ impl Fabric for NodeFabric {
 
     /// Interconnect queues are FIFO, so their front entry's arrival time
     /// bounds the whole queue even when a full remote router delayed it.
-    /// Device completions count only when they wake (`completion_wakes`)
-    /// or when nothing else will happen, so the run still ends on the
-    /// cycle its last response arrives.
+    /// A device completion at `t` counts as an event at `t + 1`: fan-out
+    /// is the last stage of a tick, so nothing it changes is read before
+    /// the next one, and [`Fabric::catch_up`] delivers it at the landing
+    /// cycle. It counts when completions wake (`completion_wakes`) or
+    /// when nothing else will happen, so the run still ends on the cycle
+    /// after its last response arrives.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = None;
         next = merge_next(
@@ -321,23 +325,24 @@ impl Fabric for NodeFabric {
                 next = merge_next(next, Some(n.hmc.next_accept(req, now)));
             }
             if self.completion_wakes {
-                next = merge_next(next, n.hmc.next_completion().map(|t| t.max(now)));
+                next = merge_next(next, n.hmc.next_completion().map(|t| (t + 1).max(now)));
             }
         }
         if next.is_some() || self.completion_wakes {
             return next;
         }
         let due = self.nodes.iter().filter_map(|n| n.hmc.next_completion());
-        due.min().map(|t| t.max(now))
+        due.min().map(|t| (t + 1).max(now))
     }
 
+    /// With more than one node, every hop lands at most one cycle after
+    /// the earliest completion, so this delivers one cycle's responses,
+    /// node by node, in the order a tick would.
     #[inline]
     fn catch_up(&mut self, now: Cycle, checker: &mut Option<ConformanceChecker>) {
         for n in &mut self.nodes {
             n.node.sync_cycles(now);
-            if !self.completion_wakes {
-                n.fan_out(now - 1, self.latency, &mut self.net_responses, checker);
-            }
+            n.fan_out(now - 1, self.latency, &mut self.net_responses, checker);
         }
     }
 

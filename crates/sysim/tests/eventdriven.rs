@@ -12,23 +12,31 @@
 //! backends, runs with metrics sampling attached, and backpressure-heavy
 //! configs whose dispatch queues sit blocked on full device queues.
 //! Runs with no observer at all, in full and cut off mid-run, cover the
-//! responses the skip delivers itself when threads are uncapped (a
-//! profiled step count pins that it does). A
+//! responses the skip delivers itself (profiled step counts pin that
+//! uncapped runs never wake for a response and that capped ones wake
+//! once, on the cycle after it). Two-node systems are built with
+//! `SystemSim::new_multi` and swept over outstanding caps, interconnect
+//! latencies and random cut-off cycles. Capped single-node, two-node and
+//! per-cube runs are compared record for record with a tracer, a
+//! checker and a 1-cycle metrics hub attached. A
 //! seeded mac-check fuzz mini-campaign (50 iterations, checker + oracle
 //! attached) rides on top, exercising the fast path under adversarial
 //! configs and address streams.
 
+use mac_check::{ConformanceChecker, Violation};
 use mac_metrics::MetricsHub;
 use mac_sim::baseline::baseline_requests;
+use mac_sim::driver::{Fabric, RunDriver};
 use mac_sim::experiment::{
     run_workload_observed, run_workload_stepped, ExperimentConfig, RunObservers,
 };
 use mac_sim::fuzz::{run_fuzz, FuzzOptions};
 use mac_sim::report::RunReport;
-use mac_sim::SystemSim;
-use mac_telemetry::Profiler;
+use mac_sim::{NetSystem, SystemSim};
+use mac_telemetry::{Profiler, RingSink, TraceRecord, Tracer};
 use mac_types::{MacPlacement, MemBackend, NetTopology};
 use mac_workloads::by_name;
+use proptest::Strategy;
 use soc_sim::{ReplayProgram, ThreadProgram};
 
 /// Observers with only `hub` attached.
@@ -97,17 +105,77 @@ fn per_cube_placement_is_mode_identical() {
     }
 }
 
+/// The first `len` operations of each of `workload`'s threads under
+/// `cfg`, as one node's programs.
+fn node_programs(
+    workload: &str,
+    cfg: &ExperimentConfig,
+    len: usize,
+) -> Vec<Box<dyn ThreadProgram>> {
+    by_name(workload)
+        .expect("workload registered")
+        .generate(&cfg.workload)
+        .into_iter()
+        .map(|mut ops| {
+            ops.truncate(len);
+            Box::new(ReplayProgram::new(ops)) as Box<dyn ThreadProgram>
+        })
+        .collect()
+}
+
+/// Two nodes under `cfg`, each running the first `len` operations of
+/// `workload`'s threads. Rows are homed alternately on node 0 and node
+/// 1, so each node sends its requests for the other's rows over the
+/// interconnect. (`run_workload_*` builds one node whatever `soc.nodes`
+/// says.)
+fn two_nodes(workload: &str, cfg: &ExperimentConfig, len: usize) -> SystemSim {
+    let node = || node_programs(workload, cfg, len);
+    SystemSim::new_multi(&cfg.system, vec![node(), node()])
+}
+
+/// Run the system `build` makes in both modes, with a metrics hub
+/// sampling every `interval` cycles in each, and assert the reports and
+/// exported CSV time-series are identical.
+fn assert_built_modes_identical<F: Fabric>(
+    label: &str,
+    build: impl Fn() -> RunDriver<F>,
+    max_cycles: u64,
+    interval: u64,
+) -> RunReport {
+    let run = |stepped: bool| {
+        let hub = MetricsHub::new(interval);
+        let mut sim = build();
+        sim.set_metrics(hub.clone());
+        sim.set_stepped(stepped);
+        let report = sim.run(max_cycles);
+        (report, hub.snapshot().expect("sampled").to_csv())
+    };
+    let (stepped, stepped_csv) = run(true);
+    let (event, event_csv) = run(false);
+    assert_eq!(
+        stepped, event,
+        "{label}: event-driven report diverged from stepped reference"
+    );
+    assert_eq!(
+        stepped_csv, event_csv,
+        "{label}: metrics time-series diverged between modes"
+    );
+    event
+}
+
 #[test]
 fn multi_node_interconnect_is_mode_identical() {
-    // Multiple SoC nodes share one device through the interconnect
-    // queues; their in-flight messages are one of the next_event
-    // sources.
-    let mut cfg = ExperimentConfig::paper(4);
-    cfg.workload.scale = 1;
-    cfg.max_cycles = 50_000_000;
-    cfg.system.soc.nodes = 2;
-    let report = assert_modes_identical("stream", &cfg, 10_000);
-    assert!(report.cycles > 0);
+    // Two SoC nodes share one device through the interconnect queues;
+    // their in-flight messages are one of the next_event sources.
+    let cfg = small(4);
+    let report = assert_built_modes_identical(
+        "stream, 2 nodes",
+        || two_nodes("stream", &cfg, usize::MAX),
+        cfg.max_cycles,
+        10_000,
+    );
+    assert_eq!(report.soc.raw_requests, report.soc.completions);
+    assert_eq!(report.config.soc.nodes, 2);
 }
 
 #[test]
@@ -176,9 +244,14 @@ fn backpressured_networks_and_nodes_are_mode_identical() {
     }
 
     let mut nodes = small(4);
-    nodes.system.soc.nodes = 2;
     nodes.system.hmc.vault_queue_depth = 1;
-    assert_modes_identical("stream", &nodes, 10_000);
+    let report = assert_built_modes_identical(
+        "stream, 2 nodes",
+        || two_nodes("stream", &nodes, usize::MAX),
+        nodes.max_cycles,
+        10_000,
+    );
+    assert_eq!(report.config.soc.nodes, 2);
 }
 
 #[test]
@@ -371,4 +444,169 @@ fn responses_alone_do_not_wake_uncapped_runs() {
             report.hmc.accesses()
         );
     }
+}
+
+/// The `*/lat1` shape: one thread with one access in flight.
+fn lat1() -> ExperimentConfig {
+    let mut cfg = small(1);
+    cfg.system.soc.max_outstanding_per_thread = 1;
+    cfg
+}
+
+#[test]
+fn capped_runs_wake_once_per_completion() {
+    // A completion at `c` wakes the loop at `c + 1`, where the thread
+    // can issue its next access. Waking at `c` too adds a step to
+    // deliver it, a scan that fails because the thread can issue next
+    // cycle, and two cooldown steps: 4 steps per raw request.
+    for workload in ["stream", "gups", "sg"] {
+        for mac_disabled in [false, true] {
+            let mut cfg = lat1();
+            cfg.system.mac_disabled = mac_disabled;
+            let (report, steps) = profiled_steps(workload, &cfg);
+            let per_raw = steps as f64 / report.soc.raw_requests as f64;
+            assert!(
+                per_raw < 2.5,
+                "{workload} (mac_disabled={mac_disabled}): {steps} steps for {} raw requests",
+                report.soc.raw_requests
+            );
+        }
+    }
+}
+
+#[test]
+fn two_node_runs_are_mode_identical_at_any_cut() {
+    // Remote completions enter the interconnect FIFO in cycle order, so
+    // every completion wakes a two-node run, on the cycle after it. At
+    // latency 0 a remote completion is due on the cycle it completes.
+    // Each configuration runs in full and cut off at a random cycle,
+    // where a response the skip delivered late or early would show.
+    let mut rng = proptest::test_rng("two_node_runs_are_mode_identical_at_any_cut");
+    for workload in ["sg", "gups", "stream"] {
+        for cap in [1, 4, usize::MAX] {
+            for latency in [0, 1, 100] {
+                let mut cfg = small(2);
+                cfg.system.soc.max_outstanding_per_thread = cap;
+                cfg.system.soc.interconnect_latency = latency;
+                let run = |stepped: bool, max_cycles: u64| {
+                    let mut sim = two_nodes(workload, &cfg, usize::MAX);
+                    sim.set_stepped(stepped);
+                    sim.run(max_cycles)
+                };
+                let label = format!("{workload}, cap {cap}, latency {latency}");
+                let full = run(false, cfg.max_cycles);
+                assert_eq!(run(true, cfg.max_cycles), full, "{label}");
+                assert_eq!(full.soc.raw_requests, full.soc.completions, "{label}");
+                let cut = (1..=full.cycles).new_value(&mut rng);
+                assert_eq!(
+                    run(true, cut),
+                    run(false, cut),
+                    "{label}: cut off at cycle {cut}"
+                );
+            }
+        }
+    }
+}
+
+/// Operations per thread in observed runs: a hub sampling every cycle
+/// keeps one point per gauge per cycle, so these runs stay short.
+const OBSERVED_OPS: usize = 64;
+
+/// Trace records one observed run may emit; the ring must hold them all.
+const RING_RECORDS: usize = 1 << 18;
+
+/// Everything a run showed its observers.
+struct Observed {
+    report: RunReport,
+    /// The CSV of a metrics hub sampling every cycle.
+    csv: String,
+    /// Every trace record, in emission order.
+    trace: Vec<TraceRecord>,
+    violations: Vec<Violation>,
+}
+
+/// Run `sim`, built for `cfg`, with a ring tracer, a conformance checker
+/// and a 1-cycle metrics hub attached.
+fn observe<F: Fabric>(mut sim: RunDriver<F>, cfg: &ExperimentConfig, stepped: bool) -> Observed {
+    let hub = MetricsHub::new(1);
+    let sink = RingSink::new(RING_RECORDS);
+    let ring = sink.handle();
+    sim.set_tracer(Tracer::new(sink));
+    sim.set_metrics(hub.clone());
+    sim.set_checker(ConformanceChecker::new(&cfg.system));
+    sim.set_stepped(stepped);
+    let report = sim.run(cfg.max_cycles);
+    assert_eq!(ring.dropped(), 0, "trace ring evicted records; grow it");
+    Observed {
+        report,
+        csv: hub.snapshot().expect("sampled").to_csv(),
+        trace: ring.snapshot(),
+        violations: sim.take_checker().expect("attached").into_violations(),
+    }
+}
+
+/// Observe what `build` makes for `cfg` in both modes and assert that
+/// every observer saw the same thing, and that the run drained cleanly.
+fn assert_observed_identical<F: Fabric>(
+    label: &str,
+    cfg: &ExperimentConfig,
+    build: impl Fn() -> RunDriver<F>,
+) -> RunReport {
+    let stepped = observe(build(), cfg, true);
+    let event = observe(build(), cfg, false);
+    assert_eq!(stepped.report, event.report, "{label}: reports differ");
+    assert!(
+        stepped.csv == event.csv,
+        "{label}: metrics time-series differ"
+    );
+    let longest = stepped.trace.len().max(event.trace.len());
+    if let Some(i) = (0..longest).find(|&i| stepped.trace.get(i) != event.trace.get(i)) {
+        panic!(
+            "{label}: trace record {i} differs: stepped {:?}, skipping {:?}",
+            stepped.trace.get(i),
+            event.trace.get(i)
+        );
+    }
+    assert_eq!(
+        stepped.violations, event.violations,
+        "{label}: checker differs"
+    );
+    assert!(
+        event.violations.is_empty(),
+        "{label}: {:?}",
+        event.violations
+    );
+    assert_eq!(
+        event.report.soc.raw_requests, event.report.soc.completions,
+        "{label}: run must drain"
+    );
+    event.report
+}
+
+#[test]
+fn capped_runs_are_identical_to_every_observer() {
+    // Capped threads wake the loop on the cycle after each completion;
+    // the tracer, the checker and a sampler that visits every cycle
+    // must not tell the modes apart, on one node, two nodes, or a
+    // per-cube network.
+    let cfg = lat1();
+    assert_observed_identical("gups lat1", &cfg, || {
+        SystemSim::new(&cfg.system, node_programs("gups", &cfg, OBSERVED_OPS))
+    });
+
+    let mut two = small(2);
+    two.system.soc.max_outstanding_per_thread = 4;
+    let report = assert_observed_identical("sg, 2 nodes, cap 4", &two, || {
+        two_nodes("sg", &two, OBSERVED_OPS)
+    });
+    assert_eq!(report.config.soc.nodes, 2);
+
+    let mut cube = small(2);
+    cube.system.soc.max_outstanding_per_thread = 4;
+    cube.system = cube
+        .system
+        .with_net(2, NetTopology::DaisyChain, MacPlacement::PerCube);
+    assert_observed_identical("sg, per-cube, cap 4", &cube, || {
+        NetSystem::new(&cube.system, node_programs("sg", &cube, OBSERVED_OPS))
+    });
 }

@@ -209,9 +209,10 @@ impl TraceAnalysis {
     }
 
     /// Render the bank-conflict heatmap for one node as a vault x bank
-    /// text grid (digits are log2-scaled intensity).
+    /// text grid (digits are log2-scaled intensity), one row per vault
+    /// with at least one conflict.
     fn render_conflict_heatmap(&self, node: u16) -> String {
-        let cells: Vec<(u8, u8, u64)> = self
+        let mut cells: Vec<(u8, u8, u64)> = self
             .bank_conflicts
             .iter()
             .filter(|((n, _, _), _)| *n == node)
@@ -220,25 +221,24 @@ impl TraceAnalysis {
         if cells.is_empty() {
             return format!("  node{node}: no bank conflicts\n");
         }
-        // Sized in usize: vault or bank 255 needs 256 rows or columns.
-        let vaults = cells
-            .iter()
-            .map(|&(v, _, _)| usize::from(v))
-            .max()
-            .unwrap_or(0)
-            + 1;
+        cells.sort_unstable();
+        // Sized in usize: bank 255 needs 256 columns.
         let banks = cells
             .iter()
             .map(|&(_, b, _)| usize::from(b))
             .max()
             .unwrap_or(0)
             + 1;
-        let mut grid = vec![vec![0u64; banks]; vaults];
+        let mut rows: Vec<(u8, Vec<u64>)> = Vec::new();
         for (v, b, c) in cells {
-            grid[v as usize][b as usize] = c;
+            if rows.last().is_none_or(|(last, _)| *last != v) {
+                rows.push((v, vec![0; banks]));
+            }
+            let (_, row) = rows.last_mut().expect("pushed above");
+            row[usize::from(b)] = c;
         }
         let mut out = format!("  node{node} (rows=vaults, cols=banks; digit = log2(conflicts)):\n");
-        for (v, row) in grid.iter().enumerate() {
+        for (v, row) in &rows {
             out.push_str(&format!("  v{v:>2} "));
             for &c in row {
                 out.push(match c {
