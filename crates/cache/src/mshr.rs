@@ -62,7 +62,6 @@ pub struct MshrFile {
     entries: Vec<Entry>,
     capacity: usize,
     line_shift: u32,
-    line_bytes: u64,
     miss_latency: u64,
     stats: MshrStats,
 }
@@ -76,7 +75,6 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
             line_shift: line_bytes.trailing_zeros(),
-            line_bytes,
             miss_latency,
             stats: MshrStats::default(),
         }
@@ -108,11 +106,6 @@ impl MshrFile {
         MshrOutcome::Dispatched
     }
 
-    /// Memory bytes moved per dispatched transaction (always one line).
-    pub fn bytes_per_transaction(&self) -> u64 {
-        self.line_bytes
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &MshrStats {
         &self.stats
@@ -138,7 +131,6 @@ mod tests {
         let mut m = file();
         assert_eq!(m.offer(PhysAddr::new(0x40), 0), MshrOutcome::Dispatched);
         assert_eq!(m.stats().transactions, 1);
-        assert_eq!(m.bytes_per_transaction(), 64);
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl Mac {
         self.arq.is_empty() && self.builder.is_empty() && self.direct.is_empty()
     }
 
-    /// Free ARQ entries (exported for backpressure decisions upstream).
-    pub fn arq_free(&self) -> usize {
-        self.arq.free_entries()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &MacStats {
         &self.stats
@@ -438,7 +433,6 @@ mod tests {
         assert!(mac.try_accept(raw(1, 0x000, MemOpKind::Load), 0));
         assert!(mac.try_accept(raw(2, 0x100, MemOpKind::Load), 0));
         assert!(!mac.try_accept(raw(3, 0x200, MemOpKind::Load), 0));
-        assert_eq!(mac.arq_free(), 0);
         // Merge into an existing row still succeeds while full.
         assert!(mac.try_accept(raw(4, 0x010, MemOpKind::Load), 0));
     }

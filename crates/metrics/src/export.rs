@@ -25,6 +25,8 @@
 //! floats, `\n` line endings), so identical runs produce byte-identical
 //! files regardless of `--jobs`.
 
+use mac_types::json_escape;
+
 use crate::SeriesKind;
 
 /// One named time-series: `(cycle, value)` points in cycle order.
@@ -228,19 +230,6 @@ impl MetricsSnapshot {
     pub fn get(&self, name: &str) -> Option<&SeriesData> {
         self.series.iter().find(|s| s.name == name)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -288,11 +288,6 @@ impl Cpu {
         }
     }
 
-    /// The scratchpad base address of this hart.
-    pub fn spm_base(&self) -> u64 {
-        self.spm_base
-    }
-
     fn in_spm(&self, addr: u64, len: u64) -> bool {
         let Some(end) = addr.checked_add(len) else {
             return false;

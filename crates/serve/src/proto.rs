@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mac_types::JobId;
+use mac_types::{json_escape, JobId};
 
 use crate::job::{JobSpec, JobState};
 
@@ -75,24 +75,6 @@ impl Scalar {
 
 /// One parsed MACS-1 message: a flat map of scalar fields.
 pub type Fields = BTreeMap<String, Scalar>;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Encode a field map as one line of flat JSON (no trailing newline).
 /// Fields are emitted in sorted order, so encoding is deterministic.

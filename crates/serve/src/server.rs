@@ -895,7 +895,7 @@ fn execute_job(inner: &Arc<Inner>, spec: &JobSpec) -> JobState {
                 pool: &pool,
                 scale: *scale,
             };
-            let arts = mac_sim::catalog::execute(exp, &ctx);
+            let arts = (exp.run)(&ctx);
             let timed_out = pool.sims_timed_out();
             match inner.store.store_entry(spec, &arts) {
                 Ok(_) if timed_out > 0 => {

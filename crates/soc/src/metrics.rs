@@ -64,15 +64,6 @@ impl SocMetrics {
     pub fn rpc(&self) -> f64 {
         self.ipc() * self.rpi() * self.cores as f64 * self.mem_access_rate()
     }
-
-    /// Directly measured requests per cycle (should agree with [`SocMetrics::rpc`]).
-    pub fn measured_rpc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.raw_requests as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +94,9 @@ mod tests {
     #[test]
     fn eq2_equals_direct_measurement() {
         let m = sample();
-        assert!((m.rpc() - m.measured_rpc()).abs() < 1e-9);
-        assert!((m.measured_rpc() - 0.5).abs() < 1e-9);
+        let measured = m.raw_requests as f64 / m.cycles as f64;
+        assert!((m.rpc() - measured).abs() < 1e-9);
+        assert!((measured - 0.5).abs() < 1e-9);
     }
 
     #[test]

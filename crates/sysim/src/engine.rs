@@ -46,21 +46,19 @@
 //! on load, so a cache-restored [`RunReport`] is indistinguishable from
 //! a fresh one.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mac_metrics::MetricsHub;
 use mac_telemetry::{BinarySink, ProfSnapshot, Profiler, Tracer};
-use mac_types::{Fingerprint, Fnv128};
+use mac_types::{json_escape, Fingerprint, Fnv128};
 use mac_workloads::{by_name, Workload};
 
-use crate::catalog;
 use crate::experiment::{run_workload_observed, ExperimentConfig, RunObservers};
-use crate::figures::render_table;
 use crate::manifest::Experiment;
+use crate::progress::{ProgressProbe, PHASE_DONE, PHASE_RUNNING};
 use crate::report::RunReport;
 
 /// Version salt folded into every cache key. Bump whenever simulation
@@ -121,18 +119,24 @@ pub struct Artifact {
     pub rows: Vec<Vec<String>>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Render `rows` under `header` as a right-aligned text table titled
+/// `title`.
+fn render_table(title: &str, header: &[String], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
+    }
+    let mut out = format!("== {title} ==\n");
+    for cells in std::iter::once(header).chain(rows.iter().map(Vec::as_slice)) {
+        let line: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, &w)| format!("{c:>w$}"))
+            .collect();
+        out.push_str(&line.join("  "));
+        out.push('\n');
     }
     out
 }
@@ -153,8 +157,7 @@ impl Artifact {
             out.push_str(n);
             out.push('\n');
         }
-        let header: Vec<&str> = self.header.iter().map(String::as_str).collect();
-        out.push_str(&render_table(&self.title, &header, &self.rows));
+        out.push_str(&render_table(&self.title, &self.header, &self.rows));
         out
     }
 
@@ -417,7 +420,24 @@ impl SimPool {
             .map(|d| d.join(format!("sim-{fp:032x}.mrc")))
     }
 
-    fn load_cached(&self, fp: u128, req: &SimRequest) -> Option<RunReport> {
+    /// The memo's report for `fp`, re-attached to `req`'s configuration
+    /// and counted as a memo hit.
+    fn memo_hit(
+        &self,
+        memo: &HashMap<u128, RunReport>,
+        fp: u128,
+        req: &SimRequest,
+    ) -> Option<RunReport> {
+        let mut r = memo.get(&fp)?.clone();
+        r.config = req.cfg.system.clone();
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        self.profiler.add("pool/memo_hit", 1);
+        Some(r)
+    }
+
+    /// The disk cache's report for `fp`, counted as a disk hit and
+    /// memoized.
+    fn disk_hit(&self, fp: u128, req: &SimRequest) -> Option<RunReport> {
         let path = self.sim_cache_path(fp)?;
         self.profiler.add("pool/cache_probe", 1);
         let text = std::fs::read_to_string(path).ok()?;
@@ -426,49 +446,81 @@ impl SimPool {
         // The config is part of the key, not the value; re-attach it so
         // derived metrics (which read e.g. `config.mac_disabled`) agree.
         report.config = req.cfg.system.clone();
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        self.memo
+            .lock()
+            .expect("memo poisoned")
+            .insert(fp, report.clone());
         Some(report)
     }
 
-    fn store_cached(&self, fp: u128, report: &RunReport) {
-        let Some(path) = self.sim_cache_path(fp) else {
-            return;
+    /// Simulate `req` with `metrics` and `progress` attached (plus a
+    /// trace sink when tracing is on), then store the report on disk and
+    /// memoize it.
+    fn execute(
+        &self,
+        req: &SimRequest,
+        fp: u128,
+        metrics: MetricsHub,
+        progress: Option<Arc<ProgressProbe>>,
+    ) -> RunReport {
+        let report = {
+            let _span = self.profiler.span("pool/execute");
+            let w = by_name(&req.workload)
+                .unwrap_or_else(|| panic!("unknown workload `{}` in SimRequest", req.workload));
+            let stem = format!("{}-{:016x}", req.workload, fp as u64);
+            let tracer = self.trace_dir.as_ref().and_then(|dir| {
+                let _ = std::fs::create_dir_all(dir);
+                BinarySink::create(dir.join(format!("{stem}.mctr")))
+                    .ok()
+                    .map(Tracer::new)
+            });
+            if let Some(p) = &progress {
+                p.set_phase(PHASE_RUNNING);
+            }
+            self.executed.fetch_add(1, Ordering::Relaxed);
+            let obs = RunObservers {
+                tracer,
+                metrics: metrics.clone(),
+                profiler: self.profiler.clone(),
+                progress,
+                ..RunObservers::default()
+            };
+            let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
+            if let (Some(dir), Some(snap)) = (&self.metrics_dir, metrics.snapshot()) {
+                let _ = std::fs::create_dir_all(dir);
+                let _ = std::fs::write(dir.join(format!("{stem}.csv")), snap.to_csv());
+                let _ = std::fs::write(dir.join(format!("{stem}.json")), snap.to_json());
+            }
+            report
         };
-        self.profiler.add("pool/cache_store", 1);
-        // Normalize: cache contents must not depend on whether this run
-        // happened to be traced.
-        let mut stored = report.clone();
-        stored.trace = Default::default();
-        let _ = atomic_write(&path, &crate::cachefmt::encode_run(&stored));
+        if let Some(path) = self.sim_cache_path(fp) {
+            self.profiler.add("pool/cache_store", 1);
+            // Normalize: cache contents must not depend on whether this
+            // run happened to be traced.
+            let mut stored = report.clone();
+            stored.trace = Default::default();
+            let _ = atomic_write(&path, &crate::cachefmt::encode_run(&stored));
+        }
+        self.memo
+            .lock()
+            .expect("memo poisoned")
+            .insert(fp, report.clone());
+        report
     }
 
-    fn execute(&self, req: &SimRequest, fp: u128) -> RunReport {
-        let _span = self.profiler.span("pool/execute");
-        let w = by_name(&req.workload)
-            .unwrap_or_else(|| panic!("unknown workload `{}` in SimRequest", req.workload));
-        let tracer = self.trace_dir.as_ref().and_then(|dir| {
-            let _ = std::fs::create_dir_all(dir);
-            let path = dir.join(format!("{}-{:016x}.mctr", req.workload, fp as u64));
-            BinarySink::create(&path).ok().map(Tracer::new)
-        });
-        let metrics = match &self.metrics_dir {
-            Some(_) => MetricsHub::new(self.metrics_interval),
-            None => MetricsHub::disabled(),
-        };
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        let obs = RunObservers {
-            tracer,
-            metrics: metrics.clone(),
-            profiler: self.profiler.clone(),
-            ..RunObservers::default()
-        };
-        let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
-        if let (Some(dir), Some(snap)) = (&self.metrics_dir, metrics.snapshot()) {
-            let _ = std::fs::create_dir_all(dir);
-            let stem = format!("{}-{:016x}", req.workload, fp as u64);
-            let _ = std::fs::write(dir.join(format!("{stem}.csv")), snap.to_csv());
-            let _ = std::fs::write(dir.join(format!("{stem}.json")), snap.to_json());
+    /// Count `report` as a timeout if it reached `req`'s cycle cap
+    /// without draining: a truncated measurement, which callers must
+    /// treat as a failure. Judged per request after resolution, so
+    /// cached and deduped requests are held to *their* request's cap.
+    fn count_timeout(&self, req: &SimRequest, fp: u128, report: &RunReport) {
+        if report.cycles >= req.cfg.max_cycles {
+            self.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.timeout_labels
+                .lock()
+                .expect("labels poisoned")
+                .push(format!("{}-{:016x}", req.workload, fp as u64));
         }
-        report
     }
 
     /// Run a batch of requests, in parallel, returning reports **in
@@ -480,36 +532,25 @@ impl SimPool {
         let fps: Vec<u128> = reqs.iter().map(SimRequest::fingerprint).collect();
         let mut results: Vec<Option<RunReport>> = vec![None; reqs.len()];
 
-        // Resolve memo and disk hits, and dedup identical requests.
+        // Probe the memo for every request first, claiming the first of
+        // each duplicate fingerprint, then probe the disk for the claims:
+        // a duplicate is neither a memo nor a disk hit of its own.
         let mut missing: Vec<usize> = Vec::new();
-        let mut claimed: HashMap<u128, usize> = HashMap::new();
+        let mut claimed: HashSet<u128> = HashSet::new();
         {
             let memo = self.memo.lock().expect("memo poisoned");
-            for (i, fp) in fps.iter().enumerate() {
-                if let Some(hit) = memo.get(fp) {
-                    let mut r = hit.clone();
-                    r.config = reqs[i].cfg.system.clone();
-                    results[i] = Some(r);
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    self.profiler.add("pool/memo_hit", 1);
-                } else if !claimed.contains_key(fp) {
-                    claimed.insert(*fp, i);
+            for (i, &fp) in fps.iter().enumerate() {
+                results[i] = self.memo_hit(&memo, fp, &reqs[i]);
+                if results[i].is_none() && claimed.insert(fp) {
                     missing.push(i);
                 }
             }
         }
         let mut still_missing = Vec::new();
         for i in missing {
-            match self.load_cached(fps[i], &reqs[i]) {
-                Some(r) => {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.memo
-                        .lock()
-                        .expect("memo poisoned")
-                        .insert(fps[i], r.clone());
-                    results[i] = Some(r);
-                }
-                None => still_missing.push(i),
+            results[i] = self.disk_hit(fps[i], &reqs[i]);
+            if results[i].is_none() {
+                still_missing.push(i);
             }
         }
 
@@ -518,21 +559,15 @@ impl SimPool {
             still_missing.iter().map(|_| Mutex::new(None)).collect();
         work_steal(still_missing.len(), self.workers, |k| {
             let i = still_missing[k];
-            let report = self.execute(&reqs[i], fps[i]);
+            let metrics = match &self.metrics_dir {
+                Some(_) => MetricsHub::new(self.metrics_interval),
+                None => MetricsHub::disabled(),
+            };
+            let report = self.execute(&reqs[i], fps[i], metrics, None);
             *slots[k].lock().expect("slot poisoned") = Some(report);
         });
-        for (k, slot) in slots.into_iter().enumerate() {
-            let i = still_missing[k];
-            let report = slot
-                .into_inner()
-                .expect("slot poisoned")
-                .expect("worker filled its slot");
-            self.store_cached(fps[i], &report);
-            self.memo
-                .lock()
-                .expect("memo poisoned")
-                .insert(fps[i], report.clone());
-            results[i] = Some(report);
+        for (&i, slot) in still_missing.iter().zip(slots) {
+            results[i] = slot.into_inner().expect("slot poisoned");
         }
 
         // Fill duplicates of just-computed fingerprints.
@@ -553,22 +588,8 @@ impl SimPool {
             .collect();
         drop(memo);
 
-        // A run that reaches its cycle cap did not drain: the report is a
-        // truncated measurement, which callers must treat as a failure.
-        // Checked here (after resolution) so cached and deduped requests
-        // are judged against *their* request's cap too.
-        for (req, report) in reqs.iter().zip(&out) {
-            if report.cycles >= req.cfg.max_cycles {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.timeout_labels
-                    .lock()
-                    .expect("labels poisoned")
-                    .push(format!(
-                        "{}-{:016x}",
-                        req.workload,
-                        req.fingerprint() as u64
-                    ));
-            }
+        for ((req, &fp), report) in reqs.iter().zip(&fps).zip(&out) {
+            self.count_timeout(req, fp, report);
         }
         out
     }
@@ -584,66 +605,18 @@ impl SimPool {
         &self,
         req: &SimRequest,
         metrics: MetricsHub,
-        progress: Option<std::sync::Arc<crate::progress::ProgressProbe>>,
+        progress: Option<Arc<ProgressProbe>>,
     ) -> RunReport {
-        use crate::progress::{PHASE_DONE, PHASE_RUNNING};
         let fp = req.fingerprint();
-        let cached = {
-            let memo = self.memo.lock().expect("memo poisoned");
-            memo.get(&fp).cloned()
-        };
-        let cached = match cached {
-            Some(mut r) => {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                self.profiler.add("pool/memo_hit", 1);
-                r.config = req.cfg.system.clone();
-                Some(r)
-            }
-            None => self.load_cached(fp, req).inspect(|r| {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.memo
-                    .lock()
-                    .expect("memo poisoned")
-                    .insert(fp, r.clone());
-            }),
-        };
-        let report = match cached {
-            Some(r) => r,
-            None => {
-                let _span = self.profiler.span("pool/execute");
-                let w = by_name(&req.workload)
-                    .unwrap_or_else(|| panic!("unknown workload `{}` in SimRequest", req.workload));
-                if let Some(p) = &progress {
-                    p.set_phase(PHASE_RUNNING);
-                }
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                let obs = RunObservers {
-                    tracer: None,
-                    metrics,
-                    profiler: self.profiler.clone(),
-                    progress: progress.clone(),
-                    ..RunObservers::default()
-                };
-                let report = run_workload_observed(w.as_ref(), &req.cfg, obs);
-                self.store_cached(fp, &report);
-                self.memo
-                    .lock()
-                    .expect("memo poisoned")
-                    .insert(fp, report.clone());
-                report
-            }
-        };
+        let memoized = self.memo_hit(&self.memo.lock().expect("memo poisoned"), fp, req);
+        let report = memoized
+            .or_else(|| self.disk_hit(fp, req))
+            .unwrap_or_else(|| self.execute(req, fp, metrics, progress.clone()));
         if let Some(p) = &progress {
             p.update(report.cycles, report.soc.completions);
             p.set_phase(PHASE_DONE);
         }
-        if report.cycles >= req.cfg.max_cycles {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
-            self.timeout_labels
-                .lock()
-                .expect("labels poisoned")
-                .push(format!("{}-{:016x}", req.workload, fp as u64));
-        }
+        self.count_timeout(req, fp, &report);
         report
     }
 
@@ -831,10 +804,6 @@ pub fn experiment_cache_key(name: &str, scale: u32) -> u128 {
     h.finish()
 }
 
-fn experiment_key(exp: &Experiment, opts: &EngineOptions) -> u128 {
-    experiment_cache_key(exp.name, opts.scale)
-}
-
 /// Run the given manifest entries and write their artifacts under
 /// `opts.out_dir` as `<name>.txt`, `<name>.csv`, and `<name>.json`.
 ///
@@ -864,7 +833,7 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
 
     let mut outcomes = Vec::with_capacity(exps.len());
     for exp in exps {
-        let key = experiment_key(exp, opts);
+        let key = experiment_cache_key(exp.name, opts.scale);
         let art_path = opts.cache_dir().join(format!("exp-{key:032x}.art"));
         let cached = if opts.use_cache {
             std::fs::read_to_string(&art_path)
@@ -883,7 +852,7 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
                     pool: &pool,
                     scale: opts.scale,
                 };
-                let arts = catalog::execute(exp, &ctx);
+                let arts = (exp.run)(&ctx);
                 if opts.use_cache {
                     let _ = atomic_write(&art_path, &crate::cachefmt::encode_artifacts(&arts));
                 }
@@ -977,6 +946,22 @@ mod tests {
     }
 
     #[test]
+    fn render_table_aligns_columns() {
+        let s = render_table(
+            "demo",
+            &["name".into(), "value".into()],
+            &[
+                vec!["a".into(), "1".into()],
+                vec!["long-name".into(), "22".into()],
+            ],
+        );
+        assert!(s.contains("== demo =="));
+        assert!(s.contains("long-name"));
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
     fn cycle_cap_hits_are_counted_as_timeouts() {
         let pool = SimPool::new(1);
         let mut cfg = ExperimentConfig::paper(2);
@@ -1009,6 +994,26 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // `results/cache` entries and mac-serve JobIds are named by these
+        // keys: a change here orphans every cached result.
+        assert_eq!(
+            format!("{:032x}", experiment_cache_key("smoke", 1)),
+            "ee32bdea4cab2001a4a048bb6ef8c081"
+        );
+        assert_eq!(
+            format!("{:032x}", experiment_cache_key("fig10", 2)),
+            "21f1e5c83c5e8a9c923babbd67b53620"
+        );
+        let mut cfg = ExperimentConfig::paper(8);
+        cfg.workload.scale = 2;
+        assert_eq!(
+            format!("{:032x}", SimRequest::new("sg", &cfg).fingerprint()),
+            "45039865861628c8cdd188b9ed08ff90"
+        );
     }
 
     #[test]

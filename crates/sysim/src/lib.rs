@@ -29,8 +29,10 @@
 //!   [`engine::SimPool`], content-addressed result cache, deterministic
 //!   artifact output (`--jobs 8` is byte-identical to `--jobs 1`).
 //! * [`mod@manifest`] — every figure/table/ablation as a declarative
-//!   [`manifest::Experiment`] entry the `mac-bench` runner dispatches.
-//! * [`catalog`] — the row-building code behind each manifest entry.
+//!   [`manifest::Experiment`] entry naming the [`catalog`] builder that
+//!   produces its artifacts.
+//! * [`catalog`] — one row builder per manifest entry: it runs the
+//!   entry's simulations through the pool and formats its tables.
 //! * [`baseline`] — the behaviour baseline harness behind
 //!   `mac-bench baseline --check`.
 //! * [`fuzz`] — the differential conformance fuzzer behind
@@ -39,7 +41,6 @@
 //!   diffed against the functional oracle, with failing cases shrunk to
 //!   minimal reproducers.
 //! * [`cachefmt`] — the versioned text formats for cached results.
-//! * [`figures`] — one function per paper figure/table returning raw rows.
 
 #![warn(missing_docs)]
 
@@ -50,7 +51,6 @@ pub mod catalog;
 pub mod driver;
 pub mod engine;
 pub mod experiment;
-pub mod figures;
 pub mod fuzz;
 pub mod manifest;
 pub mod netsystem;

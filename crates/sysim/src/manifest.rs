@@ -1,11 +1,10 @@
 //! The experiment manifest: every paper figure/table and repo ablation as
 //! a declarative entry the engine can schedule.
 //!
-//! The old `mac-bench` layout had one binary per figure; those binaries
-//! are now thin rows in [`manifest`], all dispatched through the single
-//! `mac-bench` runner. Each [`Experiment`] records the paper claim it
-//! reproduces, so `mac-bench --list` and `EXPERIMENTS.md` stay in sync
-//! with the code.
+//! Each [`Experiment`] names the [`catalog`] builder that computes its
+//! rows, and records the paper claim it reproduces, so `mac-bench --list`
+//! and `EXPERIMENTS.md` stay in sync with the code. The engine and
+//! `mac-serve` run an entry by calling that builder.
 //!
 //! ```
 //! let all = mac_sim::manifest::manifest();
@@ -18,77 +17,8 @@
 //! assert_eq!(smoke.len(), 3); // engine smoke + net smoke + guest smoke
 //! ```
 
-/// What an experiment computes; the engine's catalog maps each variant to
-/// its row-building code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpKind {
-    /// Table 1: the simulated configuration (static echo).
-    Table1,
-    /// Figure 1: LLC miss rates + the SG seq-vs-random sweep.
-    Fig01,
-    /// Figure 3: analytic bandwidth efficiency per request size.
-    Fig03,
-    /// Figure 9: demand requests-per-cycle per benchmark.
-    Fig09,
-    /// Figure 10: coalescing efficiency at 2/4/8 threads.
-    Fig10,
-    /// Figure 11: mean coalescing efficiency vs ARQ entries.
-    Fig11,
-    /// Figure 12: bank-conflict reduction (needs with/without pairs).
-    Fig12,
-    /// Figure 13: measured bandwidth efficiency vs raw.
-    Fig13,
-    /// Figure 14: link bytes saved by coalescing.
-    Fig14,
-    /// Figure 15: merged targets per popped ARQ entry.
-    Fig15,
-    /// Figure 16: ARQ area vs entry count (analytic).
-    Fig16,
-    /// Figure 17: memory-system speedup.
-    Fig17,
-    /// Ablation: FLIT-table sizing policy.
-    AblateFlitTable,
-    /// Ablation: B-bit bypass path on/off.
-    AblateBypass,
-    /// Ablation: latency-hiding fill on/off.
-    AblateLatencyHiding,
-    /// Ablation: ARQ pop interval sweep.
-    AblatePopRate,
-    /// Ablation: open-loop vs closed-loop core model.
-    AblateClosedLoop,
-    /// Ablation: MAC vs conventional MSHR coalescing.
-    AblateMshrBaseline,
-    /// Ablation: ARQ accept-port width sweep.
-    AblateAcceptWidth,
-    /// Ablation: context-switch penalty under thread multiplexing.
-    AblateSmt,
-    /// Ablation: HMC link packet error rate sweep.
-    AblateLinkErrors,
-    /// Ablation: static operating points vs the adaptive controller.
-    AdaptAblation,
-    /// §4.3 applicability: the same MAC on an HBM back end.
-    BackendHbm,
-    /// §2.2 motivation: DDR4 vs raw HMC vs HMC+MAC.
-    BaselineDdr,
-    /// Extended suite: paper benchmarks + GAP CC/SSSP/TC.
-    ExtendedSuite,
-    /// Tail-latency study: p50/p99 with and without the MAC.
-    LatencyTails,
-    /// CI smoke: two micro workloads, reduced cycle cap.
-    Smoke,
-    /// mac-net: chain-length sweep (1/2/4/8 cubes, host-side MAC).
-    NetChainSweep,
-    /// mac-net: coalescer placement study (host vs per-cube MAC).
-    NetPlacement,
-    /// mac-net: topology comparison at 4 cubes (chain/ring/mesh).
-    NetTopology,
-    /// mac-net CI smoke: one chain-of-2 run, reduced cycle cap.
-    NetSmoke,
-    /// mac-guest CI smoke: guest binaries through the full engine.
-    GuestSmoke,
-    /// mac-guest cross-validation: guest vs modeled address streams.
-    GuestXval,
-}
+use crate::catalog;
+use crate::engine::{Artifact, ExpCtx};
 
 /// One manifest entry: a named, tagged experiment plus the paper claim it
 /// reproduces.
@@ -103,8 +33,9 @@ pub struct Experiment {
     /// Filter tags (`figure`, `table`, `ablation`, `aux`, `smoke`,
     /// `paired`, `sim`, `analytic`).
     pub tags: &'static [&'static str],
-    /// Dispatch key for the catalog.
-    pub kind: ExpKind,
+    /// The catalog builder that runs this entry's simulations and
+    /// formats its artifacts.
+    pub run: fn(&ExpCtx) -> Vec<Artifact>,
 }
 
 /// Every experiment the runner knows, in canonical (paper) order.
@@ -115,224 +46,224 @@ pub fn manifest() -> Vec<Experiment> {
             title: "Table 1: simulation environment",
             claim: "8 cores @ 3.3 GHz, 4-link 8 GB HMC, 32-entry 64 B ARQ",
             tags: &["table", "analytic"],
-            kind: ExpKind::Table1,
+            run: catalog::table1,
         },
         Experiment {
             name: "fig01",
             title: "Figure 1: LLC miss rates + SG seq-vs-random sweep",
             claim: "mean LLC miss rate 49.09%; SG 2.36% seq vs 63.85% random at 32 GB",
             tags: &["figure", "sim"],
-            kind: ExpKind::Fig01,
+            run: catalog::fig01,
         },
         Experiment {
             name: "fig03",
             title: "Figure 3: analytic bandwidth efficiency per request size",
             claim: "16 B requests reach 33.33% efficiency, 256 B reach 88.89%",
             tags: &["figure", "analytic"],
-            kind: ExpKind::Fig03,
+            run: catalog::fig03,
         },
         Experiment {
             name: "fig09",
             title: "Figure 9: raw requests per cycle",
             claim: "paper mean 9.32 demand requests per cycle across the suite",
             tags: &["figure", "sim"],
-            kind: ExpKind::Fig09,
+            run: catalog::fig09,
         },
         Experiment {
             name: "fig10",
             title: "Figure 10: coalescing efficiency at 2/4/8 threads",
             claim: "paper means 48.37% / 50.51% / 52.86% at 2/4/8 threads",
             tags: &["figure", "sim"],
-            kind: ExpKind::Fig10,
+            run: catalog::fig10,
         },
         Experiment {
             name: "fig11",
             title: "Figure 11: efficiency vs ARQ entries",
             claim: "37.58% at 8 entries to 56.04% at 64, diminishing returns",
             tags: &["figure", "sim"],
-            kind: ExpKind::Fig11,
+            run: catalog::fig11,
         },
         Experiment {
             name: "fig12",
             title: "Figure 12: bank-conflict reduction",
             claim: "coalescing removes most raw-access bank conflicts",
             tags: &["figure", "sim", "paired"],
-            kind: ExpKind::Fig12,
+            run: catalog::fig12,
         },
         Experiment {
             name: "fig13",
             title: "Figure 13: measured bandwidth efficiency",
             claim: "70.35% coalesced vs 33.33% raw 16 B",
             tags: &["figure", "sim", "paired"],
-            kind: ExpKind::Fig13,
+            run: catalog::fig13,
         },
         Experiment {
             name: "fig14",
             title: "Figure 14: link bandwidth saved",
             claim: "mean 22.76 GB of link traffic avoided at full scale",
             tags: &["figure", "sim", "paired"],
-            kind: ExpKind::Fig14,
+            run: catalog::fig14,
         },
         Experiment {
             name: "fig15",
             title: "Figure 15: merged targets per ARQ entry",
             claim: "2.13 average / 3.14 max targets — 12-target entries never bind",
             tags: &["figure", "sim"],
-            kind: ExpKind::Fig15,
+            run: catalog::fig15,
         },
         Experiment {
             name: "fig16",
             title: "Figure 16: ARQ space overhead",
             claim: "512 B at 8 entries to 16 KB at 256; default MAC ~2062 B total",
             tags: &["figure", "analytic"],
-            kind: ExpKind::Fig16,
+            run: catalog::fig16,
         },
         Experiment {
             name: "fig17",
             title: "Figure 17: memory-system speedup",
             claim: "mean 60.73% speedup; MG/GRAPPOLO/SG/SPARSELU above 70%",
             tags: &["figure", "sim", "paired"],
-            kind: ExpKind::Fig17,
+            run: catalog::fig17,
         },
         Experiment {
             name: "ablate_flit_table",
             title: "Ablation: FLIT-table sizing policy",
             claim: "span-rounded sizing beats always-256B and per-chunk-64B strawmen",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateFlitTable,
+            run: catalog::ablate_flit_table,
         },
         Experiment {
             name: "ablate_bypass",
             title: "Ablation: B-bit bypass path",
             claim: "bypassing lone FLITs avoids 48 B of wasted payload per packet",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateBypass,
+            run: catalog::ablate_bypass,
         },
         Experiment {
             name: "ablate_latency_hiding",
             title: "Ablation: latency-hiding fill",
             claim: "comparator-skipping bulk fills keep the ARQ busy under backlog",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateLatencyHiding,
+            run: catalog::ablate_latency_hiding,
         },
         Experiment {
             name: "ablate_pop_rate",
             title: "Ablation: ARQ pop interval",
             claim: "one pop per 2 cycles balances merge window vs queueing delay",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblatePopRate,
+            run: catalog::ablate_pop_rate,
         },
         Experiment {
             name: "ablate_closed_loop",
             title: "Ablation: core concurrency model",
             claim: "open-loop replay vs stall-until-complete cores",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateClosedLoop,
+            run: catalog::ablate_closed_loop,
         },
         Experiment {
             name: "ablate_mshr_baseline",
             title: "Ablation: MAC vs MSHR coalescing",
             claim: "row-granular ARQ merging beats 64 B MSHR line merging",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateMshrBaseline,
+            run: catalog::ablate_mshr_baseline,
         },
         Experiment {
             name: "ablate_accept_width",
             title: "Ablation: ARQ accept-port width",
             claim: "the 1/cycle accept port caps steady-state coalescing near 50%",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateAcceptWidth,
+            run: catalog::ablate_accept_width,
         },
         Experiment {
             name: "ablate_smt",
             title: "Ablation: context-switch penalty (8 threads on 2 cores)",
             claim: "switch cost erodes the concurrency that feeds the MAC",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateSmt,
+            run: catalog::ablate_smt,
         },
         Experiment {
             name: "ablate_link_errors",
             title: "Ablation: HMC link packet error rate",
             claim: "CRC/retry overhead grows the latency tail with the error rate",
             tags: &["ablation", "sim"],
-            kind: ExpKind::AblateLinkErrors,
+            run: catalog::ablate_link_errors,
         },
         Experiment {
             name: "adapt_ablation",
             title: "Ablation: static operating points vs the adaptive controller",
             claim: "evidence-driven retuning matches the best static point per workload",
             tags: &["ablation", "sim", "adapt"],
-            kind: ExpKind::AdaptAblation,
+            run: catalog::adapt_ablation,
         },
         Experiment {
             name: "backend_hbm",
             title: "MAC on HMC vs HBM back ends",
             claim: "§4.3: the same coalescing logic transfers to HBM",
             tags: &["aux", "sim", "paired"],
-            kind: ExpKind::BackendHbm,
+            run: catalog::backend_hbm,
         },
         Experiment {
             name: "baseline_ddr",
             title: "Baseline: DDR4 vs raw HMC vs HMC+MAC",
             claim: "§2.2: DDR row hits coalesce but serialize; HMC+MAC wins both",
             tags: &["aux", "sim"],
-            kind: ExpKind::BaselineDdr,
+            run: catalog::baseline_ddr,
         },
         Experiment {
             name: "extended_suite",
             title: "Extended suite: +GAP CC/SSSP/TC",
             claim: "coalescing gains generalize beyond the paper's 12 benchmarks",
             tags: &["aux", "sim", "paired"],
-            kind: ExpKind::ExtendedSuite,
+            run: catalog::extended_suite,
         },
         Experiment {
             name: "latency_tails",
             title: "Tail latency: p50/p99 with and without MAC",
             claim: "coalescing removes the conflict-queueing latency tail",
             tags: &["aux", "sim", "paired"],
-            kind: ExpKind::LatencyTails,
+            run: catalog::latency_tails,
         },
         Experiment {
             name: "smoke",
             title: "CI smoke: stream+gups micro pairs, reduced cycle cap",
             claim: "the engine end-to-end in seconds (not a paper figure)",
             tags: &["smoke", "sim", "paired"],
-            kind: ExpKind::Smoke,
+            run: catalog::smoke,
         },
         Experiment {
             name: "net_chain_sweep",
             title: "mac-net: latency/efficiency vs chain length (1/2/4/8 cubes)",
             claim: "HMC §7 chaining: remote latency grows per hop; 1 cube = single device",
             tags: &["net", "aux", "sim"],
-            kind: ExpKind::NetChainSweep,
+            run: catalog::net_chain_sweep,
         },
         Experiment {
             name: "net_placement",
             title: "mac-net: coalescer placement, host vs per-cube ingress",
             claim: "host-side MACs merge before the hop; per-cube MACs pay raw request traffic",
             tags: &["net", "aux", "sim"],
-            kind: ExpKind::NetPlacement,
+            run: catalog::net_placement,
         },
         Experiment {
             name: "net_topology",
             title: "mac-net: chain vs ring vs mesh at 4 cubes",
             claim: "fewer mean hops (ring, mesh) cut remote latency on the same traffic",
             tags: &["net", "aux", "sim"],
-            kind: ExpKind::NetTopology,
+            run: catalog::net_topology,
         },
         Experiment {
             name: "net_smoke",
             title: "mac-net CI smoke: one chain-of-2 run, reduced cycle cap",
             claim: "the cube network end-to-end in seconds (not a paper figure)",
             tags: &["net", "smoke", "sim"],
-            kind: ExpKind::NetSmoke,
+            run: catalog::net_smoke,
         },
         Experiment {
             name: "guest_smoke",
             title: "mac-guest CI smoke: ELF guest binaries through the full engine",
             claim: "real rv64 binaries drive SystemSim like modeled traces (not a paper figure)",
             tags: &["guest", "smoke", "sim"],
-            kind: ExpKind::GuestSmoke,
+            run: catalog::guest_smoke,
         },
         Experiment {
             name: "guest_xval",
@@ -340,7 +271,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim:
                 "guest binaries reproduce the modeled kernels' access statistics within tolerance",
             tags: &["guest", "xval", "sim"],
-            kind: ExpKind::GuestXval,
+            run: catalog::guest_xval,
         },
     ]
 }

@@ -85,13 +85,6 @@ impl RunReport {
         baseline.hmc.control_bytes as i128 - self.hmc.control_bytes as i128
     }
 
-    /// Net link-byte delta versus a baseline (control savings minus the
-    /// overfetch cost of large packets) — the quantity the `ablate_*`
-    /// benches trade off.
-    pub fn net_link_bytes_saved_vs(&self, baseline: &RunReport) -> i128 {
-        baseline.link_bytes() as i128 - self.link_bytes() as i128
-    }
-
     /// Figure 9's demand requests per cycle (Eq. 2 with the unstalled
     /// IPC of an in-order core, IPC = 1): how many raw requests per cycle
     /// the node *wants* to produce — the paper's argument that there is
@@ -155,8 +148,6 @@ mod tests {
         let with = with_latency(100, 2); // 2 x 32 B control
         let without = with_latency(100, 10); // 10 x 32 B control
         assert_eq!(with.bandwidth_saved_vs(&without), (8 * 32) as i128);
-        // Net link delta also includes the payload difference.
-        assert_eq!(with.net_link_bytes_saved_vs(&without), (8 * 48) as i128);
     }
 
     #[test]

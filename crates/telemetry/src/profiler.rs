@@ -39,6 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use mac_types::json_escape;
+
 /// Hard cap on stored span records; overflow increments a drop counter
 /// instead of growing without bound.
 const MAX_SPAN_RECORDS: usize = 65_536;
@@ -179,15 +181,6 @@ impl Profiler {
         }
     }
 
-    /// Nanoseconds elapsed since the profiler was created (0 when
-    /// disabled). This is the wall-clock domain origin of every span.
-    pub fn now_ns(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => saturating_ns(inner.epoch.elapsed().as_nanos()),
-            None => 0,
-        }
-    }
-
     /// Snapshot everything recorded so far. `None` when disabled.
     pub fn snapshot(&self) -> Option<ProfSnapshot> {
         let inner = self.inner.as_ref()?;
@@ -232,7 +225,7 @@ impl Profiler {
             }
             out.push_str(&format!(
                 "\n  {{\"path\":\"{}\",\"count\":{count},\"total_ns\":{ns}}}",
-                escape(path)
+                json_escape(path)
             ));
         }
         out.push_str("\n],\"counters\":{");
@@ -240,7 +233,7 @@ impl Profiler {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{value}", escape(name)));
+            out.push_str(&format!("\"{}\":{value}", json_escape(name)));
         }
         out.push_str(&format!("}},\"dropped\":{},\"spans\":[", snap.dropped));
         for (i, s) in snap.spans.iter().enumerate() {
@@ -249,7 +242,7 @@ impl Profiler {
             }
             out.push_str(&format!(
                 "\n  {{\"path\":\"{}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-                escape(&s.path),
+                json_escape(&s.path),
                 s.tid,
                 s.start_ns,
                 s.dur_ns
@@ -302,19 +295,6 @@ fn saturating_ns(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +308,6 @@ mod tests {
         }
         p.accum("never", 10, 1);
         p.add("never", 1);
-        assert_eq!(p.now_ns(), 0);
         assert!(p.snapshot().is_none());
         assert!(p.export_text().is_none());
         assert!(p.export_json().is_none());

@@ -87,7 +87,7 @@ impl Tracer {
     }
 
     /// Total events recorded through this tracer (all clones).
-    pub fn events_recorded(&self) -> u64 {
+    fn events_recorded(&self) -> u64 {
         self.inner
             .as_ref()
             .map_or(0, |i| i.events.load(Ordering::Relaxed))

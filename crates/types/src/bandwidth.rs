@@ -35,22 +35,6 @@ pub fn link_bytes_per_access(request_bytes: u64) -> u64 {
     request_bytes + CONTROL_BYTES_PER_ACCESS
 }
 
-/// Aggregate efficiency over a mixed set of accesses: useful payload bytes
-/// divided by total link bytes. `accesses` yields `(payload_bytes)` per
-/// access.
-pub fn aggregate_efficiency<I: IntoIterator<Item = u64>>(accesses: I) -> f64 {
-    let (mut useful, mut total) = (0u128, 0u128);
-    for payload in accesses {
-        useful += payload as u128;
-        total += link_bytes_per_access(payload) as u128;
-    }
-    if total == 0 {
-        0.0
-    } else {
-        useful as f64 / total as f64
-    }
-}
-
 /// The row of Figure 3 for one request size: `(size, efficiency, overhead)`.
 pub fn figure3_row(request_bytes: u64) -> (u64, f64, f64) {
     (
@@ -102,13 +86,6 @@ mod tests {
             .map(|&s| bandwidth_efficiency(s))
             .collect();
         assert!(effs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn aggregate_matches_uniform_case() {
-        let agg = aggregate_efficiency(std::iter::repeat_n(64, 100));
-        assert!(close(agg, bandwidth_efficiency(64)));
-        assert_eq!(aggregate_efficiency(std::iter::empty()), 0.0);
     }
 
     #[test]

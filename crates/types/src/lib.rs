@@ -53,10 +53,26 @@ pub fn ns_to_cycles(ns: f64, ghz: f64) -> Cycle {
     (ns * ghz).ceil() as Cycle
 }
 
-/// Convert a cycle count back to nanoseconds at the given frequency in GHz.
-#[inline]
-pub fn cycles_to_ns(cycles: Cycle, ghz: f64) -> f64 {
-    cycles as f64 / ghz
+/// Escape `s` for use inside a JSON string literal: quotes and
+/// backslashes are backslash-escaped, `\n`, `\t` and `\r` take their short
+/// forms and every other control character is written as `\u00XX`.
+pub fn json_escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -64,17 +80,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ns_cycle_round_trip_is_close() {
-        let ghz = 3.3;
-        let c = ns_to_cycles(93.0, ghz);
+    fn ns_to_cycles_rounds_up() {
         // 93 ns at 3.3 GHz is 306.9 cycles; we round up.
-        assert_eq!(c, 307);
-        let ns = cycles_to_ns(c, ghz);
-        assert!((ns - 93.0).abs() < 0.5);
+        assert_eq!(ns_to_cycles(93.0, 3.3), 307);
     }
 
     #[test]
     fn zero_ns_is_zero_cycles() {
         assert_eq!(ns_to_cycles(0.0, 3.3), 0);
+    }
+
+    #[test]
+    fn json_escape_uses_short_forms() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("\n\t\r"), "\\n\\t\\r");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -170,17 +170,6 @@ impl ReqSize {
     pub const fn flits(self) -> u64 {
         self.bytes() / 16
     }
-
-    /// Smallest `ReqSize` whose payload is at least `bytes`.
-    pub fn at_least(bytes: u64) -> ReqSize {
-        match bytes {
-            0..=16 => ReqSize::B16,
-            17..=32 => ReqSize::B32,
-            33..=64 => ReqSize::B64,
-            65..=128 => ReqSize::B128,
-            _ => ReqSize::B256,
-        }
-    }
 }
 
 /// A coalesced (or bypassed) request transaction bound for the HMC device.
@@ -295,9 +284,6 @@ mod tests {
         assert_eq!(ReqSize::B64.flits(), 4);
         assert_eq!(ReqSize::B128.flits(), 8);
         assert_eq!(ReqSize::B256.flits(), 16);
-        assert_eq!(ReqSize::at_least(1), ReqSize::B16);
-        assert_eq!(ReqSize::at_least(65), ReqSize::B128);
-        assert_eq!(ReqSize::at_least(999), ReqSize::B256);
     }
 
     #[test]
