@@ -21,7 +21,7 @@ use std::process::exit;
 
 use mac_sim::SystemSim;
 use mac_telemetry::{BinarySink, Tracer};
-use mac_types::SystemConfig;
+use mac_types::{bounds, Bound, SystemConfig};
 use mac_workloads::{by_name, extended_workloads, WorkloadParams};
 use soc_sim::{read_trace_file, write_trace_file, ReplayProgram, ThreadProgram};
 
@@ -109,11 +109,13 @@ fn main() {
 fn cmd_gen(args: &[String]) {
     let name = arg(args, 2, "workload name");
     let path = Path::new(arg(args, 3, "output path"));
-    let threads = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let scale = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(2);
-    if scale == 0 {
-        usage_error("scale must be at least 1");
-    }
+    let bounded = |i: usize, bound: &Bound, default: u64| {
+        args.get(i)
+            .map_or(Ok(default), |s| bound.parse(s))
+            .unwrap_or_else(|e| usage_error(&e))
+    };
+    let threads = bounded(4, &bounds::THREADS, 8) as usize;
+    let scale = bounded(5, &bounds::SCALE, 2) as u32;
     let w = by_name(name)
         .unwrap_or_else(|| usage_error(&format!("unknown workload `{name}` (see `help`)")));
     let trace = w.generate(&WorkloadParams {
@@ -158,6 +160,8 @@ fn cmd_run(args: &[String]) {
     });
     let trace = read_trace_file(path).unwrap_or_else(|e| fail(format!("read trace: {e}")));
     let mut cfg = SystemConfig::paper(trace.len());
+    cfg.validate()
+        .unwrap_or_else(|e| fail(format!("trace cannot run: {e}")));
     cfg.mac_disabled = no_mac;
     let programs: Vec<Box<dyn ThreadProgram>> = trace
         .into_iter()

@@ -105,7 +105,7 @@ use mac_sim::engine::{run_experiments, EngineOptions, SimPool};
 use mac_sim::fuzz::{self, FuzzOptions};
 use mac_sim::manifest::{manifest, select};
 use mac_telemetry::{export_merged, read_trace_file, CounterTrack, ProfSnapshot};
-use mac_types::JobId;
+use mac_types::{bounds, Bound, JobId};
 
 const USAGE: &str = "\
 usage: mac-bench [run] [options]
@@ -212,14 +212,13 @@ fn value(args: &[String], i: usize, flag: &str) -> String {
         .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
 }
 
-/// The workload scale following `--scale` at `args[i]`: at least 1,
-/// since several generators take its log2.
-fn scale_value(args: &[String], i: usize) -> u32 {
-    match value(args, i, "--scale").parse() {
-        Ok(0) => usage_error("--scale must be at least 1"),
-        Ok(scale) => scale,
-        Err(_) => usage_error("--scale needs an integer"),
-    }
+/// The value of `flag` at `args[i]`, read through its row of the bounds
+/// table: a non-number or a value out of range is a usage error naming
+/// the field and its range.
+fn bounded_value(args: &[String], i: usize, flag: &str, bound: &Bound) -> u64 {
+    bound
+        .parse(&value(args, i, flag))
+        .unwrap_or_else(|e| usage_error(&e))
 }
 
 fn parse_run_args(args: &[String]) -> Cli {
@@ -242,7 +241,7 @@ fn parse_run_args(args: &[String]) -> Cli {
                 i += 1;
             }
             "--scale" => {
-                cli.opts.scale = scale_value(args, i);
+                cli.opts.scale = bounded_value(args, i, "--scale", &bounds::SCALE) as u32;
                 i += 1;
             }
             "--out" => {
@@ -544,16 +543,7 @@ fn fuzz_main(args: &[String]) {
                 i += 1;
             }
             "--max-cycles" => {
-                opts.max_cycles = value(args, i, "--max-cycles")
-                    .parse()
-                    .ok()
-                    .filter(|n| fuzz::MAX_CYCLES_BOUND.contains(n))
-                    .unwrap_or_else(|| {
-                        usage_error(&format!(
-                            "--max-cycles needs an integer in {:?}",
-                            fuzz::MAX_CYCLES_BOUND
-                        ))
-                    });
+                opts.max_cycles = bounded_value(args, i, "--max-cycles", &bounds::MAX_CYCLES);
                 i += 1;
             }
             "--smoke" => smoke = true,
@@ -1026,16 +1016,11 @@ fn parse_guest_args(args: &[String]) -> GuestCli {
     while i < args.len() {
         match args[i].as_str() {
             "--threads" => {
-                cli.params.threads = value(args, i, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threads needs an integer"));
-                if cli.params.threads == 0 {
-                    usage_error("--threads must be at least 1");
-                }
+                cli.params.threads = bounded_value(args, i, "--threads", &bounds::THREADS) as usize;
                 i += 1;
             }
             "--scale" => {
-                cli.params.scale = scale_value(args, i);
+                cli.params.scale = bounded_value(args, i, "--scale", &bounds::SCALE) as u32;
                 i += 1;
             }
             "--seed" => {

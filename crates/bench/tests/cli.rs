@@ -1,7 +1,9 @@
-//! Command-line validation: a workload scale of 0 or a fuzz cycle cap
-//! outside the reproducer's bound is a usage error (exit 2) before any
-//! work starts, not a panic inside a generator that takes the scale's
-//! log2 or a reproducer that cannot be replayed; a corrupt trace file is
+//! Command-line validation: a thread count, workload scale or fuzz cycle
+//! cap outside its row of the bounds table, or not a number, is a usage
+//! error (exit 2) naming the field and its range before any work
+//! starts, not a panic inside a generator that takes the scale's log2, a
+//! silent default or a reproducer that cannot be replayed; a corrupt
+//! trace file is
 //! a runtime failure (exit 1), not a panic (exit 101); and a well-formed
 //! trace with extreme field values renders (exit 0), its conflict
 //! heatmap one row per vault that has a conflict.
@@ -31,6 +33,70 @@ fn zero_scale_is_a_usage_error() {
     let tools = env!("CARGO_BIN_EXE_trace_tools");
     assert_eq!(exit_code(tools, &["gen", "bfs", out, "2", "0"]), Some(2));
     assert!(!std::path::Path::new(out).exists(), "no trace is written");
+}
+
+/// Standard error of `bin` run with `args`, which must exit 2.
+fn usage_error(bin: &str, args: &[&str]) -> String {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn sweep_values_outside_the_table_are_usage_errors() {
+    let out = std::env::temp_dir().join(format!("mac-cli-{}-sweep.mact", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    let tools = env!("CARGO_BIN_EXE_trace_tools");
+    for (args, message) in [
+        // 0 threads divide by zero in the generator.
+        (["gups", out, "0", "1"], "threads=0 outside 1..=64"),
+        // A non-number must not fall back to the default 8 threads.
+        (
+            ["stream", out, "eight", "1"],
+            "threads=eight outside 1..=64",
+        ),
+        // Scale 65 would write a 3,194,880-op trace.
+        (["stream", out, "2", "65"], "scale=65 outside 1..=64"),
+    ] {
+        let args = [&["gen"][..], &args].concat();
+        let err = usage_error(tools, &args);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+    assert!(!std::path::Path::new(out).exists(), "no trace is written");
+    let bench = env!("CARGO_BIN_EXE_mac-bench");
+    let err = usage_error(bench, &["--scale", "65", "--list"]);
+    assert!(err.contains("scale=65 outside 1..=64"), "{err}");
+}
+
+#[test]
+fn trace_thread_count_outside_the_table_is_a_runtime_failure() {
+    // A `.mact` whose header names 0 or 65 threads, each with no
+    // records.
+    let tools = env!("CARGO_BIN_EXE_trace_tools");
+    for threads in [0u16, 65] {
+        let mut raw = b"MACT".to_vec();
+        raw.extend_from_slice(&1u16.to_le_bytes());
+        raw.extend_from_slice(&threads.to_le_bytes());
+        for _ in 0..threads {
+            raw.extend_from_slice(&0u64.to_le_bytes());
+        }
+        let path = std::env::temp_dir().join(format!(
+            "mac-cli-{}-threads{threads}.mact",
+            std::process::id()
+        ));
+        std::fs::write(&path, &raw).expect("write crafted trace");
+        let out = Command::new(tools)
+            .args(["run", path.to_str().expect("utf-8 temp path")])
+            .output()
+            .expect("binary runs");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{threads} threads");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("threads={threads} outside 1..=64")),
+            "{err}"
+        );
+    }
 }
 
 #[test]

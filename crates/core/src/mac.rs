@@ -7,7 +7,7 @@
 //! advance the builder pipeline, collecting any finished transaction.
 
 use mac_telemetry::{TraceEvent, Tracer, POP_BUILDER, POP_BYPASS, POP_FENCE};
-use mac_types::{Cycle, FlitMap, HmcRequest, MacConfig, MemOpKind, RawRequest, ReqSize};
+use mac_types::{Cycle, HmcRequest, MacConfig, MemOpKind, RawRequest, ReqSize};
 use std::collections::VecDeque;
 
 use crate::arq::{Arq, ArqEntry, InsertOutcome};
@@ -75,18 +75,7 @@ impl Mac {
     pub fn try_accept_with_backlog(&mut self, raw: RawRequest, now: Cycle, backlog: usize) -> bool {
         match raw.kind {
             MemOpKind::Atomic => {
-                let mut fm = FlitMap::new();
-                fm.set(raw.addr.flit());
-                self.direct.push_back(HmcRequest {
-                    addr: raw.addr.flit_base(),
-                    size: ReqSize::B16,
-                    is_write: false,
-                    is_atomic: true,
-                    flit_map: fm,
-                    targets: vec![raw.target],
-                    raw_ids: vec![raw.id],
-                    dispatched_at: now,
-                });
+                self.direct.push_back(HmcRequest::single_flit(&raw, now));
                 self.stats.raw_atomics += 1;
                 true
             }

@@ -58,9 +58,9 @@ impl HostPort {
     /// `now`. Returns `(link its response returns on, cycle the packet
     /// has fully arrived at the cube)`.
     ///
-    /// A packet that fails CRC is replayed from the retry buffer: the
-    /// timeout passes on the first link's upstream channel, then the
-    /// packet re-serializes on the earliest-free link.
+    /// A packet that fails CRC is replayed from the retry buffer: after
+    /// the `retry_penalty`-cycle timeout it re-serializes on the same
+    /// link. The timeout is a pure delay; no upstream channel is touched.
     #[inline]
     pub fn send_request(&mut self, now: Cycle, flits: u64) -> (usize, Cycle) {
         let (link, mut at_cube) = self.links.send_request(now, flits);
@@ -68,10 +68,7 @@ impl HostPort {
             self.retries += 1;
             at_cube = self
                 .links
-                .send_response(link, at_cube + self.retry_penalty, 0)
-                .max(at_cube + self.retry_penalty);
-            let (_, resent) = self.links.send_request(at_cube, flits);
-            at_cube = resent;
+                .send_request_on(link, at_cube + self.retry_penalty, flits);
         }
         (link, at_cube)
     }
@@ -96,5 +93,30 @@ impl HostPort {
     /// Append the host links' FLIT-utilization series.
     pub fn sample_metrics(&self, s: &mut mac_metrics::Sampler<'_>) {
         self.links.sample_metrics(s);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_timeout_leaves_the_response_channel_free() {
+        let one_link = HmcConfig {
+            links: 1,
+            ..HmcConfig::default()
+        };
+        let mut port = HostPort::new(&HmcConfig {
+            link_error_rate: 0.99,
+            ..one_link.clone()
+        });
+        let (link, at_cube) = port.send_request(0, 1);
+        assert!(port.retries() > 0);
+        assert!(at_cube > 10 + one_link.retry_penalty);
+        // A response ready at cycle 10, before the first timeout ends,
+        // serializes at once, as it would on a link that never failed.
+        let clean = HostPort::new(&one_link).send_response(0, 10, 2);
+        assert_eq!(clean, 14);
+        assert_eq!(port.send_response(link, 10, 2), clean);
     }
 }

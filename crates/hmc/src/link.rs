@@ -70,36 +70,36 @@ impl LinkSet {
             .min_by_key(|(_, c)| c.free_at_x16)
             .map(|(i, _)| i)
             .expect("non-empty link set");
+        (link, self.send_request_on(link, now, flits))
+    }
+
+    /// Serialize a request packet of `flits` downstream on the given link
+    /// (a CRC replay goes out on the link that failed). Returns the cycle
+    /// the packet has fully arrived at the cube.
+    pub fn send_request_on(&mut self, link: usize, now: Cycle, flits: u64) -> Cycle {
         let (start, done) = self.down[link].transmit(now, flits, self.flit_x16);
-        if flits > 0 {
-            self.tracer.emit(now, || TraceEvent::LinkTx {
-                link: link as u8,
-                up: false,
-                flits: flits as u16,
-                start,
-                done,
-            });
-        }
-        (link, done)
+        self.tracer.emit(now, || TraceEvent::LinkTx {
+            link: link as u8,
+            up: false,
+            flits: flits as u16,
+            start,
+            done,
+        });
+        done
     }
 
     /// Serialize a response packet of `flits` upstream on the given link
     /// (responses return on the link that carried the request). Returns the
     /// cycle the packet has fully arrived at the host.
-    ///
-    /// Zero-FLIT sends model pure delay (the retry-timeout path) and are
-    /// not traced.
     pub fn send_response(&mut self, link: usize, now: Cycle, flits: u64) -> Cycle {
         let (start, done) = self.up[link].transmit(now, flits, self.flit_x16);
-        if flits > 0 {
-            self.tracer.emit(now, || TraceEvent::LinkTx {
-                link: link as u8,
-                up: true,
-                flits: flits as u16,
-                start,
-                done,
-            });
-        }
+        self.tracer.emit(now, || TraceEvent::LinkTx {
+            link: link as u8,
+            up: true,
+            flits: flits as u16,
+            start,
+            done,
+        });
         done
     }
 

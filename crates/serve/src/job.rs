@@ -19,12 +19,9 @@
 //! applied over the paper's Table 1 configuration, the same
 //! base-plus-overrides idiom as the fuzz reproducer format.
 
-use std::ops::RangeInclusive;
-
 use mac_sim::engine::{experiment_cache_key, SimRequest};
 use mac_sim::experiment::ExperimentConfig;
-use mac_sim::fuzz::{ACCEPT_BOUND, ARQ_BOUND, MAX_CYCLES_BOUND, POP_BOUND};
-use mac_types::{CubeMapping, JobId, MacPlacement, NetTopology};
+use mac_types::{bounds, CubeMapping, JobId, MacPlacement, NetTopology};
 
 use crate::proto::{Fields, Msg, Scalar};
 
@@ -173,10 +170,26 @@ impl JobSpec {
 
     /// Build a spec from a `submit` message's fields. `entry=` selects a
     /// manifest-entry job; otherwise `workload=` (required) starts from
-    /// the paper configuration and applies any overrides present.
+    /// the paper configuration and applies any overrides present. A
+    /// number field that is not a number, or a configuration the bounds
+    /// table rejects ([`ExperimentConfig::validate`]), is an `Err`.
     pub fn from_fields(f: &Fields) -> Result<JobSpec, String> {
-        let num = |key: &str| f.get(key).and_then(Scalar::as_u64);
+        let num = |key: &str| match f.get(key) {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("{key} needs a number")),
+        };
+        // A count too large for `usize` saturates, which the bounds
+        // table still rejects.
+        let count =
+            |key: &str| Ok::<_, String>(num(key)?.map(|v| v.try_into().unwrap_or(usize::MAX)));
         let flag = |key: &str| f.get(key).and_then(Scalar::as_bool);
+        // Checked before it narrows to the field's `u32`.
+        let scale = num("scale")?
+            .map(|v| bounds::SCALE.check(v).map(|v| v as u32))
+            .transpose()?;
         if let Some(entry) = f.get("entry").and_then(Scalar::as_str) {
             if mac_sim::manifest::manifest()
                 .iter()
@@ -184,8 +197,7 @@ impl JobSpec {
             {
                 return Err(format!("unknown manifest entry `{entry}`"));
             }
-            let scale = clamp(num("scale").unwrap_or(1), SCALE_BOUND);
-            return Ok(JobSpec::entry(entry, scale as u32));
+            return Ok(JobSpec::entry(entry, scale.unwrap_or(1)));
         }
         let Some(workload) = f.get("workload").and_then(Scalar::as_str) else {
             return Err("submit needs `entry` or `workload`".into());
@@ -193,28 +205,27 @@ impl JobSpec {
         if mac_workloads::by_name(workload).is_none() {
             return Err(format!("unknown workload `{workload}`"));
         }
-        let threads = num("threads").unwrap_or(8).clamp(1, 64) as usize;
-        let mut cfg = ExperimentConfig::paper(threads);
-        if let Some(v) = num("scale") {
-            cfg.workload.scale = clamp(v, SCALE_BOUND) as u32;
+        let mut cfg = ExperimentConfig::paper(count("threads")?.unwrap_or(8));
+        if let Some(v) = scale {
+            cfg.workload.scale = v;
         }
-        if let Some(v) = num("seed") {
+        if let Some(v) = num("seed")? {
             cfg.workload.seed = v;
         }
-        if let Some(v) = num("maxcycles") {
-            cfg.max_cycles = clamp(v, MAX_CYCLES_BOUND);
+        if let Some(v) = num("maxcycles")? {
+            cfg.max_cycles = v;
         }
         if flag("nomac").unwrap_or(false) {
             cfg.system.mac_disabled = true;
         }
-        if let Some(v) = num("arq") {
-            cfg.system.mac.arq_entries = clamp(v, ARQ_BOUND) as usize;
+        if let Some(v) = count("arq")? {
+            cfg.system.mac.arq_entries = v;
         }
-        if let Some(v) = num("pop") {
-            cfg.system.mac.pop_interval = clamp(v, POP_BOUND);
+        if let Some(v) = num("pop")? {
+            cfg.system.mac.pop_interval = v;
         }
-        if let Some(v) = num("accepts") {
-            cfg.system.mac.accepts_per_cycle = clamp(v, ACCEPT_BOUND) as usize;
+        if let Some(v) = count("accepts")? {
+            cfg.system.mac.accepts_per_cycle = v;
         }
         if let Some(v) = flag("bypass") {
             cfg.system.mac.bypass_enabled = v;
@@ -222,7 +233,7 @@ impl JobSpec {
         if let Some(v) = flag("hiding") {
             cfg.system.mac.latency_hiding = v;
         }
-        if let Some(cubes) = num("cubes") {
+        if let Some(cubes) = count("cubes")? {
             let topology = match f
                 .get("topology")
                 .and_then(Scalar::as_str)
@@ -242,8 +253,7 @@ impl JobSpec {
                 "percube" => MacPlacement::PerCube,
                 other => return Err(format!("unknown placement `{other}`")),
             };
-            topology.check_cubes(cubes)?;
-            cfg.system = cfg.system.with_net(cubes as usize, topology, placement);
+            cfg.system = cfg.system.with_net(cubes, topology, placement);
             if let Some(mapping) = f.get("mapping").and_then(Scalar::as_str) {
                 cfg.system.net.mapping = match mapping {
                     "contig" => CubeMapping::Contiguous,
@@ -252,19 +262,11 @@ impl JobSpec {
                 };
             }
         }
+        cfg.validate()?;
         let mut spec = JobSpec::sim(workload, cfg);
         spec.checked = flag("checked").unwrap_or(false);
         Ok(spec)
     }
-}
-
-/// Workload scales a job may ask for. Several generators take the
-/// scale's log2, so 0 panics them, and a trace grows with the scale.
-pub const SCALE_BOUND: RangeInclusive<u64> = 1..=64;
-
-/// `v` clamped into `bound`, the range the job accepts for the field.
-fn clamp(v: u64, bound: RangeInclusive<u64>) -> u64 {
-    v.clamp(*bound.start(), *bound.end())
 }
 
 fn topology_token(t: NetTopology) -> &'static str {
@@ -394,64 +396,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn huge_pop_is_clamped_and_runs() {
-        let line = "{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"nqueens\",\"threads\":1,\"pop\":18446744073709551615,\"maxcycles\":200000}";
-        let spec = JobSpec::from_fields(&decode_fields(line).unwrap()).unwrap();
-        let JobKind::Sim { workload, cfg } = &spec.kind else {
-            panic!("not a sim job: {spec:?}");
-        };
-        assert_eq!(cfg.system.mac.pop_interval, *POP_BOUND.end());
-        // Unclamped, the MAC's `now + pop_interval` overflowed here.
-        let w = mac_workloads::by_name(workload).expect("known workload");
-        mac_sim::experiment::run_workload(w.as_ref(), cfg);
+    fn submit(fields: &str) -> Result<JobSpec, String> {
+        let line = format!("{{\"proto\":\"macs-1\",\"type\":\"submit\",{fields}}}");
+        JobSpec::from_fields(&decode_fields(&line).unwrap())
     }
 
     #[test]
-    fn zero_and_huge_cycle_caps_are_clamped() {
-        for (maxcycles, want) in [
-            (0, *MAX_CYCLES_BOUND.start()),
-            (u64::MAX, *MAX_CYCLES_BOUND.end()),
-            (20_000, 20_000),
-        ] {
-            let line = format!(
-                "{{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"sg\",\"maxcycles\":{maxcycles}}}"
-            );
-            let spec = JobSpec::from_fields(&decode_fields(&line).unwrap()).unwrap();
-            let JobKind::Sim { cfg, .. } = &spec.kind else {
-                panic!("not a sim job: {spec:?}");
-            };
-            assert_eq!(cfg.max_cycles, want, "maxcycles {maxcycles}");
+    fn huge_pop_is_rejected() {
+        // The MAC's `now + pop_interval` would overflow.
+        let err = submit("\"workload\":\"nqueens\",\"threads\":1,\"pop\":18446744073709551615")
+            .expect_err("pop=u64::MAX");
+        assert_eq!(err, "pop=18446744073709551615 outside 1..=65536");
+    }
+
+    #[test]
+    fn zero_and_huge_cycle_caps_are_rejected() {
+        for maxcycles in [0, 200_000_001, u64::MAX] {
+            let err = submit(&format!("\"workload\":\"sg\",\"maxcycles\":{maxcycles}"))
+                .expect_err("out of range");
+            assert_eq!(err, format!("maxcycles={maxcycles} outside 1..=200000000"));
         }
-    }
-
-    #[test]
-    fn zero_and_huge_scales_are_clamped_and_run() {
-        let submit = |fields: &str| {
-            let line = format!("{{\"proto\":\"macs-1\",\"type\":\"submit\",{fields}}}");
-            JobSpec::from_fields(&decode_fields(&line).unwrap()).unwrap()
-        };
-        let spec = submit("\"workload\":\"bfs\",\"threads\":2,\"scale\":0,\"maxcycles\":20000");
-        let JobKind::Sim { workload, cfg } = &spec.kind else {
-            panic!("not a sim job: {spec:?}");
-        };
-        assert_eq!(cfg.workload.scale, 1);
-        // Unclamped, bfs took `0.ilog2()` here.
-        let w = mac_workloads::by_name(workload).expect("known workload");
-        mac_sim::experiment::run_workload(w.as_ref(), cfg);
-
-        let spec = submit("\"workload\":\"bfs\",\"scale\":4294967296");
+        let spec = submit("\"workload\":\"sg\",\"maxcycles\":20000").unwrap();
         let JobKind::Sim { cfg, .. } = &spec.kind else {
             panic!("not a sim job: {spec:?}");
         };
-        assert_eq!(cfg.workload.scale as u64, *SCALE_BOUND.end());
-        for (scale, want) in [(0, 1), (1u64 << 32, *SCALE_BOUND.end())] {
-            let spec = submit(&format!("\"entry\":\"smoke\",\"scale\":{scale}"));
-            assert_eq!(
-                spec.kind,
-                JobSpec::entry("smoke", want as u32).kind,
-                "{scale}"
-            );
+        assert_eq!(cfg.max_cycles, 20_000);
+    }
+
+    #[test]
+    fn zero_and_huge_scales_are_rejected() {
+        // Scale 0 would make bfs take `0.ilog2()`.
+        for job in ["\"workload\":\"bfs\",\"threads\":2", "\"entry\":\"smoke\""] {
+            for scale in [0, 65, 1u64 << 32] {
+                let err = submit(&format!("{job},\"scale\":{scale}")).expect_err("out of range");
+                assert_eq!(err, format!("scale={scale} outside 1..=64"), "{job}");
+            }
+        }
+        let spec = submit("\"entry\":\"smoke\",\"scale\":64").unwrap();
+        assert_eq!(spec.kind, JobSpec::entry("smoke", 64).kind);
+    }
+
+    #[test]
+    fn non_number_fields_are_rejected() {
+        // A string must not fall back to the field's default.
+        for field in ["threads", "scale", "maxcycles", "arq", "cubes"] {
+            let err =
+                submit(&format!("\"workload\":\"sg\",\"{field}\":\"eight\"")).expect_err(field);
+            assert_eq!(err, format!("{field} needs a number"));
         }
     }
 

@@ -24,7 +24,7 @@ use mac_coalescer::{
 use mac_metrics::{MetricsHub, Sampler};
 use mac_net::NetDevice;
 use mac_telemetry::{Profiler, TraceEvent, Tracer, ROUTE_GLOBAL, ROUTE_LOCAL, ROUTE_STALLED};
-use mac_types::{Cycle, FlitMap, HmcRequest, MemOpKind, RawRequest, ReqSize, SystemConfig};
+use mac_types::{Cycle, HmcRequest, SystemConfig};
 use soc_sim::{Node, SocMetrics};
 
 use crate::progress::{ProgressProbe, PHASE_DONE, PHASE_RUNNING};
@@ -45,23 +45,6 @@ pub(crate) fn merge_next(next: Option<Cycle>, t: Option<Cycle>) -> Option<Cycle>
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, None) => a,
         (None, b) => b,
-    }
-}
-
-/// Wrap a raw request as a single-FLIT device transaction: the baseline
-/// "without MAC" path in both topologies.
-pub(crate) fn raw_to_txn(raw: &RawRequest, now: Cycle) -> HmcRequest {
-    let mut fm = FlitMap::new();
-    fm.set(raw.addr.flit());
-    HmcRequest {
-        addr: raw.addr.flit_base(),
-        size: ReqSize::B16,
-        is_write: raw.kind == MemOpKind::Store,
-        is_atomic: raw.kind == MemOpKind::Atomic,
-        flit_map: fm,
-        targets: vec![raw.target],
-        raw_ids: vec![raw.id],
-        dispatched_at: now,
     }
 }
 

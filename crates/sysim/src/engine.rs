@@ -68,7 +68,9 @@ use crate::report::RunReport;
 /// v4: `AdaptConfig` joined `SystemConfig` and its fingerprint.
 /// v5: `AdaptConfig` lost its bypass-toggle switch and that switch's
 /// fingerprint byte.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// v6: a CRC retry replays on the failed link after a pure delay, so
+/// every run with a non-zero link error rate changed.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// Default metrics sampling interval in simulated cycles.
 pub const DEFAULT_METRICS_INTERVAL: u64 = 10_000;
@@ -1002,17 +1004,17 @@ mod tests {
         // keys: a change here orphans every cached result.
         assert_eq!(
             format!("{:032x}", experiment_cache_key("smoke", 1)),
-            "ee32bdea4cab2001a4a048bb6ef8c081"
+            "f8ed07396551e6dbac93446e0130676c"
         );
         assert_eq!(
             format!("{:032x}", experiment_cache_key("fig10", 2)),
-            "21f1e5c83c5e8a9c923babbd67b53620"
+            "29b7ca943ac1413f4ed9624842be7df5"
         );
         let mut cfg = ExperimentConfig::paper(8);
         cfg.workload.scale = 2;
         assert_eq!(
             format!("{:032x}", SimRequest::new("sg", &cfg).fingerprint()),
-            "45039865861628c8cdd188b9ed08ff90"
+            "e161251048336f2895fa0699f3dc8823"
         );
     }
 

@@ -4,7 +4,7 @@
 //! and work stealing lives in [`crate::engine`].
 
 use mac_check::{ConformanceChecker, OracleReplay, Violation};
-use mac_types::{Fingerprint, Fnv128, MacPlacement, SystemConfig};
+use mac_types::{bounds, Fingerprint, Fnv128, MacPlacement, SystemConfig};
 use mac_workloads::{Workload, WorkloadParams};
 use soc_sim::{ReplayProgram, ThreadOp, ThreadProgram};
 
@@ -30,7 +30,7 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             system: SystemConfig::default(),
             workload: WorkloadParams::default(),
-            max_cycles: *crate::fuzz::MAX_CYCLES_BOUND.end(),
+            max_cycles: *bounds::MAX_CYCLES.range.end(),
         }
     }
 }
@@ -47,6 +47,37 @@ impl ExperimentConfig {
             ..ExperimentConfig::default()
         }
     }
+
+    /// Check the configuration against the bounds table
+    /// ([`mac_types::bounds`]): the system, the workload's threads and
+    /// scale, and the cycle cap. A workload runs on one node, so
+    /// `soc.nodes` must be 1. Every door that takes a configuration from
+    /// outside calls this and rejects what fails.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_run(&self.system, 1, self.max_cycles)?;
+        bounds::THREADS.check(self.workload.threads as u64)?;
+        bounds::SCALE.check(u64::from(self.workload.scale))?;
+        Ok(())
+    }
+}
+
+/// Check a run of `nodes` program sets under `sys` for at most
+/// `max_cycles`: the system and the cycle cap against the bounds table,
+/// and `sys.soc.nodes` against the node count the run builds.
+pub(crate) fn validate_run(
+    sys: &SystemConfig,
+    nodes: usize,
+    max_cycles: u64,
+) -> Result<(), String> {
+    sys.validate()?;
+    bounds::MAX_CYCLES.check(max_cycles)?;
+    if sys.soc.nodes != nodes {
+        return Err(format!(
+            "nodes={} but the run builds {nodes} node(s)",
+            sys.soc.nodes
+        ));
+    }
+    Ok(())
 }
 
 impl Fingerprint for ExperimentConfig {
@@ -103,6 +134,10 @@ pub fn run_workload_stepped(
 /// per-cube loop (single node only); everything else (single device,
 /// multi-node, host-side coalescing over a network) runs `SystemSim`.
 /// Returns the report and the checker, if one was attached.
+///
+/// Every workload and checked run starts here, so a debug build holds
+/// every configuration the code builds to the bounds table, and to one
+/// program set per node.
 fn run_placed(
     sys: &SystemConfig,
     programs: Vec<Vec<Box<dyn ThreadProgram>>>,
@@ -131,6 +166,7 @@ fn run_placed(
         let report = sim.run(max_cycles);
         (report, sim.take_checker())
     }
+    debug_assert_eq!(validate_run(sys, programs.len(), max_cycles), Ok(()));
     if sys.net.enabled && sys.net.placement == MacPlacement::PerCube {
         let [node]: [_; 1] = programs
             .try_into()

@@ -21,18 +21,19 @@
 //! isolation.
 
 use std::fmt::Write as _;
-use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use mac_types::{
-    AdaptConfig, CubeMapping, FlitTablePolicy, MacPlacement, MemOpKind, NetTopology, PhysAddr,
-    SystemConfig,
+    AdaptConfig, Bound, CubeMapping, FlitTablePolicy, MacPlacement, MemOpKind, NetConfig,
+    NetTopology, PhysAddr, SystemConfig,
 };
 use soc_sim::ThreadOp;
 
-use crate::experiment::{run_ops_checked, run_workload_checked, CheckedRun, ExperimentConfig};
+use crate::experiment::{
+    run_ops_checked, run_workload_checked, validate_run, CheckedRun, ExperimentConfig,
+};
 
 /// Knobs for one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -255,8 +256,7 @@ fn gen_case(rng: &mut SmallRng, max_cycles: u64, adaptive: bool) -> FuzzCase {
     if adaptive {
         sys.adapt = gen_adapt(rng);
     }
-    let nodes = if sys.net.enabled { 1 } else { sys.soc.nodes };
-    let ops = (0..nodes.max(1))
+    let ops = (0..sys.soc.nodes)
         .map(|_| (0..sys.soc.threads).map(|_| gen_thread_ops(rng)).collect())
         .collect();
     FuzzCase {
@@ -279,6 +279,7 @@ fn shrink_case(case: &FuzzCase, mut budget: u32) -> FuzzCase {
             for n in (0..best.ops.len()).rev() {
                 let mut cand = best.clone();
                 cand.ops.remove(n);
+                cand.sys.soc.nodes -= 1;
                 budget = budget.saturating_sub(1);
                 if !failure_lines(&cand.run()).is_empty() {
                     best = cand;
@@ -462,36 +463,33 @@ fn kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
         .and_then(|rest| rest.strip_prefix('='))
 }
 
-// Bounds on a reproducer's numbers. Thread, node and ARQ counts size
-// tables the replay allocates; pop intervals, accept widths, adaptive
-// votes and compute cycles feed cycle and counter arithmetic that
-// overflows far above these bounds. The fuzzer draws well inside all of
-// them. mac-serve clamps submissions to the public ones.
-const COUNT_BOUND: RangeInclusive<u64> = 1..=64;
-/// ARQ entries a reproducer or a served job may ask for.
-pub const ARQ_BOUND: RangeInclusive<u64> = 1..=4096;
-/// MAC pop intervals, in cycles, a reproducer or a served job may ask
-/// for; the MAC adds the interval to the current cycle.
-pub const POP_BOUND: RangeInclusive<u64> = 1..=65_536;
-/// Accepts per cycle a reproducer or a served job may ask for.
-pub const ACCEPT_BOUND: RangeInclusive<u64> = 1..=64;
-/// Cycle caps a reproducer, a fuzz campaign or a served job may ask
-/// for. The top is [`ExperimentConfig`]'s default cap, so no input can
-/// hold a run for longer than an unconfigured experiment.
-///
-/// [`ExperimentConfig`]: crate::experiment::ExperimentConfig
-pub const MAX_CYCLES_BOUND: RangeInclusive<u64> = 1..=200_000_000;
-const VOTE_BOUND: RangeInclusive<u64> = 0..=65_536;
-const COMPUTE_BOUND: RangeInclusive<u64> = 0..=(1 << 32);
+/// Parse the value `v` of field `k` as the field's own type. Whether it
+/// lies in range is the bounds table's call, made once the whole case is
+/// read.
+fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad number {k}={v}: {e}"))
+}
+
+/// Cycles one compute op may take; they feed the core's cycle
+/// arithmetic. This bounds trace data, not configuration, so it is not
+/// in the bounds table.
+const COMPUTE: Bound = Bound {
+    name: "C",
+    range: 0..=(1 << 32),
+};
 
 /// Parse a reproducer produced by [`encode_reproducer`]. Reproducers
 /// are user input to `mac-bench fuzz --replay`, so anything the
-/// simulator cannot replay is an `Err`, never a panic: a thread or node
-/// count outside 1..=64, an ARQ outside 1..=4096 entries, a cycle cap
-/// outside [`MAX_CYCLES_BOUND`], a pop interval, accept width, adaptive
-/// bound or compute op outside the range that keeps the replay's
-/// arithmetic from overflowing, a cube count or network shape that
-/// cannot be wired, or several nodes under per-cube MACs.
+/// simulator cannot replay is an `Err`, never a panic: a malformed line,
+/// a number that does not fit its field, a compute op above 2^32
+/// cycles, or a configuration the bounds table rejects
+/// ([`SystemConfig::validate`] and the cycle cap: thread and node
+/// counts, ARQ size, pop and accept rates, queue depths, adaptive
+/// bounds, a network that cannot be wired, several nodes under per-cube
+/// MACs).
 pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     match lines.next() {
@@ -501,18 +499,9 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     let mut max_cycles = 2_000_000u64;
     let mut sys: Option<SystemConfig> = None;
     let mut nodes = 1usize;
-    let mut net: Option<(bool, usize, NetTopology, MacPlacement, CubeMapping)> = None;
+    let mut net: Option<NetConfig> = None;
     let mut adapt: Option<AdaptConfig> = None;
     let mut threads: Vec<(usize, usize, Vec<ThreadOp>)> = Vec::new();
-    let parse = |v: &str| -> Result<u64, String> {
-        v.parse::<u64>().map_err(|e| format!("bad number {v}: {e}"))
-    };
-    let bounded = |k: &str, v: &str, bound: RangeInclusive<u64>| -> Result<u64, String> {
-        match parse(v)? {
-            n if bound.contains(&n) => Ok(n),
-            n => Err(format!("{k}={n} outside {bound:?}")),
-        }
-    };
     for line in lines {
         let line = line.trim();
         if line.starts_with('#') {
@@ -521,74 +510,59 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
         let mut toks = line.split_whitespace();
         match toks.next() {
             Some("maxcycles") => {
-                let v = toks.next().ok_or("maxcycles needs a value")?;
-                max_cycles = bounded("maxcycles", v, MAX_CYCLES_BOUND)?;
+                max_cycles = num("maxcycles", toks.next().ok_or("maxcycles needs a value")?)?;
             }
             Some("config") => {
-                let mut threads_cfg = 1usize;
-                let mut pending: Vec<(String, String)> = Vec::new();
+                let mut s = SystemConfig::paper(1);
                 for tok in toks {
                     let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad {tok}"))?;
-                    if k == "threads" {
-                        threads_cfg = bounded(k, v, COUNT_BOUND)? as usize;
-                    } else {
-                        pending.push((k.to_string(), v.to_string()));
-                    }
-                }
-                let mut s = SystemConfig::paper(threads_cfg);
-                for (k, v) in pending {
-                    match k.as_str() {
-                        "arq" => s.mac.arq_entries = bounded(&k, &v, ARQ_BOUND)? as usize,
-                        "pop" => s.mac.pop_interval = bounded(&k, &v, POP_BOUND)?,
-                        "accepts" => {
-                            s.mac.accepts_per_cycle = bounded(&k, &v, ACCEPT_BOUND)? as usize
-                        }
+                    match k {
+                        "threads" => s.soc.threads = num(k, v)?,
+                        "arq" => s.mac.arq_entries = num(k, v)?,
+                        "pop" => s.mac.pop_interval = num(k, v)?,
+                        "accepts" => s.mac.accepts_per_cycle = num(k, v)?,
                         "bypass" => s.mac.bypass_enabled = v == "1",
                         "hiding" => s.mac.latency_hiding = v == "1",
                         "table" => {
-                            s.mac.flit_table = match v.as_str() {
+                            s.mac.flit_table = match v {
                                 "span" => FlitTablePolicy::SpanRounded,
                                 "always256" => FlitTablePolicy::Always256,
                                 "perchunk64" => FlitTablePolicy::PerChunk64,
                                 _ => return Err(format!("unknown table {v}")),
                             }
                         }
-                        "router" => s.mac.router_queue_depth = parse(&v)? as usize,
-                        "vaultq" => s.hmc.vault_queue_depth = parse(&v)? as usize,
-                        "maxout" => s.soc.max_outstanding_per_thread = parse(&v)? as usize,
+                        "router" => s.mac.router_queue_depth = num(k, v)?,
+                        "vaultq" => s.hmc.vault_queue_depth = num(k, v)?,
+                        "maxout" => s.soc.max_outstanding_per_thread = num(k, v)?,
                         "macdisabled" => s.mac_disabled = v == "1",
-                        "nodes" => nodes = bounded(&k, &v, COUNT_BOUND)? as usize,
+                        "nodes" => nodes = num(k, v)?,
                         _ => return Err(format!("unknown config key {k}")),
                     }
                 }
                 sys = Some(s);
             }
             Some("net") => {
-                let mut enabled = false;
-                let mut cubes = 1u64;
-                let mut topology = NetTopology::DaisyChain;
-                let mut placement = MacPlacement::HostOnly;
-                let mut mapping = CubeMapping::Interleaved;
+                let mut n = NetConfig::default();
                 for tok in toks {
                     if let Some(v) = kv(tok, "enabled") {
-                        enabled = v == "1";
+                        n.enabled = v == "1";
                     } else if let Some(v) = kv(tok, "cubes") {
-                        cubes = parse(v)?;
+                        n.cubes = num("cubes", v)?;
                     } else if let Some(v) = kv(tok, "topology") {
-                        topology = match v {
+                        n.topology = match v {
                             "daisy" => NetTopology::DaisyChain,
                             "ring" => NetTopology::Ring,
                             "mesh" => NetTopology::Mesh2x2,
                             _ => return Err(format!("unknown topology {v}")),
                         };
                     } else if let Some(v) = kv(tok, "placement") {
-                        placement = match v {
+                        n.placement = match v {
                             "host" => MacPlacement::HostOnly,
                             "percube" => MacPlacement::PerCube,
                             _ => return Err(format!("unknown placement {v}")),
                         };
                     } else if let Some(v) = kv(tok, "mapping") {
-                        mapping = match v {
+                        n.mapping = match v {
                             "contig" => CubeMapping::Contiguous,
                             "interleave" => CubeMapping::Interleaved,
                             _ => return Err(format!("unknown mapping {v}")),
@@ -597,8 +571,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                         return Err(format!("unknown net token {tok}"));
                     }
                 }
-                topology.check_cubes(cubes)?;
-                net = Some((enabled, cubes as usize, topology, placement, mapping));
+                net = Some(n);
             }
             Some("adapt") => {
                 let mut a = AdaptConfig {
@@ -606,22 +579,16 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                     ..AdaptConfig::default()
                 };
                 for tok in toks {
-                    if let Some(v) = kv(tok, "interval") {
-                        a.interval = parse(v)?;
-                    } else if let Some(v) = kv(tok, "minpop") {
-                        a.min_pop_interval = bounded("minpop", v, POP_BOUND)?;
-                    } else if let Some(v) = kv(tok, "maxpop") {
-                        a.max_pop_interval = bounded("maxpop", v, POP_BOUND)?;
-                    } else if let Some(v) = kv(tok, "minacc") {
-                        a.min_accepts = bounded("minacc", v, ACCEPT_BOUND)? as usize;
-                    } else if let Some(v) = kv(tok, "maxacc") {
-                        a.max_accepts = bounded("maxacc", v, ACCEPT_BOUND)? as usize;
-                    } else if let Some(v) = kv(tok, "evidence") {
-                        a.evidence_threshold = bounded("evidence", v, VOTE_BOUND)? as u32;
-                    } else if let Some(v) = kv(tok, "hold") {
-                        a.hold_intervals = bounded("hold", v, VOTE_BOUND)? as u32;
-                    } else {
-                        return Err(format!("unknown adapt token {tok}"));
+                    let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad {tok}"))?;
+                    match k {
+                        "interval" => a.interval = num(k, v)?,
+                        "minpop" => a.min_pop_interval = num(k, v)?,
+                        "maxpop" => a.max_pop_interval = num(k, v)?,
+                        "minacc" => a.min_accepts = num(k, v)?,
+                        "maxacc" => a.max_accepts = num(k, v)?,
+                        "evidence" => a.evidence_threshold = num(k, v)?,
+                        "hold" => a.hold_intervals = num(k, v)?,
+                        _ => return Err(format!("unknown adapt token {tok}")),
                     }
                 }
                 adapt = Some(a);
@@ -629,7 +596,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
             Some("thread") => {
                 let id = toks.next().ok_or("thread needs node.tid")?;
                 let (n, t) = id.split_once('.').ok_or_else(|| format!("bad id {id}"))?;
-                let (n, t) = (parse(n)? as usize, parse(t)? as usize);
+                let (n, t): (usize, usize) = (num("node", n)?, num("thread", t)?);
                 let mut ops = Vec::new();
                 for tok in toks {
                     let op = if tok == "F" {
@@ -642,7 +609,7 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
                     } else if tok == "D" {
                         ThreadOp::Done
                     } else if let Some(v) = tok.strip_prefix("C:") {
-                        ThreadOp::Compute(bounded("C", v, COMPUTE_BOUND)?)
+                        ThreadOp::Compute(COMPUTE.check(num("C", v)?)?)
                     } else {
                         let (k, v) = tok.split_once(':').ok_or_else(|| format!("bad op {tok}"))?;
                         let addr = u64::from_str_radix(v, 16)
@@ -667,22 +634,15 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
         }
     }
     let mut sys = sys.ok_or("missing config line")?;
-    if let Some((enabled, cubes, topology, placement, mapping)) = net {
-        if enabled {
-            sys = sys.with_net(cubes, topology, placement);
-            sys.net.mapping = mapping;
-        }
-    }
-    if !sys.net.enabled {
-        sys.soc.nodes = nodes;
-    } else if sys.net.placement == MacPlacement::PerCube && nodes != 1 {
-        return Err(format!(
-            "per-cube placement models one host node, got nodes={nodes}"
-        ));
+    if let Some(n) = net {
+        sys.net = n;
     }
     if let Some(a) = adapt {
         sys.adapt = a;
     }
+    sys.soc.nodes = nodes;
+    // Checked before `threads` and `nodes` size the op tables.
+    validate_run(&sys, nodes, max_cycles)?;
     let mut ops = vec![vec![Vec::new(); sys.soc.threads]; nodes];
     for (n, t, list) in threads {
         let node = ops
@@ -918,7 +878,8 @@ mod tests {
             let text = format!("{header}maxcycles {bad}\n");
             assert!(decode_reproducer(&text).is_err(), "maxcycles {bad}");
         }
-        for good in [MAX_CYCLES_BOUND.start(), MAX_CYCLES_BOUND.end()] {
+        let cap = mac_types::bounds::MAX_CYCLES.range;
+        for good in [cap.start(), cap.end()] {
             let case = decode_reproducer(&format!("{header}maxcycles {good}\n"))
                 .expect("the bounds themselves are allowed");
             assert_eq!(case.max_cycles, *good);

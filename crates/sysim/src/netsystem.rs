@@ -34,7 +34,7 @@ use mac_telemetry::{TraceEvent, Tracer};
 use mac_types::{Cycle, HmcRequest, MemOpKind, NodeId, RawRequest, SeqWindow, SystemConfig};
 use soc_sim::{Node, SocMetrics, ThreadProgram};
 
-use crate::driver::{issue_into_router, merge_next, raw_to_txn, tick_mac, Fabric, RunDriver};
+use crate::driver::{issue_into_router, merge_next, tick_mac, Fabric, RunDriver};
 
 /// One cube's ingress-side hardware: an arrival queue fed by the fabric
 /// and the MAC that coalesces it.
@@ -170,7 +170,7 @@ impl Fabric for CubeFabric {
                     break;
                 };
                 if mac_disabled {
-                    let txn = raw_to_txn(&raw, now);
+                    let txn = HmcRequest::single_flit(&raw, now);
                     if let Some(c) = checker.as_mut() {
                         c.on_dispatch(&txn, now);
                     }

@@ -32,7 +32,7 @@ use mac_types::{
 };
 use soc_sim::{Node, SocMetrics, ThreadProgram};
 
-use crate::driver::{issue_into_router, merge_next, raw_to_txn, tick_mac, Fabric, RunDriver};
+use crate::driver::{issue_into_router, merge_next, tick_mac, Fabric, RunDriver};
 
 /// One node's hardware.
 struct NodeInstance {
@@ -243,7 +243,7 @@ impl Fabric for NodeFabric {
                         }
                         n.node.complete_fence(&raw);
                     } else {
-                        let txn = raw_to_txn(&raw, now);
+                        let txn = HmcRequest::single_flit(&raw, now);
                         if let Some(c) = checker.as_mut() {
                             c.on_dispatch(&txn, now);
                         }

@@ -5,6 +5,8 @@
 //! RV64 cores x8 @3.3 GHz, 1 MB SPM/core (1 ns), 8 GB HMC with 4 links and
 //! 256 B rows (~93 ns average access), ARQ of 32 x 64 B entries.
 
+use std::ops::RangeInclusive;
+
 /// Core-side (node) configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
@@ -352,6 +354,97 @@ impl NetTopology {
     }
 }
 
+/// One row of the [`bounds`] table: a config value outside input can
+/// set, under the name reproducers, served jobs and command lines give
+/// it, and the values it may take.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Bound {
+    /// The value's name in reproducers, MACS-1 submits and errors.
+    pub name: &'static str,
+    /// The values allowed.
+    pub range: RangeInclusive<u64>,
+}
+
+impl Bound {
+    const fn new(name: &'static str, range: RangeInclusive<u64>) -> Bound {
+        Bound { name, range }
+    }
+
+    /// `value` if it is allowed, else an error naming the field, the
+    /// value and the range: `arq=0 outside 1..=4096`.
+    pub fn check(&self, value: u64) -> Result<u64, String> {
+        if self.range.contains(&value) {
+            Ok(value)
+        } else {
+            Err(self.reject(value))
+        }
+    }
+
+    /// Parse a command-line token as this value. A token that is not a
+    /// number is rejected in the same shape as one out of range.
+    pub fn parse(&self, token: &str) -> Result<u64, String> {
+        token
+            .parse()
+            .map_err(|_| self.reject(token))
+            .and_then(|v| self.check(v))
+    }
+
+    fn reject(&self, value: impl std::fmt::Display) -> String {
+        format!("{}={value} outside {:?}", self.name, self.range)
+    }
+}
+
+/// The range of every config value outside input can set, in one table.
+/// [`SystemConfig::validate`] and `mac_sim`'s `ExperimentConfig::validate`
+/// check a whole configuration against it, and every front door (fuzz
+/// reproducers, mac-serve submissions, the command lines) rejects what
+/// fails: nothing clamps. Counts size tables a run allocates; pop
+/// intervals, accept widths and adaptive votes feed cycle and counter
+/// arithmetic that overflows far above these bounds. Queue depths, the
+/// outstanding-request cap and the adaptive interval only need to be
+/// non-zero. The adaptive rows apply only to an enabled controller.
+pub mod bounds {
+    use super::Bound;
+
+    /// Hardware threads per node (`soc.threads`) and workload threads.
+    pub const THREADS: Bound = Bound::new("threads", 1..=64);
+    /// NUMA nodes (`soc.nodes`).
+    pub const NODES: Bound = Bound::new("nodes", 1..=64);
+    /// Workload scale, of a workload run, a manifest entry or a whole
+    /// `mac-bench` run. Several generators take its log2, and a trace
+    /// grows with it.
+    pub const SCALE: Bound = Bound::new("scale", 1..=64);
+    /// Cycle cap of a run. The top is `ExperimentConfig`'s default cap,
+    /// so no input can hold a run longer than an unconfigured experiment.
+    pub const MAX_CYCLES: Bound = Bound::new("maxcycles", 1..=200_000_000);
+    /// ARQ entries (`mac.arq_entries`).
+    pub const ARQ: Bound = Bound::new("arq", 1..=4096);
+    /// MAC pop interval in cycles (`mac.pop_interval`).
+    pub const POP: Bound = Bound::new("pop", 1..=65_536);
+    /// Raw requests the ARQ accepts per cycle (`mac.accepts_per_cycle`).
+    pub const ACCEPTS: Bound = Bound::new("accepts", 1..=64);
+    /// Request-router queue depth (`mac.router_queue_depth`).
+    pub const ROUTER: Bound = Bound::new("router", 1..=u64::MAX);
+    /// Vault command-queue depth (`hmc.vault_queue_depth`).
+    pub const VAULTQ: Bound = Bound::new("vaultq", 1..=u64::MAX);
+    /// Outstanding requests per thread (`soc.max_outstanding_per_thread`).
+    pub const MAXOUT: Bound = Bound::new("maxout", 1..=u64::MAX);
+    /// Adaptive decision interval in cycles (`adapt.interval`).
+    pub const INTERVAL: Bound = Bound::new("interval", 1..=u64::MAX);
+    /// Adaptive pop-interval floor (`adapt.min_pop_interval`).
+    pub const MIN_POP: Bound = Bound::new("minpop", POP.range);
+    /// Adaptive pop-interval ceiling (`adapt.max_pop_interval`).
+    pub const MAX_POP: Bound = Bound::new("maxpop", POP.range);
+    /// Adaptive accept-width floor (`adapt.min_accepts`).
+    pub const MIN_ACCEPTS: Bound = Bound::new("minacc", ACCEPTS.range);
+    /// Adaptive accept-width ceiling (`adapt.max_accepts`).
+    pub const MAX_ACCEPTS: Bound = Bound::new("maxacc", ACCEPTS.range);
+    /// Adaptive evidence votes (`adapt.evidence_threshold`).
+    pub const EVIDENCE: Bound = Bound::new("evidence", 0..=65_536);
+    /// Adaptive hold intervals (`adapt.hold_intervals`).
+    pub const HOLD: Bound = Bound::new("hold", EVIDENCE.range);
+}
+
 /// Where the coalescer sits relative to the cube network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MacPlacement {
@@ -569,6 +662,41 @@ impl SystemConfig {
         self.adapt = adapt;
         self
     }
+
+    /// Check every value outside input can set against the [`bounds`]
+    /// table, the network's shape against [`NetTopology::check_cubes`],
+    /// and that per-cube MACs serve a single host node. The error names
+    /// the first value that fails.
+    pub fn validate(&self) -> Result<(), String> {
+        use bounds::*;
+        let (soc, mac) = (&self.soc, &self.mac);
+        THREADS.check(soc.threads as u64)?;
+        NODES.check(soc.nodes as u64)?;
+        MAXOUT.check(soc.max_outstanding_per_thread as u64)?;
+        ARQ.check(mac.arq_entries as u64)?;
+        POP.check(mac.pop_interval)?;
+        ACCEPTS.check(mac.accepts_per_cycle as u64)?;
+        ROUTER.check(mac.router_queue_depth as u64)?;
+        VAULTQ.check(self.hmc.vault_queue_depth as u64)?;
+        self.net.topology.check_cubes(self.net.cubes as u64)?;
+        if self.net.enabled && self.net.placement == MacPlacement::PerCube && soc.nodes != 1 {
+            return Err(format!(
+                "per-cube placement models one host node, got nodes={}",
+                soc.nodes
+            ));
+        }
+        let a = &self.adapt;
+        if a.enabled {
+            INTERVAL.check(a.interval)?;
+            MIN_POP.check(a.min_pop_interval)?;
+            MAX_POP.check(a.max_pop_interval)?;
+            MIN_ACCEPTS.check(a.min_accepts as u64)?;
+            MAX_ACCEPTS.check(a.max_accepts as u64)?;
+            EVIDENCE.check(u64::from(a.evidence_threshold))?;
+            HOLD.check(u64::from(a.hold_intervals))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -660,6 +788,69 @@ mod tests {
         for cubes in [1, 2, 3, 8] {
             assert!(NetTopology::Mesh2x2.check_cubes(cubes).is_err());
         }
+    }
+
+    #[test]
+    fn validate_names_the_first_value_out_of_range() {
+        for t in [1, 2, 4, 8, 64] {
+            assert_eq!(SystemConfig::paper(t).validate(), Ok(()));
+        }
+        let tuned = SystemConfig::paper(8).with_adapt(AdaptConfig::tuned());
+        assert_eq!(tuned.validate(), Ok(()));
+        let broken = |f: fn(&mut SystemConfig)| {
+            let mut c = tuned.clone();
+            f(&mut c);
+            c
+        };
+        for (c, want) in [
+            (broken(|c| c.soc.threads = 65), "threads=65 outside 1..=64"),
+            (broken(|c| c.soc.nodes = 0), "nodes=0 outside 1..=64"),
+            (
+                broken(|c| c.mac.arq_entries = 4097),
+                "arq=4097 outside 1..=4096",
+            ),
+            (
+                broken(|c| c.mac.pop_interval = 0),
+                "pop=0 outside 1..=65536",
+            ),
+            (
+                broken(|c| c.mac.router_queue_depth = 0),
+                "router=0 outside 1..=18446744073709551615",
+            ),
+            (broken(|c| c.net.cubes = 3), "cubes must be 1, 2, 4, or 8"),
+            (
+                broken(|c| c.adapt.hold_intervals = u32::MAX),
+                "hold=4294967295 outside 0..=65536",
+            ),
+            (
+                broken(|c| {
+                    c.soc.nodes = 2;
+                    c.net = SystemConfig::default()
+                        .with_net(2, NetTopology::Ring, MacPlacement::PerCube)
+                        .net;
+                }),
+                "per-cube placement models one host node, got nodes=2",
+            ),
+        ] {
+            assert_eq!(c.validate(), Err(want.to_string()));
+        }
+        // The adaptive rows bind only an enabled controller.
+        let mut off = SystemConfig::paper(8);
+        off.adapt.hold_intervals = u32::MAX;
+        assert_eq!(off.validate(), Ok(()));
+    }
+
+    #[test]
+    fn bounds_parse_rejects_non_numbers_in_the_same_shape() {
+        assert_eq!(bounds::SCALE.parse("64"), Ok(64));
+        assert_eq!(
+            bounds::THREADS.parse("eight"),
+            Err("threads=eight outside 1..=64".into())
+        );
+        assert_eq!(
+            bounds::SCALE.parse("65"),
+            Err("scale=65 outside 1..=64".into())
+        );
     }
 
     #[test]

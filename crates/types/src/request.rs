@@ -196,6 +196,24 @@ pub struct HmcRequest {
 }
 
 impl HmcRequest {
+    /// `raw` alone as a 16 B transaction dispatched at `now`: the MAC's
+    /// direct path for atomics and the baseline path without a MAC.
+    #[inline]
+    pub fn single_flit(raw: &RawRequest, now: Cycle) -> HmcRequest {
+        let mut flit_map = FlitMap::new();
+        flit_map.set(raw.addr.flit());
+        HmcRequest {
+            addr: raw.addr.flit_base(),
+            size: ReqSize::B16,
+            is_write: raw.kind == MemOpKind::Store,
+            is_atomic: raw.kind == MemOpKind::Atomic,
+            flit_map,
+            targets: vec![raw.target],
+            raw_ids: vec![raw.id],
+            dispatched_at: now,
+        }
+    }
+
     /// Number of raw requests satisfied by this transaction.
     #[inline]
     pub fn merged_count(&self) -> usize {
