@@ -788,47 +788,31 @@ fn stats_value(csv: &str, name: &str) -> Option<u64> {
         .next_back()
 }
 
-fn client_main(args: &[String]) {
-    let mut addr = "127.0.0.1:4650".to_string();
-    let mut name = "mac-bench".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                addr = value(args, i, "--addr");
-                i += 2;
-            }
-            "--name" => {
-                name = value(args, i, "--name");
-                i += 2;
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            _ => break,
-        }
-    }
-    let Some(verb) = args.get(i) else {
-        usage_error(
-            "client needs a verb (submit/poll/wait/watch/fetch/stats/pause/resume/shutdown)",
-        );
-    };
-    let rest = &args[i + 1..];
+/// One `client` verb with its arguments. It is parsed before the client
+/// connects, so a malformed command is a usage error (exit 2) whether
+/// or not a server is listening.
+enum ClientCmd {
+    Submit {
+        spec: JobSpec,
+        wait: bool,
+        fetch: bool,
+        timeout_ms: u64,
+    },
+    Poll(JobId),
+    Wait {
+        job: JobId,
+        timeout_ms: u64,
+    },
+    Watch(JobId),
+    Fetch(JobId),
+    Stats,
+    Pause,
+    Resume,
+    Shutdown,
+}
 
-    let mut c = match ServeClient::connect(&addr, &name) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("mac-bench: cannot connect to {addr}: {e}");
-            exit(1);
-        }
-    };
-    let fail = |what: &str, e: std::io::Error| -> ! {
-        eprintln!("mac-bench: {what} failed: {e}");
-        exit(1);
-    };
-
-    match verb.as_str() {
+fn parse_client_cmd(verb: &str, rest: &[String]) -> ClientCmd {
+    match verb {
         "submit" => {
             let mut wait = false;
             let mut fetch = false;
@@ -868,69 +852,133 @@ fn client_main(args: &[String]) {
             }
             let spec = JobSpec::from_fields(&fields)
                 .unwrap_or_else(|e| usage_error(&format!("bad submit spec: {e}")));
-            match c.submit(&spec) {
-                Ok(Response::Accepted {
-                    job,
-                    state,
-                    dedup,
-                    cached,
-                    queue_pos,
-                }) => {
-                    print!(
-                        "accepted job={job} state={} dedup={dedup} cached={cached}",
-                        state.as_str()
-                    );
-                    match queue_pos {
-                        Some(p) => println!(" queue_pos={p}"),
-                        None => println!(),
-                    }
-                    if wait {
-                        let (final_state, _round_trips) = c
-                            .wait_backoff(job, timeout_ms, None)
-                            .unwrap_or_else(|e| fail("wait", e));
-                        print_state(job, &final_state);
-                        match final_state {
-                            JobState::Done => {
-                                if fetch {
-                                    let payload = c.fetch(job).unwrap_or_else(|e| fail("fetch", e));
-                                    print!("{payload}");
-                                }
-                            }
-                            JobState::Failed { .. } => exit(1),
-                            _ => exit(4), // still queued/running at timeout
-                        }
-                    }
-                }
-                Ok(Response::Rejected {
-                    reason,
-                    retry_after_ms,
-                }) => {
-                    eprintln!("mac-bench: shed: reason={reason} retry_after_ms={retry_after_ms}");
-                    exit(3);
-                }
-                Ok(other) => fail(
-                    "submit",
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("unexpected answer {other:?}"),
-                    ),
-                ),
-                Err(e) => fail("submit", e),
+            ClientCmd::Submit {
+                spec,
+                wait,
+                fetch,
+                timeout_ms,
             }
         }
-        "poll" => {
-            let job = parse_job_arg(rest.first());
-            let state = c.poll(job).unwrap_or_else(|e| fail("poll", e));
-            print_state(job, &state);
-        }
-        "wait" => {
-            let job = parse_job_arg(rest.first());
-            let timeout_ms = match rest.get(1).map(String::as_str) {
+        "poll" => ClientCmd::Poll(parse_job_arg(rest.first())),
+        "wait" => ClientCmd::Wait {
+            job: parse_job_arg(rest.first()),
+            timeout_ms: match rest.get(1).map(String::as_str) {
                 Some("--timeout-ms") => value(rest, 1, "--timeout-ms")
                     .parse()
                     .unwrap_or_else(|_| usage_error("--timeout-ms needs an integer")),
                 _ => 60_000,
-            };
+            },
+        },
+        "watch" => ClientCmd::Watch(parse_job_arg(rest.first())),
+        "fetch" => ClientCmd::Fetch(parse_job_arg(rest.first())),
+        "stats" => ClientCmd::Stats,
+        "pause" => ClientCmd::Pause,
+        "resume" => ClientCmd::Resume,
+        "shutdown" => ClientCmd::Shutdown,
+        other => usage_error(&format!("unknown client verb `{other}`")),
+    }
+}
+
+fn client_main(args: &[String]) {
+    let mut addr = "127.0.0.1:4650".to_string();
+    let mut name = "mac-bench".to_string();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--addr" => {
+                addr = value(args, i, "--addr");
+                i += 2;
+            }
+            "--name" => {
+                name = value(args, i, "--name");
+                i += 2;
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                exit(0);
+            }
+            _ => break,
+        }
+    }
+    let Some(verb) = args.get(i) else {
+        usage_error(
+            "client needs a verb (submit/poll/wait/watch/fetch/stats/pause/resume/shutdown)",
+        );
+    };
+    let cmd = parse_client_cmd(verb, &args[i + 1..]);
+
+    let mut c = match ServeClient::connect(&addr, &name) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("mac-bench: cannot connect to {addr}: {e}");
+            exit(1);
+        }
+    };
+    let fail = |what: &str, e: std::io::Error| -> ! {
+        eprintln!("mac-bench: {what} failed: {e}");
+        exit(1);
+    };
+
+    match cmd {
+        ClientCmd::Submit {
+            spec,
+            wait,
+            fetch,
+            timeout_ms,
+        } => match c.submit(&spec) {
+            Ok(Response::Accepted {
+                job,
+                state,
+                dedup,
+                cached,
+                queue_pos,
+            }) => {
+                print!(
+                    "accepted job={job} state={} dedup={dedup} cached={cached}",
+                    state.as_str()
+                );
+                match queue_pos {
+                    Some(p) => println!(" queue_pos={p}"),
+                    None => println!(),
+                }
+                if wait {
+                    let (final_state, _round_trips) = c
+                        .wait_backoff(job, timeout_ms, None)
+                        .unwrap_or_else(|e| fail("wait", e));
+                    print_state(job, &final_state);
+                    match final_state {
+                        JobState::Done => {
+                            if fetch {
+                                let payload = c.fetch(job).unwrap_or_else(|e| fail("fetch", e));
+                                print!("{payload}");
+                            }
+                        }
+                        JobState::Failed { .. } => exit(1),
+                        _ => exit(4), // still queued/running at timeout
+                    }
+                }
+            }
+            Ok(Response::Rejected {
+                reason,
+                retry_after_ms,
+            }) => {
+                eprintln!("mac-bench: shed: reason={reason} retry_after_ms={retry_after_ms}");
+                exit(3);
+            }
+            Ok(other) => fail(
+                "submit",
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("unexpected answer {other:?}"),
+                ),
+            ),
+            Err(e) => fail("submit", e),
+        },
+        ClientCmd::Poll(job) => {
+            let state = c.poll(job).unwrap_or_else(|e| fail("poll", e));
+            print_state(job, &state);
+        }
+        ClientCmd::Wait { job, timeout_ms } => {
             // Honor the server's published backpressure hint when it has
             // one; wait_backoff falls back to capped exponential backoff.
             let hint = c
@@ -955,8 +1003,7 @@ fn client_main(args: &[String]) {
                 _ => exit(4),
             }
         }
-        "watch" => {
-            let job = parse_job_arg(rest.first());
+        ClientCmd::Watch(job) => {
             let state = c
                 .watch(job, |frame, body| match frame {
                     Frame::Progress {
@@ -981,19 +1028,17 @@ fn client_main(args: &[String]) {
                 exit(1);
             }
         }
-        "fetch" => {
-            let job = parse_job_arg(rest.first());
+        ClientCmd::Fetch(job) => {
             let payload = c.fetch(job).unwrap_or_else(|e| fail("fetch", e));
             print!("{payload}");
         }
-        "stats" => {
+        ClientCmd::Stats => {
             let csv = c.stats().unwrap_or_else(|e| fail("stats", e));
             print!("{csv}");
         }
-        "pause" => c.pause().unwrap_or_else(|e| fail("pause", e)),
-        "resume" => c.resume().unwrap_or_else(|e| fail("resume", e)),
-        "shutdown" => c.shutdown().unwrap_or_else(|e| fail("shutdown", e)),
-        other => usage_error(&format!("unknown client verb `{other}`")),
+        ClientCmd::Pause => c.pause().unwrap_or_else(|e| fail("pause", e)),
+        ClientCmd::Resume => c.resume().unwrap_or_else(|e| fail("resume", e)),
+        ClientCmd::Shutdown => c.shutdown().unwrap_or_else(|e| fail("shutdown", e)),
     }
 }
 

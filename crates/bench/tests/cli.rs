@@ -6,7 +6,8 @@
 //! trace file is
 //! a runtime failure (exit 1), not a panic (exit 101); and a well-formed
 //! trace with extreme field values renders (exit 0), its conflict
-//! heatmap one row per vault that has a conflict.
+//! heatmap one row per vault that has a conflict. A malformed `client`
+//! command is a usage error whether or not a server is running.
 
 use std::process::Command;
 
@@ -66,6 +67,32 @@ fn sweep_values_outside_the_table_are_usage_errors() {
     let bench = env!("CARGO_BIN_EXE_mac-bench");
     let err = usage_error(bench, &["--scale", "65", "--list"]);
     assert!(err.contains("scale=65 outside 1..=64"), "{err}");
+}
+
+/// A malformed `client` command is a usage error before the client
+/// connects: against an address nothing listens on, each exits 2
+/// naming the problem, not 1 with "cannot connect".
+#[test]
+fn client_commands_are_checked_before_connecting() {
+    // A port that was free a moment ago: bind it, read it, let it go.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("bind a local port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let bench = env!("CARGO_BIN_EXE_mac-bench");
+    for (args, message) in [
+        (
+            &["submit", "workload=bfs", "scale=0"][..],
+            "scale=0 outside 1..=64",
+        ),
+        (&["poll", "nothex"][..], "bad job id"),
+        (&["frobnicate"][..], "unknown client verb `frobnicate`"),
+    ] {
+        let args = [&["client", "--addr", addr.as_str()][..], args].concat();
+        let err = usage_error(bench, &args);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -98,7 +98,7 @@ impl Arq {
         Arq {
             entries: VecDeque::with_capacity(cfg.arq_entries),
             capacity: cfg.arq_entries,
-            max_targets: cfg.max_targets_per_entry().max(1),
+            max_targets: MacConfig::max_targets_per_entry(),
             fences_pending: 0,
             fill_credit: 0,
             latency_hiding: cfg.latency_hiding,

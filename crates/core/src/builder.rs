@@ -7,7 +7,7 @@
 //! steady-state issue rate of 0.5 requests per cycle (§4.4).
 
 use mac_telemetry::{TraceEvent, Tracer};
-use mac_types::{ChunkMask, Cycle, FlitMap, FlitTablePolicy, HmcRequest, PhysAddr};
+use mac_types::{ChunkMask, Cycle, FlitMap, FlitTablePolicy, HmcRequest, MacConfig, PhysAddr};
 
 use crate::arq::GroupEntry;
 use crate::flit_table::FlitTable;
@@ -39,20 +39,17 @@ pub struct RequestBuilder {
     table: FlitTable,
     s1: Option<Stage1>,
     s2: Option<Stage2>,
-    s1_latency: u64,
-    s2_latency: u64,
     tracer: Tracer,
 }
 
 impl RequestBuilder {
-    /// Build from the FLIT table and the configured stage latencies.
-    pub fn new(table: FlitTable, s1_latency: u64, s2_latency: u64) -> Self {
+    /// Build from the FLIT table, with the stage latencies of §4.2
+    /// ([`MacConfig::STAGE1_LATENCY`], [`MacConfig::STAGE2_LATENCY`]).
+    pub fn new(table: FlitTable) -> Self {
         RequestBuilder {
             table,
             s1: None,
             s2: None,
-            s1_latency,
-            s2_latency,
             tracer: Tracer::disabled(),
         }
     }
@@ -78,7 +75,7 @@ impl RequestBuilder {
         self.s1 = Some(Stage1 {
             entry,
             mask,
-            ready_at: now + self.s1_latency,
+            ready_at: now + MacConfig::STAGE1_LATENCY,
         });
     }
 
@@ -132,7 +129,7 @@ impl RequestBuilder {
                     self.s2 = Some(Stage2 {
                         entry: s1.entry,
                         mask,
-                        ready_at: now + self.s2_latency,
+                        ready_at: now + MacConfig::STAGE2_LATENCY,
                     });
                 }
             }
@@ -211,7 +208,7 @@ impl RequestBuilder {
 
 impl Default for RequestBuilder {
     fn default() -> Self {
-        RequestBuilder::new(FlitTable::default(), 1, 2)
+        RequestBuilder::new(FlitTable::default())
     }
 }
 
@@ -311,7 +308,7 @@ mod tests {
     #[test]
     fn per_chunk64_splits_targets_by_chunk() {
         let table = FlitTable::new(FlitTablePolicy::PerChunk64);
-        let mut b = RequestBuilder::new(table, 1, 2);
+        let mut b = RequestBuilder::new(table);
         b.push(entry(0x9, &[1, 6, 14], false), 0);
         b.tick(1);
         let out = b.tick(3);

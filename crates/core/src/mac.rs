@@ -44,11 +44,7 @@ impl Mac {
         Mac {
             cfg: cfg.clone(),
             arq: Arq::new(cfg),
-            builder: RequestBuilder::new(
-                FlitTable::new(cfg.flit_table),
-                cfg.stage1_latency,
-                cfg.stage2_latency,
-            ),
+            builder: RequestBuilder::new(FlitTable::new(cfg.flit_table)),
             direct: VecDeque::new(),
             next_pop: 0,
             stats: MacStats::default(),

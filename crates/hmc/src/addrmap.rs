@@ -127,10 +127,6 @@ impl NetAddrMap {
             cfg.capacity.is_power_of_two(),
             "per-cube capacity must be a power of two"
         );
-        assert_eq!(
-            cfg.row_bytes, ROW_BYTES,
-            "address layout assumes 256 B rows"
-        );
         let inner = AddrMap::new(cfg);
         let cube_shift = inner.interleave_bits();
         NetAddrMap {

@@ -24,10 +24,14 @@ use crate::device_trait::MemoryDevice;
 use crate::open_page::OpenPageChannel;
 use crate::response::ResponsePath;
 
+type D = DdrConfig;
+
+// `locate` carves the bank bits out of the burst number.
+const _: () = assert!(D::BANKS.is_power_of_two());
+
 /// A simulated DDR4 channel (single rank).
 #[derive(Debug, Clone)]
 pub struct DdrDevice {
-    cfg: DdrConfig,
     channel: OpenPageChannel,
     /// Controller command queue (`queue_depth`), held until completion.
     queue: AdmissionQueue,
@@ -37,10 +41,8 @@ pub struct DdrDevice {
 impl DdrDevice {
     /// Build a device for the configuration.
     pub fn new(cfg: &DdrConfig) -> Self {
-        assert!(cfg.banks.is_power_of_two());
         DdrDevice {
-            cfg: cfg.clone(),
-            channel: OpenPageChannel::new(cfg.banks, cfg.t_rcd, cfg.t_cl, cfg.t_rp),
+            channel: OpenPageChannel::new(D::BANKS, D::T_RCD, D::T_CL, D::T_RP),
             queue: AdmissionQueue::new(cfg.queue_depth),
             responses: ResponsePath::default(),
         }
@@ -48,10 +50,10 @@ impl DdrDevice {
 
     /// DDR interleaves 64 B bursts across banks (bank bits just above the
     /// burst offset), with the row above the bank bits — standard BRC.
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn locate(addr: u64) -> (usize, u64) {
         let burst = addr >> 6; // 64 B granularity
-        let bank = (burst as usize) & (self.cfg.banks - 1);
-        let row = (burst >> self.cfg.banks.trailing_zeros()) / (self.cfg.row_bytes / 64);
+        let bank = (burst as usize) & (D::BANKS - 1);
+        let row = (burst >> D::BANKS.trailing_zeros()) / (D::ROW_BYTES / 64);
         (bank, row)
     }
 }
@@ -68,18 +70,18 @@ impl MemoryDevice for DdrDevice {
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
         // The controller splits any transaction into 64 B bursts.
         let bursts = req.size.bytes().div_ceil(64).max(1);
-        let arrival = now + self.cfg.interface_latency;
+        let arrival = now + D::INTERFACE_LATENCY;
         let mut done = arrival;
         let mut any_conflict = false;
         let mut hits = 0u64;
         for b in 0..bursts {
-            let (bank, row) = self.locate(req.addr.raw() + b * 64);
-            let access = self.channel.access(bank, row, arrival, self.cfg.t_burst);
+            let (bank, row) = Self::locate(req.addr.raw() + b * 64);
+            let access = self.channel.access(bank, row, arrival, D::T_BURST);
             done = done.max(access.done);
             any_conflict |= access.conflict;
             hits += access.row_hit as u64;
         }
-        let completed = done + self.cfg.interface_latency;
+        let completed = done + D::INTERFACE_LATENCY;
         self.queue.push(completed);
         self.responses.count_row_hits(hits);
         self.responses.finish(req, any_conflict, completed, now);
@@ -141,9 +143,8 @@ mod tests {
         // §2.2.1: same-row accesses on open-page DDR hit the row buffer.
         // DDR rows are 8 KB: bursts 0..128 of one row map across banks,
         // so walk one bank's slice: stride = banks * 64 within one row.
-        let cfg = DdrConfig::default();
-        let mut d = DdrDevice::new(&cfg);
-        let stride = cfg.banks as u64 * 64;
+        let mut d = dev();
+        let stride = D::BANKS as u64 * 64;
         let first = d.submit(req(0, ReqSize::B64, 0), 0);
         let mut t = first + 1;
         for i in 1..4u64 {
@@ -154,9 +155,8 @@ mod tests {
 
     #[test]
     fn different_rows_same_bank_pay_precharge() {
-        let cfg = DdrConfig::default();
-        let mut d = DdrDevice::new(&cfg);
-        let row_span = cfg.banks as u64 * cfg.row_bytes;
+        let mut d = dev();
+        let row_span = D::BANKS as u64 * D::ROW_BYTES;
         let first = d.submit(req(0, ReqSize::B64, 0), 0);
         let second_start = first + 1;
         let second = d.submit(req(row_span, ReqSize::B64, second_start), second_start);
@@ -173,26 +173,22 @@ mod tests {
         let t64 = small.submit(req(0x2000, ReqSize::B64, 0), 0);
         let t256 = large.submit(req(0x2000, ReqSize::B256, 0), 0);
         // 3 extra bursts serialized on the bus.
-        assert_eq!(t256 - t64, 3 * DdrConfig::default().t_burst);
+        assert_eq!(t256 - t64, 3 * D::T_BURST);
     }
 
     #[test]
     fn bus_serializes_across_banks() {
         // Unlike HMC vaults, DDR bursts to different banks still share
         // one data bus.
-        let cfg = DdrConfig::default();
-        let mut d = DdrDevice::new(&cfg);
+        let mut d = dev();
         let a = d.submit(req(0x00, ReqSize::B64, 0), 0);
         let b = d.submit(req(0x40, ReqSize::B64, 0), 0); // next bank
-        assert!(b >= a + cfg.t_burst, "data bus is shared: {a} {b}");
+        assert!(b >= a + D::T_BURST, "data bus is shared: {a} {b}");
     }
 
     #[test]
     fn backpressure() {
-        let cfg = DdrConfig {
-            queue_depth: 1,
-            ..DdrConfig::default()
-        };
+        let cfg = DdrConfig { queue_depth: 1 };
         let mut d = DdrDevice::new(&cfg);
         let r = req(0, ReqSize::B64, 0);
         assert!(d.can_accept(&r, 0));

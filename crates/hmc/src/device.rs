@@ -20,7 +20,6 @@ pub struct HmcDevice {
     map: AddrMap,
     port: HostPort,
     vaults: VaultSet,
-    logic_latency: u64,
     responses: ResponsePath,
 }
 
@@ -31,7 +30,6 @@ impl HmcDevice {
             map: AddrMap::new(cfg),
             port: HostPort::new(cfg),
             vaults: VaultSet::new(cfg),
-            logic_latency: cfg.logic_latency,
             responses: ResponsePath::default(),
         }
     }
@@ -60,12 +58,9 @@ impl MemoryDevice for HmcDevice {
         let (req_flits, rsp_flits) = HostPort::packet_flits(&req);
         let (link, at_cube) = self.port.send_request(now, req_flits);
         let loc = self.map.locate(req.addr);
-        let sched = self
-            .vaults
-            .schedule(loc, at_cube + self.logic_latency, req.size.bytes());
-        let completed = self
-            .port
-            .send_response(link, sched.done + self.logic_latency, rsp_flits);
+        let logic = HmcConfig::LOGIC_LATENCY;
+        let sched = self.vaults.schedule(loc, at_cube + logic, req.size.bytes());
+        let completed = self.port.send_response(link, sched.done + logic, rsp_flits);
         self.responses.finish(req, sched.conflict, completed, now);
         completed
     }
@@ -129,10 +124,9 @@ mod tests {
 
     #[test]
     fn uncontended_16b_read_is_about_93ns() {
-        let cfg = HmcConfig::default();
-        let mut dev = HmcDevice::new(&cfg);
+        let mut dev = HmcDevice::new(&HmcConfig::default());
         let done = dev.submit(read_req(0x1000, ReqSize::B16, 0), 0);
-        let ns = done as f64 / cfg.cpu_ghz;
+        let ns = done as f64 / mac_types::SocConfig::FREQ_GHZ;
         assert!(
             (80.0..=105.0).contains(&ns),
             "uncontended read latency {ns:.1} ns should be near Table 1's 93 ns"

@@ -20,10 +20,14 @@ use crate::device_trait::MemoryDevice;
 use crate::open_page::OpenPageChannel;
 use crate::response::ResponsePath;
 
+type H = HbmConfig;
+
+// `locate` carves channel and bank bits out of the row number.
+const _: () = assert!(H::CHANNELS.is_power_of_two() && H::BANKS_PER_CHANNEL.is_power_of_two());
+
 /// A simulated HBM stack.
 #[derive(Debug, Clone)]
 pub struct HbmDevice {
-    cfg: HbmConfig,
     channels: Vec<OpenPageChannel>,
     /// Per-channel command queue (`channel_queue_depth`), each access
     /// held until its completion.
@@ -34,48 +38,43 @@ pub struct HbmDevice {
 impl HbmDevice {
     /// Build a device for the configuration.
     pub fn new(cfg: &HbmConfig) -> Self {
-        assert!(cfg.channels.is_power_of_two());
-        assert!(cfg.banks_per_channel.is_power_of_two());
-        let channel = OpenPageChannel::new(cfg.banks_per_channel, cfg.t_rcd, cfg.t_cl, cfg.t_rp);
+        let channel = OpenPageChannel::new(H::BANKS_PER_CHANNEL, H::T_RCD, H::T_CL, H::T_RP);
         HbmDevice {
-            cfg: cfg.clone(),
-            channels: vec![channel; cfg.channels],
-            queues: vec![AdmissionQueue::new(cfg.channel_queue_depth); cfg.channels],
+            channels: vec![channel; H::CHANNELS],
+            queues: vec![AdmissionQueue::new(cfg.channel_queue_depth); H::CHANNELS],
             responses: ResponsePath::default(),
         }
     }
 
     /// HBM interleaves 1 KB rows across channels, banks above that.
     /// Returns `(channel, bank within the channel, row)`.
-    fn locate(&self, addr: PhysAddr) -> (usize, usize, u64) {
-        let row_bits = self.cfg.row_bytes.trailing_zeros();
-        let global_row = addr.raw() >> row_bits;
-        let channel = (global_row as usize) & (self.cfg.channels - 1);
-        let bank = ((global_row as usize) >> self.cfg.channels.trailing_zeros())
-            & (self.cfg.banks_per_channel - 1);
+    fn locate(addr: PhysAddr) -> (usize, usize, u64) {
+        let global_row = addr.raw() >> H::ROW_BYTES.trailing_zeros();
+        let channel = (global_row as usize) & (H::CHANNELS - 1);
+        let bank =
+            ((global_row as usize) >> H::CHANNELS.trailing_zeros()) & (H::BANKS_PER_CHANNEL - 1);
         (channel, bank, global_row)
     }
 }
 
 impl MemoryDevice for HbmDevice {
     fn can_accept(&mut self, req: &HmcRequest, now: Cycle) -> bool {
-        let (ch, _, _) = self.locate(req.addr);
+        let (ch, _, _) = Self::locate(req.addr);
         self.queues[ch].admits(now)
     }
 
     fn next_accept(&self, req: &HmcRequest, now: Cycle) -> Cycle {
-        let (ch, _, _) = self.locate(req.addr);
+        let (ch, _, _) = Self::locate(req.addr);
         self.queues[ch].next_admit(now)
     }
 
     fn submit(&mut self, req: HmcRequest, now: Cycle) -> Cycle {
-        let (ch, bank, row) = self.locate(req.addr);
+        let (ch, bank, row) = Self::locate(req.addr);
         let bursts = req.size.bytes().div_ceil(32).max(1);
         // The command reaches the channel after the PHY latency.
-        let arrival = now + self.cfg.interface_latency;
-        let access =
-            self.channels[ch].access(bank, row, arrival, bursts * self.cfg.t_burst_per_32b);
-        let completed = access.done + self.cfg.interface_latency;
+        let arrival = now + H::INTERFACE_LATENCY;
+        let access = self.channels[ch].access(bank, row, arrival, bursts * H::T_BURST_PER_32B);
+        let completed = access.done + H::INTERFACE_LATENCY;
         self.queues[ch].push(completed);
         self.responses.count_row_hits(access.row_hit as u64);
         self.responses.finish(req, access.conflict, completed, now);
@@ -151,11 +150,10 @@ mod tests {
 
     #[test]
     fn different_rows_in_one_bank_conflict() {
-        let cfg = HbmConfig::default();
-        let mut d = HbmDevice::new(&cfg);
-        // Rows that map to the same bank: stride = channels *
-        // banks_per_channel rows.
-        let stride = (cfg.channels * cfg.banks_per_channel) as u64 * cfg.row_bytes;
+        let mut d = dev();
+        // Rows that map to the same bank: stride = channels × banks per
+        // channel rows.
+        let stride = (H::CHANNELS * H::BANKS_PER_CHANNEL) as u64 * H::ROW_BYTES;
         d.submit(req(0, ReqSize::B256, 0), 0);
         d.submit(req(stride, ReqSize::B256, 1), 1);
         assert_eq!(d.stats().bank_conflicts, 1);
@@ -163,20 +161,17 @@ mod tests {
 
     #[test]
     fn consecutive_rows_spread_over_channels() {
-        let cfg = HbmConfig::default();
-        let d = HbmDevice::new(&cfg);
-        let (ch0, _, _) = d.locate(PhysAddr::new(0));
-        let (ch1, _, _) = d.locate(PhysAddr::new(cfg.row_bytes));
+        let (ch0, _, _) = HbmDevice::locate(PhysAddr::new(0));
+        let (ch1, _, _) = HbmDevice::locate(PhysAddr::new(H::ROW_BYTES));
         assert_ne!(ch0, ch1);
     }
 
     #[test]
     fn same_row_flits_share_bank_and_row() {
-        let d = dev();
         let base = PhysAddr::new(0x10_0000);
-        let (c0, b0, r0) = d.locate(base);
+        let (c0, b0, r0) = HbmDevice::locate(base);
         for off in (16..1024).step_by(16) {
-            assert_eq!(d.locate(base.offset(off)), (c0, b0, r0));
+            assert_eq!(HbmDevice::locate(base.offset(off)), (c0, b0, r0));
         }
     }
 
@@ -186,15 +181,13 @@ mod tests {
         let mut large = dev();
         let t_small = small.submit(req(0x2000, ReqSize::B32, 0), 0);
         let t_large = large.submit(req(0x2000, ReqSize::B256, 0), 0);
-        let cfg = HbmConfig::default();
-        assert_eq!(t_large - t_small, (8 - 1) * cfg.t_burst_per_32b);
+        assert_eq!(t_large - t_small, (8 - 1) * H::T_BURST_PER_32B);
     }
 
     #[test]
     fn backpressure_via_channel_queue() {
         let cfg = HbmConfig {
             channel_queue_depth: 1,
-            ..HbmConfig::default()
         };
         let mut d = HbmDevice::new(&cfg);
         let r = req(0x1000, ReqSize::B64, 0);

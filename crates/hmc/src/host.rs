@@ -21,7 +21,6 @@ pub struct HostPort {
     links: LinkSet,
     /// Probability a request packet fails CRC and is replayed.
     error_rate: f64,
-    retry_penalty: u64,
     rng: SmallRng,
     /// Replays performed.
     retries: u64,
@@ -33,8 +32,7 @@ impl HostPort {
         HostPort {
             links: LinkSet::new(cfg),
             error_rate: cfg.link_error_rate.clamp(0.0, 0.99),
-            retry_penalty: cfg.retry_penalty,
-            rng: SmallRng::seed_from_u64(cfg.error_seed),
+            rng: SmallRng::seed_from_u64(HmcConfig::ERROR_SEED),
             retries: 0,
         }
     }
@@ -59,8 +57,9 @@ impl HostPort {
     /// has fully arrived at the cube)`.
     ///
     /// A packet that fails CRC is replayed from the retry buffer: after
-    /// the `retry_penalty`-cycle timeout it re-serializes on the same
-    /// link. The timeout is a pure delay; no upstream channel is touched.
+    /// the [`HmcConfig::RETRY_PENALTY`]-cycle timeout it re-serializes on
+    /// the same link. The timeout is a pure delay; no upstream channel is
+    /// touched.
     #[inline]
     pub fn send_request(&mut self, now: Cycle, flits: u64) -> (usize, Cycle) {
         let (link, mut at_cube) = self.links.send_request(now, flits);
@@ -68,7 +67,7 @@ impl HostPort {
             self.retries += 1;
             at_cube = self
                 .links
-                .send_request_on(link, at_cube + self.retry_penalty, flits);
+                .send_request_on(link, at_cube + HmcConfig::RETRY_PENALTY, flits);
         }
         (link, at_cube)
     }
@@ -112,7 +111,7 @@ mod tests {
         });
         let (link, at_cube) = port.send_request(0, 1);
         assert!(port.retries() > 0);
-        assert!(at_cube > 10 + one_link.retry_penalty);
+        assert!(at_cube > 10 + HmcConfig::RETRY_PENALTY);
         // A response ready at cycle 10, before the first timeout ends,
         // serializes at once, as it would on a link that never failed.
         let clean = HostPort::new(&one_link).send_response(0, 10, 2);

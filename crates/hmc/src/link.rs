@@ -48,7 +48,7 @@ impl LinkSet {
         LinkSet {
             down: vec![Channel::default(); cfg.links],
             up: vec![Channel::default(); cfg.links],
-            flit_x16: cfg.flit_cycles_x16(),
+            flit_x16: HmcConfig::flit_cycles_x16(),
             tracer: Tracer::disabled(),
         }
     }
@@ -190,7 +190,7 @@ mod tests {
     fn busy_accounting_tracks_flits() {
         let mut l = links();
         l.send_request(0, 10);
-        let expected = 10.0 * HmcConfig::default().flit_cycles_x16() as f64 / 16.0;
+        let expected = 10.0 * HmcConfig::flit_cycles_x16() as f64 / 16.0;
         assert!((l.down_busy_cycles() - expected).abs() < 1e-9);
         assert_eq!(l.up_busy_x16(), 0);
     }
@@ -204,7 +204,7 @@ mod tests {
         // x16-tick.
         let cfg = HmcConfig::default();
         let mut l = LinkSet::new(&cfg);
-        let flit_x16 = cfg.flit_cycles_x16();
+        let flit_x16 = HmcConfig::flit_cycles_x16();
         let mut oracle = vec![Channel::default(); cfg.links];
         // Deterministic but irregular packet sizes and arrival times.
         let mut t = 0u64;

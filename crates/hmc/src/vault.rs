@@ -35,10 +35,6 @@ pub struct VaultSet {
     /// Per-vault command queue (`vault_queue_depth`), holding each
     /// access until its bank finishes the row cycle.
     queues: Vec<AdmissionQueue>,
-    t_rcd: u64,
-    t_cl: u64,
-    t_rp: u64,
-    t_burst_per_32b: u64,
     /// Busy cycles accumulated across banks (utilization accounting).
     bank_busy: u128,
     tracer: Tracer,
@@ -51,10 +47,6 @@ impl VaultSet {
             bank_free: vec![0; cfg.total_banks()],
             vault_last_issue: vec![0; cfg.vaults],
             queues: vec![AdmissionQueue::new(cfg.vault_queue_depth); cfg.vaults],
-            t_rcd: cfg.t_rcd,
-            t_cl: cfg.t_cl,
-            t_rp: cfg.t_rp,
-            t_burst_per_32b: cfg.t_burst_per_32b,
             bank_busy: 0,
             tracer: Tracer::disabled(),
         }
@@ -93,8 +85,9 @@ impl VaultSet {
         // Data is ready after RCD + CL + burst; precharge (tRP) keeps the
         // bank busy after the data has departed.
         let bursts = payload_bytes.div_ceil(32).max(1);
-        let done = start + self.t_rcd + self.t_cl + bursts * self.t_burst_per_32b;
-        let busy_until = done + self.t_rp;
+        type H = HmcConfig;
+        let done = start + H::T_RCD + H::T_CL + bursts * H::T_BURST_PER_32B;
+        let busy_until = done + H::T_RP;
         self.bank_free[bank] = busy_until;
         self.vault_last_issue[vault] = start;
         self.bank_busy += (busy_until - start) as u128;
@@ -193,7 +186,7 @@ mod tests {
         assert!(!b.conflict);
         // Issue limit delays start by 1 cycle, but service overlaps.
         assert!(b.start <= a.start + 1);
-        assert!(b.done < a.done + HmcConfig::default().dram_service_cycles(256));
+        assert!(b.done < a.done + HmcConfig::dram_service_cycles(256));
     }
 
     #[test]

@@ -63,10 +63,9 @@ proptest! {
         addr in 0u64..(1 << 30),
         size in arb_size(),
     ) {
-        let cfg = HmcConfig::default();
-        let mut dev = HmcDevice::new(&cfg);
+        let mut dev = HmcDevice::new(&HmcConfig::default());
         let done = dev.submit(req(addr & !0xF, size, false, 0), 0);
-        let floor = cfg.logic_latency * 2 + cfg.t_rcd + cfg.t_cl;
+        let floor = HmcConfig::LOGIC_LATENCY * 2 + HmcConfig::T_RCD + HmcConfig::T_CL;
         prop_assert!(done >= floor, "{done} < physical floor {floor}");
     }
 

@@ -38,7 +38,6 @@ pub struct NetDevice {
     fabric: Fabric,
     /// One vault/bank complex per cube.
     vaults: Vec<VaultSet>,
-    logic_latency: u64,
     net_stats: NetStats,
     responses: ResponsePath,
 }
@@ -51,9 +50,8 @@ impl NetDevice {
         NetDevice {
             map: NetAddrMap::new(cfg, net),
             port: HostPort::new(cfg),
-            fabric: Fabric::new(cfg, net, &topo),
+            fabric: Fabric::new(cfg, &topo),
             vaults: (0..net.cubes).map(|_| VaultSet::new(cfg)).collect(),
-            logic_latency: cfg.logic_latency,
             net_stats: NetStats::new(net.cubes),
             responses: ResponsePath::default(),
             topo,
@@ -91,9 +89,9 @@ impl NetDevice {
     /// whether the access hit a busy bank.
     pub fn cube_access(&mut self, req: &HmcRequest, at_cube: Cycle) -> (CubeId, Cycle, bool) {
         let (cube, loc) = self.map.locate(req.addr);
-        let at_vault = at_cube + self.logic_latency;
-        let sched = self.vaults[cube.0 as usize].schedule(loc, at_vault, req.size.bytes());
-        (cube, sched.done + self.logic_latency, sched.conflict)
+        let logic = HmcConfig::LOGIC_LATENCY;
+        let sched = self.vaults[cube.0 as usize].schedule(loc, at_cube + logic, req.size.bytes());
+        (cube, sched.done + logic, sched.conflict)
     }
 
     /// Record a finished access in the network stats and hand it to the
@@ -281,9 +279,9 @@ mod tests {
         assert_eq!(ns.local_accesses, 1);
         assert_eq!(ns.remote_accesses, 1);
         assert_eq!(ns.hops.max, 3);
-        // 3 hops out + 3 back, each at least forward_latency.
+        // 3 hops out + 3 back, each at least the forward latency.
         assert!(
-            far >= local + 6 * NetConfig::default().forward_latency,
+            far >= local + 6 * NetConfig::FORWARD_LATENCY,
             "remote access ({far}) must pay 6 hops over local ({local})"
         );
         assert!(ns.transit_flits > 0);

@@ -6,8 +6,8 @@
 //!
 //! 1. **pass-through latency** — the receiving cube's logic layer must
 //!    decode the header, look up the route and re-serialize
-//!    (`NetConfig::forward_latency`, ~12 ns by default, per HMC 2.1's
-//!    guidance for chained cubes); then
+//!    (`NetConfig::FORWARD_LATENCY`, ~12 ns, per HMC 2.1's guidance for
+//!    chained cubes); then
 //! 2. **link serialization** — the packet's FLITs occupy the edge for
 //!    their transmission time, so transit traffic contends with other
 //!    transit traffic crossing the same edge.
@@ -30,7 +30,6 @@ pub struct Fabric {
     /// [`Topology::edges`]. Only the downstream half of each group is
     /// used; direction is encoded by which edge a packet takes.
     edge_links: Vec<LinkSet>,
-    forward_latency: u64,
     transit_flits: u128,
     /// One tracer per cube (node field = cube id), for hop events.
     tracers: Vec<Tracer>,
@@ -39,10 +38,9 @@ pub struct Fabric {
 impl Fabric {
     /// Build the fabric for a topology, with each edge carrying the
     /// same link geometry as the host attach in `cfg`.
-    pub fn new(cfg: &HmcConfig, net: &NetConfig, topo: &Topology) -> Self {
+    pub fn new(cfg: &HmcConfig, topo: &Topology) -> Self {
         Fabric {
             edge_links: topo.edges().iter().map(|_| LinkSet::new(cfg)).collect(),
-            forward_latency: net.forward_latency,
             transit_flits: 0,
             tracers: vec![Tracer::disabled(); topo.cubes()],
         }
@@ -76,7 +74,7 @@ impl Fabric {
             flits: flits as u16,
             up,
         });
-        let depart = now + self.forward_latency;
+        let depart = now + NetConfig::FORWARD_LATENCY;
         let (_, done) = self.edge_links[edge].send_request(depart, flits);
         self.tracers[e.from as usize].emit(depart, || TraceEvent::HopForward {
             cube: e.from as u8,
@@ -128,7 +126,7 @@ mod tests {
             ..NetConfig::default()
         };
         let topo = Topology::new(&net);
-        let fabric = Fabric::new(&HmcConfig::default(), &net, &topo);
+        let fabric = Fabric::new(&HmcConfig::default(), &topo);
         (topo, fabric)
     }
 

@@ -31,12 +31,8 @@ fn backends() -> Vec<(&'static str, Box<dyn MemoryDevice>)> {
     };
     let hbm = HbmConfig {
         channel_queue_depth: 2,
-        ..HbmConfig::default()
     };
-    let ddr = DdrConfig {
-        queue_depth: 2,
-        ..DdrConfig::default()
-    };
+    let ddr = DdrConfig { queue_depth: 2 };
     vec![
         ("hmc", Box::new(HmcDevice::new(&hmc))),
         ("hbm", Box::new(HbmDevice::new(&hbm))),

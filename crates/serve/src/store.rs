@@ -25,10 +25,7 @@ use mac_sim::report::RunReport;
 
 use crate::job::{JobKind, JobSpec};
 
-/// Version of the `.chk` checked-result envelope.
-pub const CHECKED_FORMAT_VERSION: u32 = 1;
-
-/// Header line of the `.chk` envelope.
+/// Header line of the `.chk` envelope, which carries its version.
 const CHECKED_HEADER: &str = "# mac-serve checked result v1";
 
 /// A content-addressed result store rooted at one `results/` tree.
@@ -132,8 +129,13 @@ pub fn encode_checked(violations: &[String], divergences: &[String], report: &Ru
 }
 
 /// Parse a `.chk` envelope into `(violations, divergences, report)`.
+/// The `.mrc` payload after the separator goes to
+/// [`cachefmt::decode_run`] as written, so a cut envelope is a miss.
 pub fn decode_checked(text: &str) -> Option<(Vec<String>, Vec<String>, RunReport)> {
-    let mut lines = text.lines();
+    // Verdict lines start with `v ` or `d `, so the first `---` line is
+    // the separator.
+    let (verdict, payload) = text.split_once("\n---\n")?;
+    let mut lines = verdict.lines();
     if lines.next()? != CHECKED_HEADER {
         return None;
     }
@@ -141,10 +143,8 @@ pub fn decode_checked(text: &str) -> Option<(Vec<String>, Vec<String>, RunReport
     let nd: usize = lines.next()?.strip_prefix("divergences ")?.parse().ok()?;
     let mut violations = Vec::with_capacity(nv);
     let mut divergences = Vec::with_capacity(nd);
-    for line in lines.by_ref() {
-        if line == "---" {
-            break;
-        } else if let Some(v) = line.strip_prefix("v ") {
+    for line in lines {
+        if let Some(v) = line.strip_prefix("v ") {
             violations.push(v.to_string());
         } else if let Some(d) = line.strip_prefix("d ") {
             divergences.push(d.to_string());
@@ -155,8 +155,7 @@ pub fn decode_checked(text: &str) -> Option<(Vec<String>, Vec<String>, RunReport
     if violations.len() != nv || divergences.len() != nd {
         return None;
     }
-    let rest: String = lines.map(|l| format!("{l}\n")).collect();
-    let report = cachefmt::decode_run(&rest)?;
+    let report = cachefmt::decode_run(payload)?;
     Some((violations, divergences, report))
 }
 
@@ -200,6 +199,18 @@ mod tests {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "not a cache file").unwrap();
         assert!(store.load(&spec).is_none());
+        // A checked envelope cut inside its last number is absent, not
+        // a report with a smaller count.
+        let mut checked = spec.clone();
+        checked.checked = true;
+        let mut report = RunReport::default();
+        report.net.per_cube_accesses = vec![4074];
+        report.net.per_cube_conflicts = vec![107];
+        let text = store.store_checked(&checked, &[], &[], &report).unwrap();
+        assert!(text.ends_with("netcubes 1 4074 107\n"), "{text}");
+        assert!(store.load(&checked).is_some());
+        std::fs::write(store.path_for(&checked), &text[..text.len() - 2]).unwrap();
+        assert!(store.load(&checked).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 

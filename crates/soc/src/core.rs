@@ -3,7 +3,7 @@
 //! generate memory references and stall until the memory operation
 //! completes").
 
-use mac_types::{Cycle, MemOpKind, PhysAddr};
+use mac_types::{Cycle, MemOpKind, PhysAddr, SocConfig};
 
 use crate::program::{ThreadOp, ThreadProgram};
 
@@ -44,7 +44,6 @@ pub struct Core {
     /// Round-robin pointer.
     next_thread: usize,
     max_outstanding: usize,
-    spm_latency: u64,
     /// Temporal-multithreading context-switch cost (§3 extension).
     switch_penalty: u64,
     /// Thread that issued most recently (switch detection).
@@ -55,12 +54,8 @@ pub struct Core {
 
 impl Core {
     /// Build a core with the given thread programs and tids.
-    pub fn new(
-        programs: Vec<(u16, Box<dyn ThreadProgram>)>,
-        max_outstanding: usize,
-        spm_latency: u64,
-    ) -> Self {
-        Core::with_switch_penalty(programs, max_outstanding, spm_latency, 0)
+    pub fn new(programs: Vec<(u16, Box<dyn ThreadProgram>)>, max_outstanding: usize) -> Self {
+        Core::with_switch_penalty(programs, max_outstanding, 0)
     }
 
     /// [`Core::new`] with a temporal-multithreading context-switch cost:
@@ -68,7 +63,6 @@ impl Core {
     pub fn with_switch_penalty(
         programs: Vec<(u16, Box<dyn ThreadProgram>)>,
         max_outstanding: usize,
-        spm_latency: u64,
         penalty: u64,
     ) -> Self {
         Core {
@@ -89,7 +83,6 @@ impl Core {
                 .collect(),
             next_thread: 0,
             max_outstanding: max_outstanding.max(1),
-            spm_latency,
             switch_penalty: penalty,
             active_thread: None,
             switch_busy_until: 0,
@@ -155,7 +148,7 @@ impl Core {
                 ThreadOp::Spm => {
                     t.spm_accesses += 1;
                     t.instructions += 1;
-                    t.busy_until = now + self.spm_latency;
+                    t.busy_until = now + SocConfig::SPM_LATENCY;
                 }
                 ThreadOp::Mem { addr, kind } => {
                     let accepted = try_issue(IssueRequest {
@@ -275,7 +268,7 @@ mod tests {
                 )
             })
             .collect();
-        Core::new(programs, 1, 3)
+        Core::new(programs, 1)
     }
 
     #[test]
@@ -429,7 +422,7 @@ mod tests {
                 load_op(0x300),
             ])) as Box<dyn ThreadProgram>,
         )];
-        let mut c = Core::new(programs, 2, 3);
+        let mut c = Core::new(programs, 2);
         let mut issued = 0;
         for now in 0..3 {
             c.tick(now, |_| {
@@ -465,7 +458,7 @@ mod switch_tests {
                 )
             })
             .collect();
-        Core::with_switch_penalty(programs, usize::MAX, 3, penalty)
+        Core::with_switch_penalty(programs, usize::MAX, penalty)
     }
 
     #[test]

@@ -59,7 +59,6 @@ impl Node {
                 Core::with_switch_penalty(
                     ps,
                     cfg.max_outstanding_per_thread,
-                    cfg.spm_latency,
                     cfg.context_switch_penalty,
                 )
             })

@@ -169,8 +169,13 @@ impl<'a> Fields<'a> {
 }
 
 /// Parse a `MACS` file back into run statistics. Returns `None` on any
-/// format or version mismatch (the engine treats that as a cache miss).
+/// format or version mismatch (the engine treats that as a cache miss),
+/// and on text that does not end in a newline: a file cut inside its
+/// last number must not decode as a smaller one.
 pub fn decode_run(text: &str) -> Option<RunReport> {
+    if !text.ends_with('\n') {
+        return None;
+    }
     let mut lines = text.lines();
     let mut head = Fields::new(lines.next()?, "MACS")?;
     if head.u64()? != SIM_FORMAT_VERSION as u64 {
@@ -314,8 +319,12 @@ pub fn encode_artifacts(arts: &[Artifact]) -> String {
     s
 }
 
-/// Parse a `MACA` file back into artifacts (`None` = cache miss).
+/// Parse a `MACA` file back into artifacts (`None` = cache miss). Text
+/// that does not end in a newline was cut inside a line and is a miss.
 pub fn decode_artifacts(text: &str) -> Option<Vec<Artifact>> {
+    if !text.ends_with('\n') {
+        return None;
+    }
     let mut lines = text.lines();
     let mut head = Fields::new(lines.next()?, "MACA")?;
     if head.u64()? != ART_FORMAT_VERSION as u64 {

@@ -11,14 +11,14 @@
 use cache_model::{Cache, CacheConfig, MshrFile};
 use mac_guest::{cross_validate, ProgramSpec, TraceProfile, XvalReport, XvalTolerances};
 use mac_types::{
-    bandwidth, ns_to_cycles, AdaptConfig, FlitTablePolicy, MacPlacement, NetTopology, PhysAddr,
-    SystemConfig,
+    bandwidth, ns_to_cycles, AdaptConfig, FlitTablePolicy, MacConfig, MacPlacement, NetTopology,
+    PhysAddr, SocConfig, SystemConfig, ROW_BYTES,
 };
 use mac_workloads::{all_workloads, extended_workloads, sg, WorkloadParams};
 use soc_sim::ThreadOp;
 
-use crate::engine::{Artifact, ExpCtx, SimRequest};
-use crate::experiment::{parallel_map, ExperimentConfig};
+use crate::engine::{work_steal_map, Artifact, ExpCtx, SimRequest};
+use crate::experiment::ExperimentConfig;
 use crate::report::RunReport;
 
 /// Format a fraction as a percentage string (`0.5285` → `"52.85%"`).
@@ -81,8 +81,8 @@ pub(crate) fn table1(_ctx: &ExpCtx) -> Vec<Artifact> {
     let rows = [
         ("ISA", "RV64IM(+A subset) via rv64-sim".to_string()),
         ("Core #", c.soc.cores.to_string()),
-        ("CPU Frequency", format!("{} GHz", c.soc.freq_ghz)),
-        ("SPM", format!("{} MB per core", c.soc.spm_bytes >> 20)),
+        ("CPU Frequency", format!("{} GHz", SocConfig::FREQ_GHZ)),
+        ("SPM", format!("{} MB per core", SocConfig::SPM_BYTES >> 20)),
         ("Avg. SPM Access Latency", "1 ns".to_string()),
         (
             "HMC",
@@ -90,7 +90,7 @@ pub(crate) fn table1(_ctx: &ExpCtx) -> Vec<Artifact> {
                 "{} Links, {}GB, {}B-block",
                 c.hmc.links,
                 c.hmc.capacity >> 30,
-                c.hmc.row_bytes
+                ROW_BYTES
             ),
         ),
         ("Avg. HMC Access Latency", "93 ns".to_string()),
@@ -98,7 +98,8 @@ pub(crate) fn table1(_ctx: &ExpCtx) -> Vec<Artifact> {
             "ARQ",
             format!(
                 "{} entries, {}B per entry",
-                c.mac.arq_entries, c.mac.arq_entry_bytes
+                c.mac.arq_entries,
+                MacConfig::ARQ_ENTRY_BYTES
             ),
         ),
     ];
@@ -119,15 +120,14 @@ pub(crate) fn table1(_ctx: &ExpCtx) -> Vec<Artifact> {
 /// proportionally (64 KB here vs the full 2 MB LLC) to preserve the
 /// dataset:cache ratio that determines the miss rate. EXPERIMENTS.md
 /// records this substitution.
-fn fig01_missrates(scale: u32, seed: u64) -> Vec<(String, f64)> {
+fn fig01_missrates(scale: u32, seed: u64, workers: usize) -> Vec<(String, f64)> {
     let params = WorkloadParams {
         threads: 8,
         scale,
         seed,
     };
     let ws = all_workloads();
-    let inputs: Vec<_> = ws.iter().collect();
-    let rates = parallel_map(inputs, |w| {
+    let rates = work_steal_map(&ws, workers, |w| {
         let trace = w.generate(&params);
         let mut cache = Cache::new(CacheConfig {
             capacity: 64 << 10,
@@ -166,8 +166,8 @@ fn fig01_missrates(scale: u32, seed: u64) -> Vec<(String, f64)> {
 /// Figure 1 (right): the SG sequential-vs-random miss-rate sweep.
 /// Returns `(dataset_bytes, seq_miss_rate, rand_miss_rate)` per point,
 /// from 80 KB to 32 GB as in the paper.
-fn fig01_sweep(max_accesses: usize, seed: u64) -> Vec<(u64, f64, f64)> {
-    let sizes: Vec<u64> = vec![
+fn fig01_sweep(max_accesses: usize, seed: u64, workers: usize) -> Vec<(u64, f64, f64)> {
+    let sizes = [
         80 << 10,
         1 << 20,
         32 << 20,
@@ -175,7 +175,7 @@ fn fig01_sweep(max_accesses: usize, seed: u64) -> Vec<(u64, f64, f64)> {
         8u64 << 30,
         32u64 << 30,
     ];
-    parallel_map(sizes, |&bytes| {
+    work_steal_map(&sizes, workers, |&bytes| {
         let mut c = Cache::new(CacheConfig::llc());
         let seq = c.run(
             sg::sequential_stream(bytes, max_accesses)
@@ -193,7 +193,8 @@ fn fig01_sweep(max_accesses: usize, seed: u64) -> Vec<(u64, f64, f64)> {
 }
 
 pub(crate) fn fig01(ctx: &ExpCtx) -> Vec<Artifact> {
-    let rates = fig01_missrates(ctx.scale, FIG01_SEED);
+    let workers = ctx.pool.workers();
+    let rates = fig01_missrates(ctx.scale, FIG01_SEED, workers);
     let mean = mean_of(&rates, |(_, r)| *r);
     let mut rows: Vec<Vec<String>> = rates.into_iter().map(|(n, r)| vec![n, pct(r)]).collect();
     rows.push(vec!["MEAN".into(), pct(mean)]);
@@ -204,7 +205,7 @@ pub(crate) fn fig01(ctx: &ExpCtx) -> Vec<Artifact> {
         rows,
     );
 
-    let rows: Vec<Vec<String>> = fig01_sweep(400_000, FIG01_SEED)
+    let rows: Vec<Vec<String>> = fig01_sweep(400_000, FIG01_SEED, workers)
         .into_iter()
         .map(|(bytes, seq, rnd)| vec![human_bytes(bytes as i128), pct(seq), pct(rnd)])
         .collect();
@@ -625,7 +626,7 @@ pub(crate) fn ablate_mshr_baseline(ctx: &ExpCtx) -> Vec<Artifact> {
     // MSHR numbers from trace replay: every access misses (no data cache
     // in the node), so each goes to a 64-entry MSHR file with the 93 ns
     // miss window.
-    let miss_latency = ns_to_cycles(93.0, 3.3);
+    let miss_latency = ns_to_cycles(93.0, SocConfig::FREQ_GHZ);
     let mut rows = Vec::new();
     for w in all_workloads() {
         let trace = w.generate(&params);
@@ -1353,7 +1354,7 @@ mod tests {
 
     #[test]
     fn fig01_sweep_shows_seq_vs_random_divergence() {
-        let rows = fig01_sweep(60_000, 7);
+        let rows = fig01_sweep(60_000, 7, 2);
         let (_, seq_big, rand_big) = rows[rows.len() - 1];
         let (_, _, rand_small) = rows[0];
         // Shape targets (paper: seq 2.36 %, random 63.85 % at 32 GB; our

@@ -300,6 +300,27 @@ fn work_steal<F: Fn(usize) + Sync>(n: usize, workers: usize, f: F) {
     });
 }
 
+/// `f` of every input, computed on `workers` threads by [`work_steal`]
+/// and returned in input order.
+pub(crate) fn work_steal_map<T: Sync, R: Send>(
+    inputs: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    work_steal(inputs.len(), workers, |i| {
+        *slots[i].lock().expect("slot poisoned") = Some(f(&inputs[i]));
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("slot poisoned")
+                .expect("every job ran")
+        })
+        .collect()
+}
+
 /// A parallel, caching executor for simulation requests.
 ///
 /// See the [module docs](self) for the design; the short version is:
@@ -557,19 +578,15 @@ impl SimPool {
         }
 
         // Simulate what remains, with work stealing.
-        let slots: Vec<Mutex<Option<RunReport>>> =
-            still_missing.iter().map(|_| Mutex::new(None)).collect();
-        work_steal(still_missing.len(), self.workers, |k| {
-            let i = still_missing[k];
+        let reports = work_steal_map(&still_missing, self.workers, |&i| {
             let metrics = match &self.metrics_dir {
                 Some(_) => MetricsHub::new(self.metrics_interval),
                 None => MetricsHub::disabled(),
             };
-            let report = self.execute(&reqs[i], fps[i], metrics, None);
-            *slots[k].lock().expect("slot poisoned") = Some(report);
+            self.execute(&reqs[i], fps[i], metrics, None)
         });
-        for (&i, slot) in still_missing.iter().zip(slots) {
-            results[i] = slot.into_inner().expect("slot poisoned");
+        for (&i, report) in still_missing.iter().zip(reports) {
+            results[i] = Some(report);
         }
 
         // Fill duplicates of just-computed fingerprints.
@@ -929,6 +946,14 @@ mod tests {
             ran.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn work_steal_map_keeps_input_order() {
+        for workers in [1, 2, 8] {
+            let out = work_steal_map(&[3u64, 1, 4, 1, 5], workers, |&x| x * 2);
+            assert_eq!(out, [6, 2, 8, 2, 10], "workers={workers}");
+        }
     }
 
     #[test]

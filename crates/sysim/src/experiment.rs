@@ -252,33 +252,6 @@ pub fn run_pair(w: &dyn Workload, cfg: &ExperimentConfig) -> (RunReport, RunRepo
     (with, without)
 }
 
-/// Run a closure over many labelled inputs in parallel (scoped threads),
-/// returning the results in input order.
-pub fn parallel_map<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let results: Vec<std::sync::Mutex<Option<R>>> =
-        inputs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for (input, slot) in inputs.iter().zip(&results) {
-            s.spawn(|| {
-                *slot.lock().expect("result slot poisoned") = Some(f(input));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("thread filled its slot")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,11 +277,5 @@ mod tests {
         // MAC reduces transactions.
         assert!(with.hmc.accesses() < without.hmc.accesses());
         assert!(with.coalescing_efficiency() > 0.05);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(vec![3u64, 1, 4, 1, 5], |&x| x * 2);
-        assert_eq!(out, vec![6, 2, 8, 2, 10]);
     }
 }

@@ -3,7 +3,9 @@
 //! experiment's rendered tables). A cache directory is a file on disk
 //! anyone can edit, so every truncation and every single-byte mutation of
 //! an entry must decode to `None` (a cache miss) or to a value the
-//! engine can use, never panic.
+//! engine can use, never panic. A truncation must not decode to a wrong
+//! number either: a cut `.mrc`, or an `.art` cut inside a line, is a
+//! miss.
 
 use std::sync::OnceLock;
 
@@ -104,16 +106,23 @@ fn samples_round_trip() {
     assert_eq!(encode_artifacts(&arts), sample_artifacts());
 }
 
-/// Cutting an entry at any byte never panics.
+/// Cutting an entry at any byte never panics. Every cut `.mrc` is a
+/// miss, and so is every `.art` cut inside a line; an `.art` cut at a
+/// line boundary decodes with fewer rows.
 #[test]
 fn every_truncation_is_harmless() {
     let run = sample_run();
     for cut in 0..run.len() {
         exercise_run(&run[..cut]);
+        assert!(decode_run(&run[..cut]).is_none(), "`.mrc` cut at {cut}");
     }
     let arts = sample_artifacts();
     for cut in 0..arts.len() {
         exercise_artifacts(&arts[..cut]);
+        if !arts[..cut].ends_with('\n') {
+            let decoded = decode_artifacts(&arts[..cut]);
+            assert!(decoded.is_none(), "`.art` cut at {cut}");
+        }
     }
 }
 

@@ -16,10 +16,10 @@
 //!   perturbs simulated behavior (verified by a cycle-identity test in
 //!   `sysim`).
 //! - **One stream, many sinks.** [`TraceSink`] receives records;
-//!   [`RingSink`] keeps the last N in memory, [`BinarySink`] streams a
-//!   compact deterministic binary format (read back with
-//!   [`TraceReader`]), and [`PerfettoSink`] writes Chrome
-//!   `trace_event` JSON for <https://ui.perfetto.dev>.
+//!   [`RingSink`] keeps the last N in memory, and [`BinarySink`] streams
+//!   a compact deterministic binary format (read back with
+//!   [`TraceReader`]); [`export_json`] turns a recorded stream into
+//!   Chrome `trace_event` JSON for <https://ui.perfetto.dev>.
 //! - **Analysis offline.** The [`analyzer`] module derives the paper's
 //!   observables (coalescing windows, row reuse, vault occupancy, bank
 //!   conflict maps) from a recorded stream, not from the live run.
@@ -40,7 +40,7 @@ pub use event::{
     TraceEvent, TraceRecord, POP_BUILDER, POP_BYPASS, POP_FENCE, ROUTE_GLOBAL, ROUTE_LOCAL,
     ROUTE_REMOTE_IN, ROUTE_STALLED,
 };
-pub use perfetto::{export_counter_tracks, export_json, export_merged, CounterTrack, PerfettoSink};
+pub use perfetto::{export_counter_tracks, export_json, export_merged, CounterTrack};
 pub use profiler::{ProfSnapshot, Profiler, SpanGuard, SpanRecord};
 pub use ring::{RingHandle, RingSink};
 pub use tracer::{TraceSink, TraceSummary, Tracer};

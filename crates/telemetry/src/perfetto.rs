@@ -653,49 +653,6 @@ pub fn export_merged(
     out
 }
 
-/// Sink that buffers every record and writes the Chrome trace JSON to a
-/// file when flushed (and on drop, if records arrived after the last
-/// flush).
-pub struct PerfettoSink {
-    path: std::path::PathBuf,
-    records: Vec<TraceRecord>,
-    dirty: bool,
-}
-
-impl PerfettoSink {
-    /// A sink that will write Chrome trace JSON to `path` on flush.
-    pub fn create(path: impl Into<std::path::PathBuf>) -> PerfettoSink {
-        PerfettoSink {
-            path: path.into(),
-            records: Vec::new(),
-            dirty: false,
-        }
-    }
-}
-
-impl crate::tracer::TraceSink for PerfettoSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.records.push(*rec);
-        self.dirty = true;
-    }
-
-    fn flush(&mut self) {
-        if let Err(e) = std::fs::write(&self.path, export_json(&self.records)) {
-            eprintln!("mac-telemetry: perfetto sink write failed: {e}");
-        } else {
-            self.dirty = false;
-        }
-    }
-}
-
-impl Drop for PerfettoSink {
-    fn drop(&mut self) {
-        if self.dirty {
-            crate::tracer::TraceSink::flush(self);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

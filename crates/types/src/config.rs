@@ -4,24 +4,25 @@
 //! Defaults reproduce the paper's simulated system exactly:
 //! RV64 cores x8 @3.3 GHz, 1 MB SPM/core (1 ns), 8 GB HMC with 4 links and
 //! 256 B rows (~93 ns average access), ARQ of 32 x 64 B entries.
+//!
+//! A parameter the paper fixes and no experiment varies (the clock, the
+//! SPM, the ARQ entry size, the builder's stage latencies, the DRAM
+//! timings and geometry, the link rate, the retry penalty and seed, and
+//! the switch pass-through) is an associated constant of the struct it
+//! belongs to, not a field: `SocConfig::FREQ_GHZ`, `HmcConfig::T_RCD`.
 
 use std::ops::RangeInclusive;
+
+use crate::request::Target;
 
 /// Core-side (node) configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Number of in-order cores per node (Table 1: 8).
     pub cores: usize,
-    /// Core clock in GHz (Table 1: 3.3).
-    pub freq_ghz: f64,
     /// Hardware threads per node. The paper evaluates 2/4/8; threads are
     /// spread round-robin over cores.
     pub threads: usize,
-    /// Scratchpad size per core in bytes (Table 1: 1 MB).
-    pub spm_bytes: u64,
-    /// Average SPM access latency in CPU cycles (Table 1: 1 ns ~ 3 cycles
-    /// at 3.3 GHz; we round to 3).
-    pub spm_latency: u64,
     /// Maximum outstanding memory requests per thread before it stalls.
     ///
     /// The default (`usize::MAX`, fully open-loop) reproduces the paper's
@@ -46,14 +47,22 @@ pub struct SocConfig {
     pub context_switch_penalty: u64,
 }
 
+impl SocConfig {
+    /// Core clock in GHz (Table 1: 3.3). Every latency in the
+    /// configuration is in cycles of this one clock.
+    pub const FREQ_GHZ: f64 = 3.3;
+    /// Scratchpad size per core in bytes (Table 1: 1 MB).
+    pub const SPM_BYTES: u64 = 1 << 20;
+    /// Average SPM access latency in CPU cycles (Table 1: 1 ns ~ 3 cycles
+    /// at 3.3 GHz; we round to 3).
+    pub const SPM_LATENCY: u64 = 3;
+}
+
 impl Default for SocConfig {
     fn default() -> Self {
         SocConfig {
             cores: 8,
-            freq_ghz: 3.3,
             threads: 8,
-            spm_bytes: 1 << 20,
-            spm_latency: 3,
             max_outstanding_per_thread: usize::MAX,
             nodes: 1,
             interconnect_latency: 100,
@@ -81,16 +90,9 @@ pub enum FlitTablePolicy {
 pub struct MacConfig {
     /// ARQ entries (Table 1: 32; Figure 11 sweeps 8..64).
     pub arq_entries: usize,
-    /// Bytes per ARQ entry (Table 1: 64). 10 B hold the extended address
-    /// and FLIT map; the rest buffers 4.5 B targets (§5.3.3).
-    pub arq_entry_bytes: u64,
     /// Cycles between ARQ pops toward the request builder (§4.1: "every
     /// two clock cycles, a request is popped").
     pub pop_interval: u64,
-    /// Latency of builder stage 1 (OR-reduce), cycles (§4.2: 1).
-    pub stage1_latency: u64,
-    /// Latency of builder stage 2 (table lookup + build), cycles (§4.2.1: 2).
-    pub stage2_latency: u64,
     /// FLIT-table policy (default: the paper's span-rounded table).
     pub flit_table: FlitTablePolicy,
     /// Enable the `B`-bit bypass path for single-request rows (§4.1.2).
@@ -111,15 +113,23 @@ pub struct MacConfig {
 }
 
 impl MacConfig {
+    /// Bytes per ARQ entry (Table 1: 64). 10 B hold the extended address
+    /// and FLIT map; the rest buffers 4.5 B targets (§5.3.3).
+    pub const ARQ_ENTRY_BYTES: u64 = 64;
+    /// Latency of builder stage 1 (OR-reduce), cycles (§4.2: 1).
+    pub const STAGE1_LATENCY: u64 = 1;
+    /// Latency of builder stage 2 (table lookup + build), cycles (§4.2.1: 2).
+    pub const STAGE2_LATENCY: u64 = 2;
+
     /// Maximum distinct targets one entry can hold:
     /// `(entry_bytes − 10) / 4.5` = 12 for 64 B entries (§5.3.3).
-    pub fn max_targets_per_entry(&self) -> usize {
-        (((self.arq_entry_bytes as f64) - 10.0) / 4.5).floor() as usize
+    pub fn max_targets_per_entry() -> usize {
+        ((Self::ARQ_ENTRY_BYTES as f64 - 10.0) / Target::BYTES).floor() as usize
     }
 
     /// ARQ storage in bytes (Figure 16's x-axis -> y-axis mapping).
     pub fn arq_bytes(&self) -> u64 {
-        self.arq_entries as u64 * self.arq_entry_bytes
+        self.arq_entries as u64 * Self::ARQ_ENTRY_BYTES
     }
 }
 
@@ -127,10 +137,7 @@ impl Default for MacConfig {
     fn default() -> Self {
         MacConfig {
             arq_entries: 32,
-            arq_entry_bytes: 64,
             pop_interval: 2,
-            stage1_latency: 1,
-            stage2_latency: 2,
             flit_table: FlitTablePolicy::SpanRounded,
             bypass_enabled: true,
             latency_hiding: true,
@@ -151,52 +158,51 @@ pub struct HmcConfig {
     pub vaults: usize,
     /// Banks per vault (8 GB cube: 16, for 512 total banks; §2.2.1).
     pub banks_per_vault: usize,
-    /// DRAM row size in bytes (Table 1: 256).
-    pub row_bytes: u64,
-    /// Per-link bandwidth in GB/s each direction (4 x 30 GB/s = 120 GB/s
-    ///< the 320 GB/s peak of an 8-link cube).
-    pub link_gbps: f64,
-    /// Core cycles to transfer one FLIT on one link (derived from
-    /// `link_gbps` at build time; see [`HmcConfig::flit_cycles_x16`]).
-    pub cpu_ghz: f64,
-    /// Closed-page activate latency (tRCD) in core cycles.
-    pub t_rcd: u64,
-    /// Column access latency (tCL) in core cycles.
-    pub t_cl: u64,
-    /// Precharge latency (tRP) in core cycles — paid on every access under
-    /// the closed-page policy (§2.2.1).
-    pub t_rp: u64,
-    /// Cycles to stream one 32 B column burst out of the sense amps.
-    pub t_burst_per_32b: u64,
-    /// Fixed logic-layer traversal (crossbar + vault controller) one-way,
-    /// in core cycles.
-    pub logic_latency: u64,
     /// Vault controller command queue depth.
     pub vault_queue_depth: usize,
     /// Link packet error rate (probability a packet fails CRC and must
     /// retransmit; HMC's link retry protocol). 0.0 disables injection.
     pub link_error_rate: f64,
-    /// Extra cycles per retransmission (timeout detection + replay from
-    /// the link retry buffer).
-    pub retry_penalty: u64,
-    /// Seed for the error-injection RNG (deterministic runs).
-    pub error_seed: u64,
 }
 
+/// Calibrated so an uncontended 16 B read round-trip is ~93 ns (~307
+/// cycles at 3.3 GHz): link ser/deser + logic + DRAM. The DRAM row is
+/// [`ROW_BYTES`](crate::ROW_BYTES) (Table 1: 256 B).
 impl HmcConfig {
+    /// Per-link bandwidth in GB/s each direction (4 x 30 GB/s = 120 GB/s
+    /// < the 320 GB/s peak of an 8-link cube).
+    pub const LINK_GBPS: f64 = 30.0;
+    /// Closed-page activate latency (tRCD) in core cycles (~18.2 ns).
+    pub const T_RCD: u64 = 60;
+    /// Column access latency (tCL) in core cycles (~18.2 ns).
+    pub const T_CL: u64 = 60;
+    /// Precharge latency (tRP) in core cycles (~13.9 ns) — paid on every
+    /// access under the closed-page policy (§2.2.1).
+    pub const T_RP: u64 = 46;
+    /// Cycles to stream one 32 B column burst out of the sense amps.
+    pub const T_BURST_PER_32B: u64 = 4;
+    /// Fixed logic-layer traversal (SerDes + crossbar + vault controller)
+    /// one-way, in core cycles (~27 ns).
+    pub const LOGIC_LATENCY: u64 = 90;
+    /// Extra cycles per retransmission (timeout detection + replay from
+    /// the link retry buffer).
+    pub const RETRY_PENALTY: u64 = 100;
+    /// Seed for the error-injection RNG (deterministic runs).
+    pub const ERROR_SEED: u64 = 0x5EED;
+
     /// Core cycles to serialize one 16 B FLIT on a single link.
     /// At 30 GB/s and 3.3 GHz: 16 B / (30 B/ns) = 0.533 ns = 1.76 cycles;
     /// we model it with fixed-point x16 to keep cycle math integral.
-    pub fn flit_cycles_x16(&self) -> u64 {
-        let ns_per_flit = 16.0 / self.link_gbps; // GB/s == B/ns
-        (ns_per_flit * self.cpu_ghz * 16.0).round() as u64
+    pub fn flit_cycles_x16() -> u64 {
+        let ns_per_flit = 16.0 / Self::LINK_GBPS; // GB/s == B/ns
+        (ns_per_flit * SocConfig::FREQ_GHZ * 16.0).round() as u64
     }
 
     /// DRAM service time for one access of `payload_bytes`, excluding
     /// queueing: activate + column + burst + precharge.
-    pub fn dram_service_cycles(&self, payload_bytes: u64) -> u64 {
+    pub fn dram_service_cycles(payload_bytes: u64) -> u64 {
         let bursts = payload_bytes.div_ceil(32).max(1);
-        self.t_rcd + self.t_cl + bursts * self.t_burst_per_32b + self.t_rp
+        Self::T_RCD + Self::T_CL + bursts * Self::T_BURST_PER_32B + Self::T_RP
     }
 
     /// Total banks in the cube.
@@ -207,25 +213,13 @@ impl HmcConfig {
 
 impl Default for HmcConfig {
     fn default() -> Self {
-        // Calibrated so an uncontended 16 B read round-trip is ~93 ns
-        // (~307 cycles at 3.3 GHz): link ser/deser + logic + DRAM.
         HmcConfig {
             links: 4,
             capacity: 8 << 30,
             vaults: 32,
             banks_per_vault: 16,
-            row_bytes: 256,
-            link_gbps: 30.0,
-            cpu_ghz: 3.3,
-            t_rcd: 60, // ~18.2 ns
-            t_cl: 60,  // ~18.2 ns
-            t_rp: 46,  // ~13.9 ns
-            t_burst_per_32b: 4,
-            logic_latency: 90, // ~27 ns each way (SerDes + crossbar + VC)
             vault_queue_depth: 32,
             link_error_rate: 0.0,
-            retry_penalty: 100,
-            error_seed: 0x5EED,
         }
     }
 }
@@ -235,37 +229,31 @@ impl Default for HmcConfig {
 /// data bus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DdrConfig {
-    /// Banks in the rank.
-    pub banks: usize,
-    /// Row (page) size in bytes (DDR4: 8 KB typical).
-    pub row_bytes: u64,
-    /// Activate latency in core cycles.
-    pub t_rcd: u64,
-    /// Column access latency in core cycles.
-    pub t_cl: u64,
-    /// Precharge latency in core cycles.
-    pub t_rp: u64,
-    /// Cycles per 64 B burst on the shared data bus.
-    pub t_burst: u64,
-    /// Controller/PHY latency each way, in core cycles.
-    pub interface_latency: u64,
     /// Controller transaction queue depth.
     pub queue_depth: usize,
 }
 
+/// DDR4-2400-ish timings at 3.3 GHz core cycles.
+impl DdrConfig {
+    /// Banks in the rank.
+    pub const BANKS: usize = 16;
+    /// Row (page) size in bytes (DDR4: 8 KB typical).
+    pub const ROW_BYTES: u64 = 8 << 10;
+    /// Activate latency in core cycles.
+    pub const T_RCD: u64 = 46;
+    /// Column access latency in core cycles.
+    pub const T_CL: u64 = 46;
+    /// Precharge latency in core cycles.
+    pub const T_RP: u64 = 46;
+    /// Cycles per 64 B burst on the shared data bus (64 B at ~19.2 GB/s).
+    pub const T_BURST: u64 = 11;
+    /// Controller/PHY latency each way, in core cycles.
+    pub const INTERFACE_LATENCY: u64 = 50;
+}
+
 impl Default for DdrConfig {
     fn default() -> Self {
-        // DDR4-2400-ish timings at 3.3 GHz core cycles.
-        DdrConfig {
-            banks: 16,
-            row_bytes: 8 << 10,
-            t_rcd: 46,
-            t_cl: 46,
-            t_rp: 46,
-            t_burst: 11, // 64 B at ~19.2 GB/s
-            interface_latency: 50,
-            queue_depth: 32,
-        }
+        DdrConfig { queue_depth: 32 }
     }
 }
 
@@ -285,37 +273,32 @@ pub enum MemBackend {
 /// minimum access, 1 KB rows, open-page row buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HbmConfig {
-    /// Independent channels (HBM2: 8 per stack).
-    pub channels: usize,
-    /// Banks per channel.
-    pub banks_per_channel: usize,
-    /// DRAM row (page) size in bytes (HBM: 1 KB).
-    pub row_bytes: u64,
-    /// Activate latency in core cycles.
-    pub t_rcd: u64,
-    /// Column access latency in core cycles.
-    pub t_cl: u64,
-    /// Precharge latency in core cycles.
-    pub t_rp: u64,
-    /// Cycles per 32 B burst on a channel's data bus.
-    pub t_burst_per_32b: u64,
-    /// PHY/interface latency each way, in core cycles.
-    pub interface_latency: u64,
     /// Per-channel command queue depth.
     pub channel_queue_depth: usize,
+}
+
+impl HbmConfig {
+    /// Independent channels (HBM2: 8 per stack).
+    pub const CHANNELS: usize = 8;
+    /// Banks per channel.
+    pub const BANKS_PER_CHANNEL: usize = 16;
+    /// DRAM row (page) size in bytes (HBM: 1 KB).
+    pub const ROW_BYTES: u64 = 1024;
+    /// Activate latency in core cycles.
+    pub const T_RCD: u64 = 46;
+    /// Column access latency in core cycles.
+    pub const T_CL: u64 = 46;
+    /// Precharge latency in core cycles.
+    pub const T_RP: u64 = 46;
+    /// Cycles per 32 B burst on a channel's data bus.
+    pub const T_BURST_PER_32B: u64 = 2;
+    /// PHY/interface latency each way, in core cycles.
+    pub const INTERFACE_LATENCY: u64 = 40;
 }
 
 impl Default for HbmConfig {
     fn default() -> Self {
         HbmConfig {
-            channels: 8,
-            banks_per_channel: 16,
-            row_bytes: 1024,
-            t_rcd: 46,
-            t_cl: 46,
-            t_rp: 46,
-            t_burst_per_32b: 2,
-            interface_latency: 40,
             channel_queue_depth: 32,
         }
     }
@@ -488,13 +471,16 @@ pub struct NetConfig {
     pub placement: MacPlacement,
     /// How addresses map onto cubes.
     pub mapping: CubeMapping,
-    /// Pass-through latency a transit packet pays inside an
-    /// intermediate cube's switch (link deser → route → reser), in
-    /// core cycles, per hop — on top of link serialization.
-    pub forward_latency: u64,
 }
 
 impl NetConfig {
+    /// Pass-through latency a transit packet pays inside an
+    /// intermediate cube's switch (link deser → route → reser), in
+    /// core cycles, per hop — on top of link serialization. Switch
+    /// pass-through ≈ 12 ns (Hadidi et al. measure 9–14 ns per
+    /// intermediate cube): 40 cycles at 3.3 GHz.
+    pub const FORWARD_LATENCY: u64 = 40;
+
     /// Bits of the address that select the cube (`log2(cubes)`).
     pub fn cube_bits(&self) -> u32 {
         debug_assert!(self.cubes.is_power_of_two());
@@ -510,9 +496,6 @@ impl Default for NetConfig {
             topology: NetTopology::DaisyChain,
             placement: MacPlacement::HostOnly,
             mapping: CubeMapping::Interleaved,
-            // Switch pass-through ≈ 12 ns (Hadidi et al. measure 9–14 ns
-            // per intermediate cube): 40 cycles at 3.3 GHz.
-            forward_latency: 40,
         }
     }
 }
@@ -702,18 +685,19 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ROW_BYTES;
 
     #[test]
     fn defaults_match_table1() {
         let c = SystemConfig::default();
         assert_eq!(c.soc.cores, 8);
-        assert_eq!(c.soc.freq_ghz, 3.3);
-        assert_eq!(c.soc.spm_bytes, 1 << 20);
+        assert_eq!(SocConfig::FREQ_GHZ, 3.3);
+        assert_eq!(SocConfig::SPM_BYTES, 1 << 20);
         assert_eq!(c.hmc.links, 4);
         assert_eq!(c.hmc.capacity, 8 << 30);
-        assert_eq!(c.hmc.row_bytes, 256);
+        assert_eq!(ROW_BYTES, 256);
         assert_eq!(c.mac.arq_entries, 32);
-        assert_eq!(c.mac.arq_entry_bytes, 64);
+        assert_eq!(MacConfig::ARQ_ENTRY_BYTES, 64);
     }
 
     #[test]
@@ -725,7 +709,7 @@ mod tests {
     #[test]
     fn max_targets_per_entry_is_12() {
         // §5.3.3: 64 B entry - 10 B addr/map = 54 B / 4.5 B = 12 targets.
-        assert_eq!(MacConfig::default().max_targets_per_entry(), 12);
+        assert_eq!(MacConfig::max_targets_per_entry(), 12);
     }
 
     #[test]
@@ -742,17 +726,17 @@ mod tests {
 
     #[test]
     fn uncontended_read_latency_near_93ns() {
-        let h = HmcConfig::default();
+        type H = HmcConfig;
         // request link (1 FLIT) + logic in + DRAM 16B + logic out +
         // response link (2 FLITs). Precharge (tRP) overlaps the response
         // path, so it is excluded from the observed round trip.
-        let flit = h.flit_cycles_x16();
+        let flit = H::flit_cycles_x16();
         let cycles = flit.div_ceil(16)
-            + h.logic_latency
-            + (h.dram_service_cycles(16) - h.t_rp)
-            + h.logic_latency
+            + H::LOGIC_LATENCY
+            + (H::dram_service_cycles(16) - H::T_RP)
+            + H::LOGIC_LATENCY
             + (2 * flit).div_ceil(16);
-        let ns = cycles as f64 / h.cpu_ghz;
+        let ns = cycles as f64 / SocConfig::FREQ_GHZ;
         assert!(
             (85.0..101.0).contains(&ns),
             "uncontended latency {ns:.1} ns not near 93 ns"
@@ -886,9 +870,8 @@ mod tests {
 
     #[test]
     fn flit_serialization_cycles_are_positive() {
-        let h = HmcConfig::default();
-        assert!(h.flit_cycles_x16() > 0);
+        assert!(HmcConfig::flit_cycles_x16() > 0);
         // One FLIT at 30 GB/s, 3.3 GHz ~ 1.76 cycles -> 28 in x16 fixed point.
-        assert_eq!(h.flit_cycles_x16(), 28);
+        assert_eq!(HmcConfig::flit_cycles_x16(), 28);
     }
 }

@@ -24,8 +24,11 @@
 //! format. Adding, removing, or reordering hashed fields must be
 //! accompanied by a bump of the caller's format-version salt (the
 //! engine's `CACHE_FORMAT_VERSION`) so stale cache entries are never
-//! resurrected under a new meaning.
+//! resurrected under a new meaning. A field that became a constant
+//! (`SocConfig::FREQ_GHZ`, `HmcConfig::T_RCD`, ...) hashes the constant
+//! at its old position, so keys do not move.
 
+use crate::addr::ROW_BYTES;
 use crate::config::{
     AdaptConfig, CubeMapping, DdrConfig, FlitTablePolicy, HbmConfig, HmcConfig, MacConfig,
     MacPlacement, MemBackend, NetConfig, NetTopology, SocConfig, SystemConfig,
@@ -124,10 +127,10 @@ pub trait Fingerprint {
 impl Fingerprint for SocConfig {
     fn fingerprint(&self, h: &mut Fnv128) {
         h.write_usize(self.cores);
-        h.write_f64(self.freq_ghz);
+        h.write_f64(SocConfig::FREQ_GHZ);
         h.write_usize(self.threads);
-        h.write_u64(self.spm_bytes);
-        h.write_u64(self.spm_latency);
+        h.write_u64(SocConfig::SPM_BYTES);
+        h.write_u64(SocConfig::SPM_LATENCY);
         h.write_usize(self.max_outstanding_per_thread);
         h.write_usize(self.nodes);
         h.write_u64(self.interconnect_latency);
@@ -148,10 +151,10 @@ impl Fingerprint for FlitTablePolicy {
 impl Fingerprint for MacConfig {
     fn fingerprint(&self, h: &mut Fnv128) {
         h.write_usize(self.arq_entries);
-        h.write_u64(self.arq_entry_bytes);
+        h.write_u64(MacConfig::ARQ_ENTRY_BYTES);
         h.write_u64(self.pop_interval);
-        h.write_u64(self.stage1_latency);
-        h.write_u64(self.stage2_latency);
+        h.write_u64(MacConfig::STAGE1_LATENCY);
+        h.write_u64(MacConfig::STAGE2_LATENCY);
         self.flit_table.fingerprint(h);
         h.write_bool(self.bypass_enabled);
         h.write_bool(self.latency_hiding);
@@ -166,18 +169,18 @@ impl Fingerprint for HmcConfig {
         h.write_u64(self.capacity);
         h.write_usize(self.vaults);
         h.write_usize(self.banks_per_vault);
-        h.write_u64(self.row_bytes);
-        h.write_f64(self.link_gbps);
-        h.write_f64(self.cpu_ghz);
-        h.write_u64(self.t_rcd);
-        h.write_u64(self.t_cl);
-        h.write_u64(self.t_rp);
-        h.write_u64(self.t_burst_per_32b);
-        h.write_u64(self.logic_latency);
+        h.write_u64(ROW_BYTES);
+        h.write_f64(HmcConfig::LINK_GBPS);
+        h.write_f64(SocConfig::FREQ_GHZ);
+        h.write_u64(HmcConfig::T_RCD);
+        h.write_u64(HmcConfig::T_CL);
+        h.write_u64(HmcConfig::T_RP);
+        h.write_u64(HmcConfig::T_BURST_PER_32B);
+        h.write_u64(HmcConfig::LOGIC_LATENCY);
         h.write_usize(self.vault_queue_depth);
         h.write_f64(self.link_error_rate);
-        h.write_u64(self.retry_penalty);
-        h.write_u64(self.error_seed);
+        h.write_u64(HmcConfig::RETRY_PENALTY);
+        h.write_u64(HmcConfig::ERROR_SEED);
         // The retired link-selection knob: always earliest-free (was 0).
         h.write_bytes(&[0]);
     }
@@ -218,33 +221,33 @@ impl Fingerprint for NetConfig {
         self.topology.fingerprint(h);
         self.placement.fingerprint(h);
         self.mapping.fingerprint(h);
-        h.write_u64(self.forward_latency);
+        h.write_u64(NetConfig::FORWARD_LATENCY);
     }
 }
 
 impl Fingerprint for DdrConfig {
     fn fingerprint(&self, h: &mut Fnv128) {
-        h.write_usize(self.banks);
-        h.write_u64(self.row_bytes);
-        h.write_u64(self.t_rcd);
-        h.write_u64(self.t_cl);
-        h.write_u64(self.t_rp);
-        h.write_u64(self.t_burst);
-        h.write_u64(self.interface_latency);
+        h.write_usize(DdrConfig::BANKS);
+        h.write_u64(DdrConfig::ROW_BYTES);
+        h.write_u64(DdrConfig::T_RCD);
+        h.write_u64(DdrConfig::T_CL);
+        h.write_u64(DdrConfig::T_RP);
+        h.write_u64(DdrConfig::T_BURST);
+        h.write_u64(DdrConfig::INTERFACE_LATENCY);
         h.write_usize(self.queue_depth);
     }
 }
 
 impl Fingerprint for HbmConfig {
     fn fingerprint(&self, h: &mut Fnv128) {
-        h.write_usize(self.channels);
-        h.write_usize(self.banks_per_channel);
-        h.write_u64(self.row_bytes);
-        h.write_u64(self.t_rcd);
-        h.write_u64(self.t_cl);
-        h.write_u64(self.t_rp);
-        h.write_u64(self.t_burst_per_32b);
-        h.write_u64(self.interface_latency);
+        h.write_usize(HbmConfig::CHANNELS);
+        h.write_usize(HbmConfig::BANKS_PER_CHANNEL);
+        h.write_u64(HbmConfig::ROW_BYTES);
+        h.write_u64(HbmConfig::T_RCD);
+        h.write_u64(HbmConfig::T_CL);
+        h.write_u64(HbmConfig::T_RP);
+        h.write_u64(HbmConfig::T_BURST_PER_32B);
+        h.write_u64(HbmConfig::INTERFACE_LATENCY);
         // The retired page-policy knob: HBM banks are always open-page.
         h.write_bool(true);
         h.write_usize(self.channel_queue_depth);
@@ -381,9 +384,6 @@ mod tests {
         let per_cube = fp(&c);
         c.net.mapping = CubeMapping::Contiguous;
         assert_ne!(per_cube, fp(&c));
-        let contig = fp(&c);
-        c.net.forward_latency += 1;
-        assert_ne!(contig, fp(&c));
     }
 
     #[test]

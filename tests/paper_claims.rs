@@ -41,7 +41,7 @@ fn area_accounting_matches_paper() {
 /// 10 B of address + FLIT map.
 #[test]
 fn entry_holds_twelve_targets() {
-    assert_eq!(MacConfig::default().max_targets_per_entry(), 12);
+    assert_eq!(MacConfig::max_targets_per_entry(), 12);
 }
 
 /// Table 1: an uncontended HMC access round-trips in about 93 ns.
@@ -50,7 +50,7 @@ fn uncontended_latency_matches_table1() {
     let cfg = SystemConfig::paper(1);
     let programs: Vec<Box<dyn ThreadProgram>> = vec![Box::new(ReplayProgram::loads([0x1000], 0))];
     let r = mac_repro::sim::SystemSim::new(&cfg, programs).run(10_000);
-    let ns = r.hmc.latency.mean() / cfg.soc.freq_ghz;
+    let ns = r.hmc.latency.mean() / SocConfig::FREQ_GHZ;
     assert!(
         (80.0..=110.0).contains(&ns),
         "uncontended access latency {ns:.1} ns should be near 93 ns"
