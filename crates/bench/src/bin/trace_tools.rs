@@ -174,7 +174,8 @@ fn cmd_run(args: &[String]) {
             .unwrap_or_else(|e| fail(format!("create {}: {e}", out.display())));
         sim.set_tracer(Tracer::new(sink));
     }
-    let r = sim.run(2_000_000_000);
+    let cap = *bounds::MAX_CYCLES.range.end();
+    let r = sim.run(cap);
     println!(
         "mac               : {}",
         if no_mac { "disabled" } else { "enabled" }
@@ -198,6 +199,14 @@ fn cmd_run(args: &[String]) {
             out.display(),
             r.trace.events
         );
+    }
+    // A run cut at the cap printed a truncated measurement.
+    if r.cycles >= cap || r.soc.raw_requests != r.soc.completions {
+        fail(format!(
+            "[FAILED] stopped at cycle {} under the maxcycles={cap} cap with {} of {} raw \
+             requests complete",
+            r.cycles, r.soc.completions, r.soc.raw_requests
+        ));
     }
 }
 

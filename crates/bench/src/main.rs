@@ -71,7 +71,7 @@
 //!   `--out`; it serves until a client sends `shutdown`, then drains and
 //!   writes its counters to `<out>/serve/server-metrics.csv`.
 //! * `client` speaks to a running server: `submit key=value...` (the
-//!   MACS-1 submit fields, e.g. `entry=smoke scale=1` or
+//!   MACS-1 submit fields as text, e.g. `entry=smoke scale=1` or
 //!   `workload=sg threads=4 checked=true`; add `--wait` to block until
 //!   the job finishes and `--fetch` to print its artifact), plus
 //!   `poll JOB`, `wait JOB`, `fetch JOB`, `stats`, `pause`, `resume`,
@@ -96,7 +96,6 @@ use std::process::exit;
 use std::time::Instant;
 
 use mac_metrics::MetricsSnapshot;
-use mac_serve::proto::{Fields, Scalar};
 use mac_serve::{
     serve, AdmissionConfig, Frame, JobSpec, JobState, Response, ServeClient, ServerConfig,
 };
@@ -105,7 +104,7 @@ use mac_sim::engine::{run_experiments, EngineOptions, SimPool};
 use mac_sim::fuzz::{self, FuzzOptions};
 use mac_sim::manifest::{manifest, select};
 use mac_telemetry::{export_merged, read_trace_file, CounterTrack, ProfSnapshot};
-use mac_types::{bounds, Bound, JobId};
+use mac_types::{bounds, keys, Bound, JobId};
 
 const USAGE: &str = "\
 usage: mac-bench [run] [options]
@@ -163,12 +162,15 @@ serve options:
   --profile              record host-side spans; exports land next to the counters
 
 client verbs (after global --addr A and --name NAME):
-  submit key=value...    submit a job (`entry=smoke scale=1`, or `workload=sg`
-                         plus overrides: threads/scale/seed/maxcycles/nomac/
-                         arq/pop/accepts/bypass/hiding/cubes/topology/
-                         placement/mapping/checked); --wait blocks until it
-                         finishes, --fetch prints the artifact; a shed
-                         submission prints retry_after_ms and exits 3
+  submit key=value...    submit a job: `entry=smoke scale=1`, or `workload=sg`
+                         plus checked=true|false and the keys of DESIGN.md
+                         §12's table: threads nodes maxout arq pop accepts
+                         bypass hiding table router vaultq nomac cubes
+                         topology placement mapping net interval minpop
+                         maxpop minacc maxacc evidence hold adapt scale seed
+                         maxcycles; --wait blocks until it finishes, --fetch
+                         prints the artifact; a shed submission prints
+                         retry_after_ms and exits 3
   poll JOB               print a job's current state
   wait JOB               wait for the job without busy-polling: chunked server-side
                          waits with client-side backoff honoring the server's
@@ -331,10 +333,11 @@ fn run_main(args: &[String]) {
         write_merged_trace(&cli.opts, prof);
     }
     eprintln!(
-        "mac-bench: {} simulated, {} from disk cache, {} memoized, {:.1}s",
+        "mac-bench: {} simulated, {} from disk cache, {} memoized, {} corrupt, {:.1}s",
         run.sims_executed,
         run.sims_from_disk,
         run.sims_from_memo,
+        run.cache_corrupt,
         t0.elapsed().as_secs_f64()
     );
     // A simulation that hit its cycle cap produced a truncated
@@ -817,7 +820,7 @@ fn parse_client_cmd(verb: &str, rest: &[String]) -> ClientCmd {
             let mut wait = false;
             let mut fetch = false;
             let mut timeout_ms: u64 = 60_000;
-            let mut fields = Fields::new();
+            let mut tokens = Vec::new();
             let mut j = 0;
             while j < rest.len() {
                 match rest[j].as_str() {
@@ -832,25 +835,12 @@ fn parse_client_cmd(verb: &str, rest: &[String]) -> ClientCmd {
                             .unwrap_or_else(|_| usage_error("--timeout-ms needs an integer"));
                         j += 1;
                     }
-                    tok => {
-                        let Some((k, v)) = tok.split_once('=') else {
-                            usage_error(&format!("submit fields are key=value, got `{tok}`"));
-                        };
-                        let scalar = if v == "true" {
-                            Scalar::Bool(true)
-                        } else if v == "false" {
-                            Scalar::Bool(false)
-                        } else if let Ok(n) = v.parse::<u64>() {
-                            Scalar::Num(n)
-                        } else {
-                            Scalar::Str(v.to_string())
-                        };
-                        fields.insert(k.to_string(), scalar);
-                    }
+                    tok => tokens.push(tok),
                 }
                 j += 1;
             }
-            let spec = JobSpec::from_fields(&fields)
+            let spec = keys::pairs(tokens)
+                .and_then(|pairs| JobSpec::from_pairs(&pairs))
                 .unwrap_or_else(|e| usage_error(&format!("bad submit spec: {e}")));
             ClientCmd::Submit {
                 spec,

@@ -6,8 +6,10 @@
 //! trace file is
 //! a runtime failure (exit 1), not a panic (exit 101); and a well-formed
 //! trace with extreme field values renders (exit 0), its conflict
-//! heatmap one row per vault that has a conflict. A malformed `client`
-//! command is a usage error whether or not a server is running.
+//! heatmap one row per vault that has a conflict. A trace run that
+//! reaches the cycle cap fails (exit 1) instead of printing a truncated
+//! result. A malformed `client` command is a usage error whether or not
+//! a server is running.
 
 use std::process::Command;
 
@@ -86,6 +88,18 @@ fn client_commands_are_checked_before_connecting() {
             &["submit", "workload=bfs", "scale=0"][..],
             "scale=0 outside 1..=64",
         ),
+        (
+            &["submit", "workload=sg", "nomac=1"][..],
+            "nomac=1: expected true|false",
+        ),
+        (
+            &["submit", "workload=sg", "arqq=16"][..],
+            "arqq=16: unknown key",
+        ),
+        (
+            &["submit", "workload=sg", "arq=16", "arq=32"][..],
+            "arq=32: key given twice",
+        ),
         (&["poll", "nothex"][..], "bad job id"),
         (&["frobnicate"][..], "unknown client verb `frobnicate`"),
     ] {
@@ -124,6 +138,41 @@ fn trace_thread_count_outside_the_table_is_a_runtime_failure() {
             "{err}"
         );
     }
+}
+
+#[test]
+fn trace_run_stops_at_the_cycle_cap_and_fails() {
+    // One thread computes 2.5e8 cycles, past the 2e8 cap, then loads:
+    // 3,814 full gap records and the load carrying the rest of the gap.
+    let gap = 250_000_000u64;
+    let full = gap / u64::from(u16::MAX);
+    let mut raw = b"MACT".to_vec();
+    raw.extend_from_slice(&1u16.to_le_bytes());
+    raw.extend_from_slice(&1u16.to_le_bytes());
+    raw.extend_from_slice(&(full + 1).to_le_bytes());
+    for _ in 0..full {
+        raw.extend_from_slice(&[255, 0]);
+        raw.extend_from_slice(&u16::MAX.to_le_bytes());
+        raw.extend_from_slice(&0u64.to_le_bytes());
+    }
+    raw.extend_from_slice(&[0, 0]);
+    raw.extend_from_slice(&((gap % u64::from(u16::MAX)) as u16).to_le_bytes());
+    raw.extend_from_slice(&0x1000u64.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("mac-cli-{}-overcap.mact", std::process::id()));
+    std::fs::write(&path, &raw).expect("write crafted trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_tools"))
+        .args(["run", path.to_str().expect("utf-8 temp path")])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("[FAILED]") && err.contains("maxcycles=200000000"),
+        "{err}"
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("cycles            : 200000000"), "{text}");
 }
 
 #[test]

@@ -14,16 +14,18 @@
 //!   plain `mac-bench` run produced earlier) completes instantly with
 //!   zero simulations.
 //!
-//! Raw-config submissions travel as flat MACS-1 fields (`workload`,
+//! Raw-config submissions travel as flat MACS-1 fields (`workload` plus
+//! the keys of `mac_types::keys::SYSTEM` and `ExperimentConfig::KEYS`:
 //! `threads`, `scale`, `maxcycles`, `nomac`, ARQ knobs, net shape …)
-//! applied over the paper's Table 1 configuration, the same
-//! base-plus-overrides idiom as the fuzz reproducer format.
+//! applied over the paper's Table 1 configuration. The fuzz reproducer
+//! format reads and writes the same keys through the same table.
 
 use mac_sim::engine::{experiment_cache_key, SimRequest};
 use mac_sim::experiment::ExperimentConfig;
-use mac_types::{bounds, CubeMapping, JobId, MacPlacement, NetTopology};
+use mac_types::keys::{self, Key};
+use mac_types::{bounds, JobId};
 
-use crate::proto::{Fields, Msg, Scalar};
+use crate::proto::{Fields, Msg};
 
 /// What a job runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,160 +124,95 @@ impl JobSpec {
         }
     }
 
-    /// Add this spec's fields to a `submit` message.
-    pub fn fill_fields(&self, mut m: Msg) -> Msg {
-        match &self.kind {
+    /// Add this spec's fields to a `submit` message: the job key, then
+    /// each key whose value differs from the paper system's, with its
+    /// JSON type (numbers as numbers, flags as booleans, words as
+    /// strings).
+    pub fn fill_fields(&self, m: Msg) -> Msg {
+        let base = ExperimentConfig::paper(8);
+        let (mut m, cfg) = match &self.kind {
             JobKind::Entry { name, scale } => {
-                m = m.str("entry", name).num("scale", *scale as u64);
+                let mut cfg = base.clone();
+                cfg.workload.scale = *scale;
+                (m.str("entry", name), cfg)
             }
-            JobKind::Sim { workload, cfg } => {
-                m = m
-                    .str("workload", workload)
-                    .num("threads", cfg.workload.threads as u64)
-                    .num("scale", cfg.workload.scale as u64)
-                    .num("seed", cfg.workload.seed)
-                    .num("maxcycles", cfg.max_cycles)
-                    .flag("nomac", cfg.system.mac_disabled)
-                    .num("arq", cfg.system.mac.arq_entries as u64)
-                    .num("pop", cfg.system.mac.pop_interval)
-                    .num("accepts", cfg.system.mac.accepts_per_cycle as u64)
-                    .flag("bypass", cfg.system.mac.bypass_enabled)
-                    .flag("hiding", cfg.system.mac.latency_hiding);
-                if cfg.system.net.enabled {
-                    m = m
-                        .num("cubes", cfg.system.net.cubes as u64)
-                        .str("topology", topology_token(cfg.system.net.topology))
-                        .str(
-                            "placement",
-                            match cfg.system.net.placement {
-                                MacPlacement::HostOnly => "host",
-                                MacPlacement::PerCube => "percube",
-                            },
-                        )
-                        .str(
-                            "mapping",
-                            match cfg.system.net.mapping {
-                                CubeMapping::Contiguous => "contig",
-                                CubeMapping::Interleaved => "interleave",
-                            },
-                        );
-                }
-                if self.checked {
-                    m = m.flag("checked", true);
-                }
+            JobKind::Sim { workload, cfg } => (m.str("workload", workload), (**cfg).clone()),
+        };
+        let keys = &ExperimentConfig::KEYS;
+        for ((k, v), (_, b)) in cfg.key_values(keys).zip(base.key_values(keys)) {
+            if v != b {
+                m = m.value(k, v);
             }
+        }
+        if self.checked {
+            m = m.value(CHECKED.name, CHECKED.value(self));
         }
         m
     }
 
-    /// Build a spec from a `submit` message's fields. `entry=` selects a
-    /// manifest-entry job; otherwise `workload=` (required) starts from
-    /// the paper configuration and applies any overrides present. A
-    /// number field that is not a number, or a configuration the bounds
-    /// table rejects ([`ExperimentConfig::validate`]), is an `Err`.
+    /// Build a spec from a `submit` message's fields: every field but
+    /// the envelope (`proto`, `type`, `client`) goes to
+    /// [`JobSpec::from_pairs`] as text.
     pub fn from_fields(f: &Fields) -> Result<JobSpec, String> {
-        let num = |key: &str| match f.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("{key} needs a number")),
-        };
-        // A count too large for `usize` saturates, which the bounds
-        // table still rejects.
-        let count =
-            |key: &str| Ok::<_, String>(num(key)?.map(|v| v.try_into().unwrap_or(usize::MAX)));
-        let flag = |key: &str| f.get(key).and_then(Scalar::as_bool);
-        // Checked before it narrows to the field's `u32`.
-        let scale = num("scale")?
-            .map(|v| bounds::SCALE.check(v).map(|v| v as u32))
-            .transpose()?;
-        if let Some(entry) = f.get("entry").and_then(Scalar::as_str) {
-            if mac_sim::manifest::manifest()
-                .iter()
-                .all(|e| e.name != entry)
+        let texts: Vec<(&str, String)> = f
+            .iter()
+            .filter(|(k, _)| !["proto", "type", "client"].contains(&k.as_str()))
+            .map(|(k, v)| (k.as_str(), v.to_string()))
+            .collect();
+        let pairs: Vec<(&str, &str)> = texts.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        JobSpec::from_pairs(&pairs)
+    }
+
+    /// Build a spec from `key=value` pairs. `entry=` selects a
+    /// manifest-entry job, which takes only `scale`; otherwise
+    /// `workload=` (required) names a sim job, and `checked=true|false`
+    /// attaches the conformance checker to it. Every other key goes
+    /// through the key table ([`ExperimentConfig::parse_keys`]) over the
+    /// paper configuration. A key given twice, an unknown key, a value
+    /// not in its key's form, or a configuration the bounds table
+    /// rejects ([`ExperimentConfig::validate`]) is an `Err`.
+    pub fn from_pairs(pairs: &[(&str, &str)]) -> Result<JobSpec, String> {
+        keys::unique(pairs)?;
+        let job_key = |name: &str| pairs.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+        let entry = job_key("entry");
+        let stray = pairs
+            .iter()
+            .find(|(k, _)| !["entry", bounds::SCALE.name].contains(k));
+        if let (Some(_), Some((k, v))) = (entry, stray) {
+            return Err(format!("{k}={v}: an entry job takes only scale"));
+        }
+        let config: Vec<(&str, &str)> = pairs
+            .iter()
+            .filter(|(k, _)| !["entry", "workload", CHECKED.name].contains(k))
+            .copied()
+            .collect();
+        let mut cfg = ExperimentConfig::paper(8);
+        cfg.parse_keys(&ExperimentConfig::KEYS, &config)?;
+        cfg.validate()?;
+        let mut spec = match (entry, job_key("workload")) {
+            (Some(entry), _)
+                if mac_sim::manifest::manifest()
+                    .iter()
+                    .all(|e| e.name != entry) =>
             {
                 return Err(format!("unknown manifest entry `{entry}`"));
             }
-            return Ok(JobSpec::entry(entry, scale.unwrap_or(1)));
-        }
-        let Some(workload) = f.get("workload").and_then(Scalar::as_str) else {
-            return Err("submit needs `entry` or `workload`".into());
-        };
-        if mac_workloads::by_name(workload).is_none() {
-            return Err(format!("unknown workload `{workload}`"));
-        }
-        let mut cfg = ExperimentConfig::paper(count("threads")?.unwrap_or(8));
-        if let Some(v) = scale {
-            cfg.workload.scale = v;
-        }
-        if let Some(v) = num("seed")? {
-            cfg.workload.seed = v;
-        }
-        if let Some(v) = num("maxcycles")? {
-            cfg.max_cycles = v;
-        }
-        if flag("nomac").unwrap_or(false) {
-            cfg.system.mac_disabled = true;
-        }
-        if let Some(v) = count("arq")? {
-            cfg.system.mac.arq_entries = v;
-        }
-        if let Some(v) = num("pop")? {
-            cfg.system.mac.pop_interval = v;
-        }
-        if let Some(v) = count("accepts")? {
-            cfg.system.mac.accepts_per_cycle = v;
-        }
-        if let Some(v) = flag("bypass") {
-            cfg.system.mac.bypass_enabled = v;
-        }
-        if let Some(v) = flag("hiding") {
-            cfg.system.mac.latency_hiding = v;
-        }
-        if let Some(cubes) = count("cubes")? {
-            let topology = match f
-                .get("topology")
-                .and_then(Scalar::as_str)
-                .unwrap_or("chain")
-            {
-                "chain" => NetTopology::DaisyChain,
-                "ring" => NetTopology::Ring,
-                "mesh" => NetTopology::Mesh2x2,
-                other => return Err(format!("unknown topology `{other}`")),
-            };
-            let placement = match f
-                .get("placement")
-                .and_then(Scalar::as_str)
-                .unwrap_or("host")
-            {
-                "host" => MacPlacement::HostOnly,
-                "percube" => MacPlacement::PerCube,
-                other => return Err(format!("unknown placement `{other}`")),
-            };
-            cfg.system = cfg.system.with_net(cubes, topology, placement);
-            if let Some(mapping) = f.get("mapping").and_then(Scalar::as_str) {
-                cfg.system.net.mapping = match mapping {
-                    "contig" => CubeMapping::Contiguous,
-                    "interleave" => CubeMapping::Interleaved,
-                    other => return Err(format!("unknown mapping `{other}`")),
-                };
+            (Some(entry), _) => JobSpec::entry(entry, cfg.workload.scale),
+            (None, Some(w)) if mac_workloads::by_name(w).is_none() => {
+                return Err(format!("unknown workload `{w}`"));
             }
+            (None, Some(w)) => JobSpec::sim(w, cfg),
+            (None, None) => return Err("submit needs `entry` or `workload`".into()),
+        };
+        if let Some(v) = job_key(CHECKED.name) {
+            CHECKED.parse(&mut spec, v)?;
         }
-        cfg.validate()?;
-        let mut spec = JobSpec::sim(workload, cfg);
-        spec.checked = flag("checked").unwrap_or(false);
         Ok(spec)
     }
 }
 
-fn topology_token(t: NetTopology) -> &'static str {
-    match t {
-        NetTopology::DaisyChain => "chain",
-        NetTopology::Ring => "ring",
-        NetTopology::Mesh2x2 => "mesh",
-    }
-}
+/// `checked`: attach the conformance checker to a sim job.
+const CHECKED: Key<JobSpec> = Key::flag("checked", |s| s.checked, |s, on| s.checked = on);
 
 /// Where a job is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,6 +265,8 @@ impl JobState {
 mod tests {
     use super::*;
     use crate::proto::decode_fields;
+    use mac_sim::fuzz::draw_case;
+    use mac_types::{CubeMapping, FlitTablePolicy, MacPlacement, NetTopology};
 
     fn round_trip(spec: &JobSpec) -> JobSpec {
         let line = spec.fill_fields(Msg::new("submit")).encode();
@@ -442,8 +381,104 @@ mod tests {
         for field in ["threads", "scale", "maxcycles", "arq", "cubes"] {
             let err =
                 submit(&format!("\"workload\":\"sg\",\"{field}\":\"eight\"")).expect_err(field);
-            assert_eq!(err, format!("{field} needs a number"));
+            assert_eq!(err, format!("{field}=eight: expected a number"));
         }
+    }
+
+    fn sim_config(spec: JobSpec) -> ExperimentConfig {
+        match spec.kind {
+            JobKind::Sim { cfg, .. } => *cfg,
+            JobKind::Entry { .. } => panic!("not a sim job: {spec:?}"),
+        }
+    }
+
+    #[test]
+    fn fields_the_server_ignored_are_rejected_or_take_effect() {
+        for (fields, want) in [
+            ("\"nomac\":1", "nomac=1: expected true|false"),
+            ("\"bypass\":0", "bypass=0: expected true|false"),
+            ("\"checked\":1", "checked=1: expected true|false"),
+            ("\"arqq\":16", "arqq=16: unknown key"),
+            ("\"topology\":3", "topology=3: expected chain|ring|mesh"),
+        ] {
+            let err = submit(&format!("\"workload\":\"sg\",{fields}")).expect_err(fields);
+            assert_eq!(err, want);
+        }
+        let err = submit("\"entry\":\"smoke\",\"arq\":16").expect_err("entry with arq");
+        assert_eq!(err, "arq=16: an entry job takes only scale");
+        let cfg = sim_config(
+            submit(
+                "\"workload\":\"sg\",\"nomac\":\"true\",\"table\":\"always256\",\"vaultq\":2,\
+                 \"adapt\":true",
+            )
+            .expect("well formed"),
+        );
+        assert!(cfg.system.mac_disabled);
+        assert_eq!(cfg.system.mac.flit_table, FlitTablePolicy::Always256);
+        assert_eq!(cfg.system.hmc.vault_queue_depth, 2);
+        assert!(cfg.system.adapt.enabled);
+    }
+
+    #[test]
+    fn keys_given_twice_are_rejected() {
+        assert_eq!(
+            JobSpec::from_pairs(&[("workload", "sg"), ("arq", "16"), ("arq", "32")]).map(|_| ()),
+            mac_types::keys::pairs(["workload=sg", "arq=16", "arq=32"]).map(|_| ())
+        );
+        assert_eq!(
+            decode_fields("{\"workload\":\"sg\",\"arq\":16,\"arq\":32}"),
+            Err("arq=32: key given twice".into())
+        );
+    }
+
+    #[test]
+    fn old_submissions_name_the_same_jobs() {
+        // The fields every client before the key table sent: the same
+        // configurations and JobIds.
+        let cfg = sim_config(
+            submit(
+                "\"workload\":\"sg\",\"threads\":4,\"scale\":2,\"seed\":7,\"maxcycles\":1000000,\
+                 \"nomac\":false,\"arq\":16,\"pop\":2,\"accepts\":1,\"bypass\":true,\"hiding\":false,\
+                 \"cubes\":4,\"topology\":\"ring\",\"placement\":\"percube\",\"mapping\":\"contig\"",
+            )
+            .expect("old line"),
+        );
+        let mut want = ExperimentConfig::paper(4);
+        want.workload.scale = 2;
+        want.workload.seed = 7;
+        want.max_cycles = 1_000_000;
+        want.system.mac.arq_entries = 16;
+        want.system.mac.latency_hiding = false;
+        want.system = want
+            .system
+            .with_net(4, NetTopology::Ring, MacPlacement::PerCube);
+        want.system.net.mapping = CubeMapping::Contiguous;
+        assert_eq!(cfg, want);
+    }
+
+    #[test]
+    fn drawn_configs_round_trip_with_their_job_ids() {
+        let paper = ExperimentConfig::paper(8);
+        assert_eq!(paper.system.soc.max_outstanding_per_thread, usize::MAX);
+        let drawn = [false, true]
+            .into_iter()
+            .flat_map(|adaptive| (0..1000).map(move |i| draw_case(9, i, 500_000, adaptive)));
+        let drawn = drawn.filter(|case| case.sys.soc.nodes == 1).map(|case| {
+            let mut cfg = ExperimentConfig::paper(case.sys.soc.threads);
+            cfg.system = case.sys;
+            cfg.max_cycles = case.max_cycles;
+            cfg
+        });
+        let mut n = 0;
+        for (i, cfg) in std::iter::once(paper).chain(drawn).enumerate() {
+            let mut spec = JobSpec::sim("sg", cfg);
+            spec.checked = i % 2 == 1;
+            let back = round_trip(&spec);
+            assert_eq!(back, spec);
+            assert_eq!(back.job_id(), spec.job_id());
+            n += 1;
+        }
+        assert!(n > 1000, "{n} configs");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! and greppable, in the same spirit as the repo's other text formats.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
+use mac_types::keys::Value;
 use mac_types::{json_escape, JobId};
 
 use crate::job::{JobSpec, JobState};
@@ -69,6 +70,18 @@ impl Scalar {
         match self {
             Scalar::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+}
+
+/// The value as text: a number in decimal, a boolean as `true` or
+/// `false`, a string as it is.
+impl fmt::Display for Scalar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Scalar::Str(s) => f.write_str(s),
+            Scalar::Num(n) => write!(f, "{n}"),
+            Scalar::Bool(b) => write!(f, "{b}"),
         }
     }
 }
@@ -125,9 +138,10 @@ pub fn decode_fields(line: &str) -> Result<Fields, String> {
             p.expect(b':')?;
             p.skip_ws();
             let val = p.scalar()?;
-            if fields.insert(key.clone(), val).is_some() {
-                return Err(format!("duplicate key `{key}`"));
+            if fields.contains_key(&key) {
+                return Err(format!("{key}={val}: key given twice"));
             }
+            fields.insert(key, val);
             p.skip_ws();
             match p.next() {
                 Some(b',') => continue,
@@ -291,6 +305,16 @@ impl Msg {
     pub fn flag(mut self, key: &str, val: bool) -> Self {
         self.fields.insert(key.into(), Scalar::Bool(val));
         self
+    }
+
+    /// Add a config key's value with its JSON type: a number, a
+    /// boolean for a flag, a string for a word.
+    pub fn value(self, key: &str, val: Value) -> Self {
+        match val {
+            Value::Num(n) => self.num(key, n),
+            Value::Flag(b) => self.flag(key, b),
+            Value::Word(w) => self.str(key, w),
+        }
     }
 
     /// Render as one JSON line (no newline).

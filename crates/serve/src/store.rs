@@ -57,11 +57,11 @@ impl ArtifactStore {
     pub fn path_for(&self, spec: &JobSpec) -> PathBuf {
         let id = spec.job_id();
         match &spec.kind {
-            JobKind::Entry { .. } => self.cache_dir().join(format!("exp-{id}.art")),
+            JobKind::Entry { .. } => self.cache_dir().join(cachefmt::art_entry(id.as_u128())),
             JobKind::Sim { .. } if spec.checked => {
                 self.root.join("serve").join(format!("job-{id}.chk"))
             }
-            JobKind::Sim { .. } => self.cache_dir().join(format!("sim-{id}.mrc")),
+            JobKind::Sim { .. } => self.cache_dir().join(cachefmt::sim_entry(id.as_u128())),
         }
     }
 

@@ -1,91 +1,156 @@
-//! The two doors that take a whole configuration from outside, a fuzz
-//! reproducer (`mac-bench fuzz --replay`) and a MACS-1 `submit`
-//! (`JobSpec::from_fields`), accept exactly the same values for every
-//! field both of them know, because both check the one bounds table
-//! (`mac_types::bounds`). A value out of range is rejected by both, with
-//! the same error naming the field, the value and the range; none is
-//! clamped.
+//! The two doors that take a configuration as text, a fuzz reproducer
+//! (`mac-bench fuzz --replay`) and a MACS-1 `submit`
+//! (`JobSpec::from_fields`), read every key through one table
+//! (`mac_types::keys::SYSTEM` plus `ExperimentConfig::KEYS`) and check
+//! the result against one bounds table (`mac_types::bounds`). So for
+//! every key both of them take, they accept the same values, and reject
+//! the others with the same error naming the key and the value; none is
+//! clamped or read as a default.
 
 use mac_serve::proto::decode_fields;
 use mac_serve::{JobKind, JobSpec};
-use mac_sim::fuzz::{decode_reproducer, FuzzCase};
-use mac_types::{bounds, Bound, SystemConfig};
+use mac_sim::fuzz::decode_reproducer;
+use mac_sim::ExperimentConfig;
+use mac_types::keys::{self, Form, Key};
 
-/// `value` through a reproducer that sets only `field`.
-fn reproducer(field: &str, value: u64) -> Result<FuzzCase, String> {
-    let mut text = String::from("# mac-check fuzz reproducer v1\n");
-    match field {
-        "maxcycles" => text.push_str(&format!("maxcycles {value}\nconfig threads=1\n")),
-        "cubes" => text.push_str(&format!("config threads=1\nnet enabled=1 cubes={value}\n")),
-        _ => text.push_str(&format!("config {field}={value}\n")),
-    }
-    decode_reproducer(&text)
+/// `key=text` through a reproducer that sets only that key. Errors the
+/// decoder places on the `config` line lose their `line 2: ` prefix.
+fn reproducer(key: &str, text: &str) -> Result<ExperimentConfig, String> {
+    let case = decode_reproducer(&format!(
+        "# mac-check fuzz reproducer v2\nconfig {key}={text}\n"
+    ))
+    .map_err(|e| e.strip_prefix("line 2: ").map_or(e.clone(), str::to_string))?;
+    Ok(ExperimentConfig {
+        system: case.sys,
+        max_cycles: case.max_cycles,
+        ..ExperimentConfig::default()
+    })
 }
 
-/// `value` through a submit line that sets only `field`.
-fn submit(field: &str, value: u64) -> Result<(SystemConfig, u64), String> {
-    let line = format!(
-        "{{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"sg\",\"{field}\":{value}}}"
-    );
-    let spec = JobSpec::from_fields(&decode_fields(&line)?)?;
-    let JobKind::Sim { cfg, .. } = spec.kind else {
-        panic!("not a sim job: {spec:?}");
+/// `key=text` through a submit line that sets only that key, as a JSON
+/// number, boolean or string by the look of `text`.
+fn submit(key: &str, text: &str) -> Result<ExperimentConfig, String> {
+    let json = if text.parse::<u64>().is_ok() || text == "true" || text == "false" {
+        text.to_string()
+    } else {
+        format!("\"{text}\"")
     };
-    Ok((cfg.system, cfg.max_cycles))
+    let line = format!(
+        "{{\"proto\":\"macs-1\",\"type\":\"submit\",\"workload\":\"sg\",\"{key}\":{json}}}"
+    );
+    match JobSpec::from_fields(&decode_fields(&line)?)?.kind {
+        JobKind::Sim { cfg, .. } => Ok(*cfg),
+        kind => panic!("not a sim job: {kind:?}"),
+    }
 }
 
-/// Zero, both ends of the range, one past its end and `u64::MAX`.
-fn edges(bound: &Bound) -> [u64; 5] {
-    let (lo, hi) = (*bound.range.start(), *bound.range.end());
-    [0, lo, hi, hi.saturating_add(1), u64::MAX]
+/// The texts to try for `key`: numbers at the edges of their range (or,
+/// with no range, small counts and the largest), every flag value and
+/// two that are not, every word, and for each key one word that is not
+/// its value.
+fn texts<C>(key: &Key<C>) -> Vec<String> {
+    let mut texts: Vec<String> = match &key.form {
+        Form::Num(Some(b), ..) => {
+            let (lo, hi) = (*b.range.start(), *b.range.end());
+            let edges = [0, lo, hi, hi.saturating_add(1), u64::MAX];
+            edges.iter().map(u64::to_string).collect()
+        }
+        Form::Num(None, ..) => [0, 1, 2, 3, 4, 8, 9, u64::MAX]
+            .iter()
+            .map(u64::to_string)
+            .collect(),
+        Form::Flag(..) => ["true", "false", "1", "yes"].map(String::from).to_vec(),
+        Form::Word(words, ..) => words.iter().map(|w| w.to_string()).collect(),
+    };
+    texts.push("nope".into());
+    texts
+}
+
+/// The text of `key` in `cfg`, as a reproducer prints it.
+fn printed(cfg: &ExperimentConfig, key: &str) -> Option<String> {
+    cfg.key_values(&ExperimentConfig::KEYS[..1])
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v.to_string())
 }
 
 #[test]
-fn both_doors_accept_the_same_values() {
-    for bound in [
-        bounds::THREADS,
-        bounds::MAX_CYCLES,
-        bounds::ARQ,
-        bounds::POP,
-        bounds::ACCEPTS,
-    ] {
-        for value in edges(&bound) {
-            let field = bound.name;
-            match (reproducer(field, value), submit(field, value)) {
-                (Ok(case), Ok((sys, max_cycles))) => {
-                    assert!(bound.range.contains(&value), "{field}={value} accepted");
-                    let picked = |s: &SystemConfig, m: u64| match field {
-                        "threads" => s.soc.threads as u64,
-                        "maxcycles" => m,
-                        "arq" => s.mac.arq_entries as u64,
-                        "pop" => s.mac.pop_interval,
-                        _ => s.mac.accepts_per_cycle as u64,
-                    };
-                    assert_eq!(picked(&case.sys, case.max_cycles), value, "{field}");
-                    assert_eq!(picked(&sys, max_cycles), value, "{field}");
+fn both_doors_read_every_key_alike() {
+    let system = keys::SYSTEM.iter().map(|k| (k.name, texts(k)));
+    let cap = &ExperimentConfig::KEYS[0];
+    let mut tried = 0;
+    for (key, texts) in system.chain([(cap.name, texts(cap))]) {
+        for text in texts {
+            tried += 1;
+            match (reproducer(key, &text), submit(key, &text)) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(printed(&a, key), Some(text.clone()), "reproducer");
+                    assert_eq!(printed(&b, key), Some(text.clone()), "submit");
                 }
-                (Err(a), Err(b)) => {
-                    let want = format!("{field}={value} outside {:?}", bound.range);
-                    assert_eq!(a, want, "reproducer");
-                    assert_eq!(b, want, "submit");
+                (Err(a), Err(b)) => assert_eq!(a, b, "{key}={text}"),
+                // A served workload runs on one node; a reproducer
+                // replays as many as it lists.
+                (Ok(_), Err(b)) if key == "nodes" => {
+                    assert_eq!(b, format!("nodes={text} but the run builds 1 node(s)"));
                 }
                 (a, b) => panic!(
-                    "{field}={value}: reproducer {:?}, submit {:?}",
+                    "{key}={text}: reproducer {:?}, submit {:?}",
                     a.map(|_| ()),
                     b.map(|_| ())
                 ),
             }
         }
     }
+    assert!(tried > 100, "{tried} values");
 }
 
 #[test]
-fn both_doors_wire_the_same_networks() {
-    for cubes in [0, 1, 2, 3, 4, 8, 9, u64::MAX] {
-        match (reproducer("cubes", cubes), submit("cubes", cubes)) {
-            (Ok(case), Ok((sys, _))) => assert_eq!(case.sys.net.cubes, sys.net.cubes),
-            (Err(a), Err(b)) => assert_eq!(a, b, "cubes={cubes}"),
-            (a, b) => panic!("cubes={cubes}: {:?} vs {:?}", a.map(|_| ()), b.map(|_| ())),
+fn values_out_of_form_or_range_name_the_key_and_value() {
+    for (key, text, want) in [
+        ("nomac", "1", "nomac=1: expected true|false"),
+        ("bypass", "yes", "bypass=yes: expected true|false"),
+        (
+            "topology",
+            "daisy",
+            "topology=daisy: expected chain|ring|mesh",
+        ),
+        (
+            "table",
+            "nope",
+            "table=nope: expected span|always256|perchunk64",
+        ),
+        ("arq", "eight", "arq=eight: expected a number"),
+        ("arqq", "16", "arqq=16: unknown key"),
+        ("arq", "0", "arq=0 outside 1..=4096"),
+        // A number the field cannot hold is outside its range.
+        (
+            "evidence",
+            "4294967296",
+            "evidence=4294967296 outside 0..=65536",
+        ),
+    ] {
+        assert_eq!(
+            reproducer(key, text).map(|_| ()),
+            Err(want.into()),
+            "reproducer"
+        );
+        assert_eq!(submit(key, text).map(|_| ()), Err(want.into()), "submit");
+    }
+}
+
+#[test]
+fn the_run_keys_beside_the_cap_are_submit_only() {
+    // A reproducer replays explicit operations: it has no workload to
+    // scale or seed.
+    for key in &ExperimentConfig::KEYS[1..] {
+        assert_eq!(
+            reproducer(key.name, "2").map(|_| ()),
+            Err(format!("{}=2: unknown key", key.name))
+        );
+        for text in texts(key) {
+            match submit(key.name, &text) {
+                Ok(cfg) => assert_eq!(key.value(&cfg).to_string(), text),
+                Err(e) => assert!(e.starts_with(&format!("{}={text}", key.name)), "{e}"),
+            }
         }
     }
 }

@@ -13,7 +13,11 @@
 //!
 //! Any parse failure is reported as `None`/`Err` and treated by the
 //! engine as a cache miss — a corrupt or stale-format file costs one
-//! re-simulation, never a wrong result.
+//! re-simulation, never a wrong result, and [`probe`] counts it. This
+//! module also names the entries for the engine and `mac-serve` alike.
+
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hmc_model::HmcStats;
 use mac_coalescer::MacStats;
@@ -31,6 +35,31 @@ pub const SIM_FORMAT_VERSION: u32 = 3;
 
 /// Format version of the `MACA` artifact file.
 pub const ART_FORMAT_VERSION: u32 = 1;
+
+/// The file name of the simulation result with fingerprint `fp`.
+pub fn sim_entry(fp: u128) -> String {
+    format!("sim-{fp:032x}.mrc")
+}
+
+/// The file name of the artifacts of the experiment with key `key`.
+pub fn art_entry(key: u128) -> String {
+    format!("exp-{key:032x}.art")
+}
+
+/// Read and decode the cache entry at `path`. An entry that exists but
+/// does not decode is counted in `corrupt` and read as absent, so it is
+/// computed again and replaced.
+pub fn probe<T>(path: &Path, decode: fn(&str) -> Option<T>, corrupt: &AtomicU64) -> Option<T> {
+    let decoded = match std::fs::read_to_string(path) {
+        Ok(text) => decode(&text),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => None,
+        Err(_) => return None,
+    };
+    if decoded.is_none() {
+        corrupt.fetch_add(1, Ordering::Relaxed);
+    }
+    decoded
+}
 
 fn push_counter(out: &mut String, c: &Counter) {
     out.push_str(&format!(" {} {} {} {}", c.events, c.sum, c.min, c.max));

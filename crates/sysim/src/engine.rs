@@ -56,6 +56,7 @@ use mac_telemetry::{BinarySink, ProfSnapshot, Profiler, Tracer};
 use mac_types::{json_escape, Fingerprint, Fnv128};
 use mac_workloads::{by_name, Workload};
 
+use crate::cachefmt;
 use crate::experiment::{run_workload_observed, ExperimentConfig, RunObservers};
 use crate::manifest::Experiment;
 use crate::progress::{ProgressProbe, PHASE_DONE, PHASE_RUNNING};
@@ -337,6 +338,7 @@ pub struct SimPool {
     executed: AtomicU64,
     disk_hits: AtomicU64,
     memo_hits: AtomicU64,
+    corrupt: AtomicU64,
     timeouts: AtomicU64,
     timeout_labels: Mutex<Vec<String>>,
 }
@@ -363,6 +365,7 @@ impl SimPool {
             executed: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             timeout_labels: Mutex::new(Vec::new()),
         }
@@ -437,10 +440,16 @@ impl SimPool {
         self.timeout_labels.lock().expect("labels poisoned").clone()
     }
 
+    /// Cache entries that existed but did not decode, so were
+    /// simulated again and replaced.
+    pub fn corrupt_entries(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
+    }
+
     fn sim_cache_path(&self, fp: u128) -> Option<PathBuf> {
         self.cache_dir
             .as_ref()
-            .map(|d| d.join(format!("sim-{fp:032x}.mrc")))
+            .map(|d| d.join(cachefmt::sim_entry(fp)))
     }
 
     /// The memo's report for `fp`, re-attached to `req`'s configuration
@@ -463,8 +472,7 @@ impl SimPool {
     fn disk_hit(&self, fp: u128, req: &SimRequest) -> Option<RunReport> {
         let path = self.sim_cache_path(fp)?;
         self.profiler.add("pool/cache_probe", 1);
-        let text = std::fs::read_to_string(path).ok()?;
-        let mut report = crate::cachefmt::decode_run(&text)?;
+        let mut report = cachefmt::probe(&path, cachefmt::decode_run, &self.corrupt)?;
         self.profiler.add("pool/cache_hit", 1);
         // The config is part of the key, not the value; re-attach it so
         // derived metrics (which read e.g. `config.mac_disabled`) agree.
@@ -523,7 +531,7 @@ impl SimPool {
             // run happened to be traced.
             let mut stored = report.clone();
             stored.trace = Default::default();
-            let _ = atomic_write(&path, &crate::cachefmt::encode_run(&stored));
+            let _ = atomic_write(&path, &cachefmt::encode_run(&stored));
         }
         self.memo
             .lock()
@@ -792,6 +800,9 @@ pub struct EngineRun {
     pub sims_from_disk: u64,
     /// Simulations served from the in-process memo table.
     pub sims_from_memo: u64,
+    /// Cache entries (`.mrc` and `.art`) that existed but did not
+    /// decode, so were computed again and replaced.
+    pub cache_corrupt: u64,
     /// Simulations that hit their cycle cap without draining, across the
     /// whole run (sum of the per-outcome counts).
     pub sims_timed_out: u64,
@@ -817,7 +828,7 @@ pub fn experiment_cache_key(name: &str, scale: u32) -> u128 {
     let mut h = Fnv128::new();
     h.write_str("mac-sim/experiment");
     h.write_u64(CACHE_FORMAT_VERSION as u64);
-    h.write_u64(crate::cachefmt::ART_FORMAT_VERSION as u64);
+    h.write_u64(cachefmt::ART_FORMAT_VERSION as u64);
     h.write_str(name);
     h.write_u64(scale as u64);
     h.finish()
@@ -851,16 +862,14 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
     std::fs::create_dir_all(&opts.out_dir)?;
 
     let mut outcomes = Vec::with_capacity(exps.len());
+    let art_corrupt = AtomicU64::new(0);
     for exp in exps {
         let key = experiment_cache_key(exp.name, opts.scale);
-        let art_path = opts.cache_dir().join(format!("exp-{key:032x}.art"));
-        let cached = if opts.use_cache {
-            std::fs::read_to_string(&art_path)
-                .ok()
-                .and_then(|t| crate::cachefmt::decode_artifacts(&t))
-        } else {
-            None
-        };
+        let art_path = opts.cache_dir().join(cachefmt::art_entry(key));
+        let cached = opts
+            .use_cache
+            .then(|| cachefmt::probe(&art_path, cachefmt::decode_artifacts, &art_corrupt))
+            .flatten();
         let from_artifact_cache = cached.is_some();
         let timeouts_before = pool.sims_timed_out();
         let labels_before = pool.timeout_labels().len();
@@ -873,7 +882,7 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
                 };
                 let arts = (exp.run)(&ctx);
                 if opts.use_cache {
-                    let _ = atomic_write(&art_path, &crate::cachefmt::encode_artifacts(&arts));
+                    let _ = atomic_write(&art_path, &cachefmt::encode_artifacts(&arts));
                 }
                 arts
             }
@@ -913,6 +922,7 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
         sims_executed: pool.sims_executed(),
         sims_from_disk: pool.disk_cache_hits(),
         sims_from_memo: pool.memo_hits(),
+        cache_corrupt: pool.corrupt_entries() + art_corrupt.into_inner(),
         sims_timed_out: pool.sims_timed_out(),
         prof,
     })

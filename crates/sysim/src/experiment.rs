@@ -4,6 +4,7 @@
 //! and work stealing lives in [`crate::engine`].
 
 use mac_check::{ConformanceChecker, OracleReplay, Violation};
+use mac_types::keys::{self, Form, Key, Value};
 use mac_types::{bounds, Fingerprint, Fnv128, MacPlacement, SystemConfig};
 use mac_workloads::{Workload, WorkloadParams};
 use soc_sim::{ReplayProgram, ThreadOp, ThreadProgram};
@@ -46,6 +47,44 @@ impl ExperimentConfig {
             },
             ..ExperimentConfig::default()
         }
+    }
+
+    /// The run's keys beside the system's ([`keys::SYSTEM`]): the cycle
+    /// cap, then the workload's scale and seed. A fuzz reproducer replays
+    /// explicit operations, so it takes the cycle cap alone (`KEYS[..1]`).
+    #[rustfmt::skip]
+    pub const KEYS: [Key<ExperimentConfig>; 3] = [
+        Key::num(&bounds::MAX_CYCLES, |c| c.max_cycles, |c, v| c.max_cycles = v),
+        Key::num(&bounds::SCALE, |c| c.workload.scale.into(), |c, v| c.workload.scale = v as u32),
+        Key { name: "seed", form: Form::Num(None, |c| c.workload.seed, |c, v| c.workload.seed = v) },
+    ];
+
+    /// Parse `key=value` pairs into this config: the system's keys into
+    /// `system`, `run_keys` into the rest, each table in its own order.
+    /// A key given twice, or a pair that names neither table, is an
+    /// error. The workload's threads follow `threads`.
+    pub fn parse_keys(
+        &mut self,
+        run_keys: &[Key<Self>],
+        pairs: &[(&str, &str)],
+    ) -> Result<(), String> {
+        keys::unique(pairs)?;
+        let rest = keys::apply(&keys::SYSTEM, &mut self.system, pairs)?;
+        if let Some((k, v)) = keys::apply(run_keys, self, &rest)?.first() {
+            return Err(format!("{k}={v}: unknown key"));
+        }
+        self.workload.threads = self.system.soc.threads;
+        Ok(())
+    }
+
+    /// Every system key and each of `run_keys`, with its value, in the
+    /// order [`ExperimentConfig::parse_keys`] applies them.
+    pub fn key_values<'a>(
+        &'a self,
+        run_keys: &'a [Key<Self>],
+    ) -> impl Iterator<Item = (&'static str, Value)> + 'a {
+        let system = keys::SYSTEM.iter().map(|k| (k.name, k.value(&self.system)));
+        system.chain(run_keys.iter().map(move |k| (k.name, k.value(self))))
     }
 
     /// Check the configuration against the bounds table

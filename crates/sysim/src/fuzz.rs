@@ -26,8 +26,8 @@ use std::path::{Path, PathBuf};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use mac_types::{
-    AdaptConfig, Bound, CubeMapping, FlitTablePolicy, MacPlacement, MemOpKind, NetConfig,
-    NetTopology, PhysAddr, SystemConfig,
+    keys, AdaptConfig, Bound, CubeMapping, FlitTablePolicy, MacPlacement, MemOpKind, NetTopology,
+    PhysAddr, SystemConfig,
 };
 use soc_sim::ThreadOp;
 
@@ -356,80 +356,27 @@ fn shrink_case(case: &FuzzCase, mut budget: u32) -> FuzzCase {
     best
 }
 
-fn table_token(t: FlitTablePolicy) -> &'static str {
-    match t {
-        FlitTablePolicy::SpanRounded => "span",
-        FlitTablePolicy::Always256 => "always256",
-        FlitTablePolicy::PerChunk64 => "perchunk64",
-    }
-}
-
-fn topology_token(t: NetTopology) -> &'static str {
-    match t {
-        NetTopology::DaisyChain => "daisy",
-        NetTopology::Ring => "ring",
-        NetTopology::Mesh2x2 => "mesh",
-    }
-}
+/// First line of every reproducer this build writes and reads.
+const HEADER: &str = "# mac-check fuzz reproducer v2";
 
 /// Serialize a case (plus the failure it reproduces) in the versioned
-/// reproducer text format documented in DESIGN.md §12.
+/// reproducer text format documented in DESIGN.md §12: one `config`
+/// line with every key of the table, then one `thread` line per thread.
 pub fn encode_reproducer(case: &FuzzCase, failure: &[String]) -> String {
-    let mut out = String::from("# mac-check fuzz reproducer v1\n");
+    let mut out = format!("{HEADER}\n");
     for line in failure {
         let _ = writeln!(out, "# {line}");
     }
-    let _ = writeln!(out, "maxcycles {}", case.max_cycles);
-    let s = &case.sys;
-    let _ = writeln!(
-        out,
-        "config threads={} arq={} pop={} accepts={} bypass={} hiding={} table={} router={} \
-         vaultq={} maxout={} macdisabled={} nodes={}",
-        s.soc.threads,
-        s.mac.arq_entries,
-        s.mac.pop_interval,
-        s.mac.accepts_per_cycle,
-        s.mac.bypass_enabled as u8,
-        s.mac.latency_hiding as u8,
-        table_token(s.mac.flit_table),
-        s.mac.router_queue_depth,
-        s.hmc.vault_queue_depth,
-        s.soc.max_outstanding_per_thread.min(1 << 32),
-        s.mac_disabled as u8,
-        case.ops.len(),
-    );
-    let _ = writeln!(
-        out,
-        "net enabled={} cubes={} topology={} placement={} mapping={}",
-        s.net.enabled as u8,
-        s.net.cubes,
-        topology_token(s.net.topology),
-        match s.net.placement {
-            MacPlacement::HostOnly => "host",
-            MacPlacement::PerCube => "percube",
-        },
-        match s.net.mapping {
-            CubeMapping::Contiguous => "contig",
-            CubeMapping::Interleaved => "interleave",
-        },
-    );
-    // Emitted only for adaptive cases: decoders predating the adaptive
-    // controller reject the directive, and non-adaptive reproducers stay
-    // byte-identical to what they were before it existed.
-    if s.adapt.enabled {
-        let a = &s.adapt;
-        let _ = writeln!(
-            out,
-            "adapt interval={} minpop={} maxpop={} minacc={} maxacc={} evidence={} hold={}",
-            a.interval,
-            a.min_pop_interval,
-            a.max_pop_interval,
-            a.min_accepts,
-            a.max_accepts,
-            a.evidence_threshold,
-            a.hold_intervals,
-        );
+    let cfg = ExperimentConfig {
+        system: case.sys.clone(),
+        max_cycles: case.max_cycles,
+        ..ExperimentConfig::default()
+    };
+    out.push_str("config");
+    for (k, v) in cfg.key_values(&ExperimentConfig::KEYS[..1]) {
+        let _ = write!(out, " {k}={v}");
     }
+    out.push('\n');
     for (n, threads) in case.ops.iter().enumerate() {
         for (t, ops) in threads.iter().enumerate() {
             let _ = write!(out, "thread {n}.{t}");
@@ -457,15 +404,7 @@ pub fn encode_reproducer(case: &FuzzCase, failure: &[String]) -> String {
     out
 }
 
-fn kv<'a>(token: &'a str, key: &str) -> Option<&'a str> {
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-}
-
-/// Parse the value `v` of field `k` as the field's own type. Whether it
-/// lies in range is the bounds table's call, made once the whole case is
-/// read.
+/// Parse the value `v` of field `k` as the field's own type.
 fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
@@ -481,177 +420,104 @@ const COMPUTE: Bound = Bound {
     range: 0..=(1 << 32),
 };
 
-/// Parse a reproducer produced by [`encode_reproducer`]. Reproducers
-/// are user input to `mac-bench fuzz --replay`, so anything the
-/// simulator cannot replay is an `Err`, never a panic: a malformed line,
-/// a number that does not fit its field, a compute op above 2^32
-/// cycles, or a configuration the bounds table rejects
-/// ([`SystemConfig::validate`] and the cycle cap: thread and node
-/// counts, ARQ size, pop and accept rates, queue depths, adaptive
-/// bounds, a network that cannot be wired, several nodes under per-cube
-/// MACs).
-pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    match lines.next() {
-        Some(l) if l.starts_with("# mac-check fuzz reproducer v1") => {}
-        other => return Err(format!("bad reproducer header: {other:?}")),
-    }
-    let mut max_cycles = 2_000_000u64;
-    let mut sys: Option<SystemConfig> = None;
-    let mut nodes = 1usize;
-    let mut net: Option<NetConfig> = None;
-    let mut adapt: Option<AdaptConfig> = None;
-    let mut threads: Vec<(usize, usize, Vec<ThreadOp>)> = Vec::new();
-    for line in lines {
-        let line = line.trim();
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut toks = line.split_whitespace();
-        match toks.next() {
-            Some("maxcycles") => {
-                max_cycles = num("maxcycles", toks.next().ok_or("maxcycles needs a value")?)?;
-            }
-            Some("config") => {
-                let mut s = SystemConfig::paper(1);
-                for tok in toks {
-                    let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad {tok}"))?;
-                    match k {
-                        "threads" => s.soc.threads = num(k, v)?,
-                        "arq" => s.mac.arq_entries = num(k, v)?,
-                        "pop" => s.mac.pop_interval = num(k, v)?,
-                        "accepts" => s.mac.accepts_per_cycle = num(k, v)?,
-                        "bypass" => s.mac.bypass_enabled = v == "1",
-                        "hiding" => s.mac.latency_hiding = v == "1",
-                        "table" => {
-                            s.mac.flit_table = match v {
-                                "span" => FlitTablePolicy::SpanRounded,
-                                "always256" => FlitTablePolicy::Always256,
-                                "perchunk64" => FlitTablePolicy::PerChunk64,
-                                _ => return Err(format!("unknown table {v}")),
-                            }
-                        }
-                        "router" => s.mac.router_queue_depth = num(k, v)?,
-                        "vaultq" => s.hmc.vault_queue_depth = num(k, v)?,
-                        "maxout" => s.soc.max_outstanding_per_thread = num(k, v)?,
-                        "macdisabled" => s.mac_disabled = v == "1",
-                        "nodes" => nodes = num(k, v)?,
-                        _ => return Err(format!("unknown config key {k}")),
-                    }
-                }
-                sys = Some(s);
-            }
-            Some("net") => {
-                let mut n = NetConfig::default();
-                for tok in toks {
-                    if let Some(v) = kv(tok, "enabled") {
-                        n.enabled = v == "1";
-                    } else if let Some(v) = kv(tok, "cubes") {
-                        n.cubes = num("cubes", v)?;
-                    } else if let Some(v) = kv(tok, "topology") {
-                        n.topology = match v {
-                            "daisy" => NetTopology::DaisyChain,
-                            "ring" => NetTopology::Ring,
-                            "mesh" => NetTopology::Mesh2x2,
-                            _ => return Err(format!("unknown topology {v}")),
-                        };
-                    } else if let Some(v) = kv(tok, "placement") {
-                        n.placement = match v {
-                            "host" => MacPlacement::HostOnly,
-                            "percube" => MacPlacement::PerCube,
-                            _ => return Err(format!("unknown placement {v}")),
-                        };
-                    } else if let Some(v) = kv(tok, "mapping") {
-                        n.mapping = match v {
-                            "contig" => CubeMapping::Contiguous,
-                            "interleave" => CubeMapping::Interleaved,
-                            _ => return Err(format!("unknown mapping {v}")),
-                        };
+/// One `thread` line's operation tokens.
+fn parse_ops<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Vec<ThreadOp>, String> {
+    tokens
+        .map(|tok| {
+            Ok(match tok {
+                "F" => ThreadOp::Mem {
+                    addr: PhysAddr::new(0),
+                    kind: MemOpKind::Fence,
+                },
+                "P" => ThreadOp::Spm,
+                "D" => ThreadOp::Done,
+                _ => {
+                    let (k, v) = tok.split_once(':').ok_or_else(|| format!("bad op {tok}"))?;
+                    if k == "C" {
+                        ThreadOp::Compute(COMPUTE.check(num(k, v)?)?)
                     } else {
-                        return Err(format!("unknown net token {tok}"));
-                    }
-                }
-                net = Some(n);
-            }
-            Some("adapt") => {
-                let mut a = AdaptConfig {
-                    enabled: true,
-                    ..AdaptConfig::default()
-                };
-                for tok in toks {
-                    let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad {tok}"))?;
-                    match k {
-                        "interval" => a.interval = num(k, v)?,
-                        "minpop" => a.min_pop_interval = num(k, v)?,
-                        "maxpop" => a.max_pop_interval = num(k, v)?,
-                        "minacc" => a.min_accepts = num(k, v)?,
-                        "maxacc" => a.max_accepts = num(k, v)?,
-                        "evidence" => a.evidence_threshold = num(k, v)?,
-                        "hold" => a.hold_intervals = num(k, v)?,
-                        _ => return Err(format!("unknown adapt token {tok}")),
-                    }
-                }
-                adapt = Some(a);
-            }
-            Some("thread") => {
-                let id = toks.next().ok_or("thread needs node.tid")?;
-                let (n, t) = id.split_once('.').ok_or_else(|| format!("bad id {id}"))?;
-                let (n, t): (usize, usize) = (num("node", n)?, num("thread", t)?);
-                let mut ops = Vec::new();
-                for tok in toks {
-                    let op = if tok == "F" {
-                        ThreadOp::Mem {
-                            addr: PhysAddr::new(0),
-                            kind: MemOpKind::Fence,
-                        }
-                    } else if tok == "P" {
-                        ThreadOp::Spm
-                    } else if tok == "D" {
-                        ThreadOp::Done
-                    } else if let Some(v) = tok.strip_prefix("C:") {
-                        ThreadOp::Compute(COMPUTE.check(num("C", v)?)?)
-                    } else {
-                        let (k, v) = tok.split_once(':').ok_or_else(|| format!("bad op {tok}"))?;
-                        let addr = u64::from_str_radix(v, 16)
-                            .map_err(|e| format!("bad address {v}: {e}"))?;
                         let kind = match k {
                             "L" => MemOpKind::Load,
                             "S" => MemOpKind::Store,
                             "A" => MemOpKind::Atomic,
                             _ => return Err(format!("unknown op {tok}")),
                         };
+                        let addr = u64::from_str_radix(v, 16)
+                            .map_err(|e| format!("bad address {v}: {e}"))?;
                         ThreadOp::Mem {
                             addr: PhysAddr::new(addr),
                             kind,
                         }
-                    };
-                    ops.push(op);
+                    }
                 }
-                threads.push((n, t, ops));
-            }
-            Some(other) => return Err(format!("unknown directive {other}")),
+            })
+        })
+        .collect()
+}
+
+/// Parse a reproducer produced by [`encode_reproducer`]. Reproducers
+/// are user input to `mac-bench fuzz --replay`, so anything the
+/// simulator cannot replay is an `Err`, never a panic. An error found on
+/// a line starts `line N: ` (the header is line 1): another version, an
+/// unknown directive, a bad op token, and every key error, which reads
+/// as a MACS-1 submit's for the same token (an unknown key, a key given
+/// twice, a value not in its key's form). Keys the `config` line leaves
+/// out keep the paper's one-thread system and a 2,000,000-cycle cap.
+/// Then the whole case is checked against the bounds table
+/// ([`SystemConfig::validate`] and the cycle cap), whose errors name the
+/// value and its range.
+pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
+    let mut lines = text.lines().zip(1..).map(|(l, n)| (n, l.trim()));
+    let (_, header) = lines.next().unwrap_or((1, ""));
+    if header != HEADER {
+        return Err(format!("line 1: {header:?} is not {HEADER:?}"));
+    }
+    let mut cfg: Option<ExperimentConfig> = None;
+    let mut threads: Vec<(usize, usize, usize, Vec<ThreadOp>)> = Vec::new();
+    for (n, line) in lines {
+        let at = |e: String| format!("line {n}: {e}");
+        let mut toks = line.split_whitespace();
+        match toks.next() {
             None => {}
+            Some(t) if t.starts_with('#') => {}
+            Some("config") if cfg.is_some() => return Err(at("config given twice".into())),
+            Some("config") => {
+                let mut c = ExperimentConfig {
+                    system: SystemConfig::paper(1),
+                    max_cycles: FuzzOptions::default().max_cycles,
+                    ..ExperimentConfig::default()
+                };
+                let pairs = keys::pairs(toks).map_err(at)?;
+                c.parse_keys(&ExperimentConfig::KEYS[..1], &pairs)
+                    .map_err(at)?;
+                cfg = Some(c);
+            }
+            Some("thread") => {
+                let id = toks
+                    .next()
+                    .ok_or_else(|| at("thread needs node.tid".into()))?;
+                let (node, t) = id
+                    .split_once('.')
+                    .ok_or_else(|| at(format!("bad id {id}")))?;
+                let node = num("node", node).map_err(at)?;
+                let t = num("thread", t).map_err(at)?;
+                threads.push((n, node, t, parse_ops(toks).map_err(at)?));
+            }
+            Some(other) => return Err(at(format!("unknown directive {other}"))),
         }
     }
-    let mut sys = sys.ok_or("missing config line")?;
-    if let Some(n) = net {
-        sys.net = n;
-    }
-    if let Some(a) = adapt {
-        sys.adapt = a;
-    }
-    sys.soc.nodes = nodes;
+    let ExperimentConfig {
+        system: sys,
+        max_cycles,
+        ..
+    } = cfg.ok_or("missing config line")?;
     // Checked before `threads` and `nodes` size the op tables.
-    validate_run(&sys, nodes, max_cycles)?;
-    let mut ops = vec![vec![Vec::new(); sys.soc.threads]; nodes];
-    for (n, t, list) in threads {
-        let node = ops
-            .get_mut(n)
-            .ok_or_else(|| format!("node {n} out of range"))?;
-        let slot = node
-            .get_mut(t)
-            .ok_or_else(|| format!("thread {n}.{t} out of range"))?;
-        *slot = list;
+    validate_run(&sys, sys.soc.nodes, max_cycles)?;
+    let mut ops = vec![vec![Vec::new(); sys.soc.threads]; sys.soc.nodes];
+    for (n, node, t, list) in threads {
+        *ops.get_mut(node)
+            .and_then(|threads| threads.get_mut(t))
+            .ok_or_else(|| format!("line {n}: thread {node}.{t} out of range"))? = list;
     }
     Ok(FuzzCase {
         sys,
@@ -660,13 +526,18 @@ pub fn decode_reproducer(text: &str) -> Result<FuzzCase, String> {
     })
 }
 
+/// The case iteration `i` of a campaign with `seed` draws: `run_fuzz`
+/// runs exactly this case, so one iteration can be re-run alone.
+pub fn draw_case(seed: u64, i: u64, max_cycles: u64, adaptive: bool) -> FuzzCase {
+    gen_case(&mut iter_rng(seed, i), max_cycles, adaptive)
+}
+
 /// Run a fuzzing campaign. Reproducers for failing cases are written
 /// under `opts.out_dir`; the returned report lists them.
 pub fn run_fuzz(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
     let mut report = FuzzReport::default();
     for i in 0..opts.iters {
-        let mut rng = iter_rng(opts.seed, i);
-        let case = gen_case(&mut rng, opts.max_cycles, opts.adaptive);
+        let case = draw_case(opts.seed, i, opts.max_cycles, opts.adaptive);
         if case.sys.net.enabled && case.sys.net.cubes > 1 {
             report.multi_cube += 1;
         } else {
@@ -714,18 +585,12 @@ pub fn run_checked_smoke() -> Vec<(String, CheckedRun)> {
             out.push((label, run_workload_checked(w.as_ref(), &cfg)));
         }
     }
-    for placement in [MacPlacement::HostOnly, MacPlacement::PerCube] {
+    for placement in ["host", "percube"] {
         let mut cfg = base.clone();
-        cfg.system = cfg.system.with_net(2, NetTopology::DaisyChain, placement);
-        let label = format!(
-            "sg/net2-{}",
-            match placement {
-                MacPlacement::HostOnly => "host",
-                MacPlacement::PerCube => "percube",
-            }
-        );
+        let net = [("cubes", "2"), ("placement", placement)];
+        cfg.parse_keys(&[], &net).expect("a 2-cube chain");
         out.push((
-            label,
+            format!("sg/net2-{placement}"),
             run_workload_checked(&mac_workloads::sg::ScatterGather, &cfg),
         ));
     }
@@ -764,52 +629,139 @@ mod tests {
         assert_eq!(format!("{:?}", plain.sys), format!("{sys:?}"));
     }
 
+    /// The uncapped paper system and 1,000 plain and 1,000 adaptive
+    /// drawn cases.
+    fn round_trip_cases() -> Vec<FuzzCase> {
+        let paper = FuzzCase {
+            sys: SystemConfig::paper(8),
+            ops: vec![vec![Vec::new(); 8]],
+            max_cycles: 500_000,
+        };
+        assert_eq!(paper.sys.soc.max_outstanding_per_thread, usize::MAX);
+        let drawn = [false, true]
+            .into_iter()
+            .flat_map(|adaptive| (0..1000).map(move |i| draw_case(9, i, 500_000, adaptive)));
+        std::iter::once(paper).chain(drawn).collect()
+    }
+
     #[test]
     fn reproducer_round_trips() {
-        for adaptive in [false, true] {
-            let mut rng = iter_rng(9, 3);
-            let case = gen_case(&mut rng, 500_000, adaptive);
+        for case in round_trip_cases() {
             let text = encode_reproducer(&case, &["I6 @ cycle 10: example".into()]);
-            assert_eq!(text.contains("\nadapt "), adaptive);
+            assert_eq!(text.lines().filter(|l| l.starts_with("config ")).count(), 1);
             let back = decode_reproducer(&text).expect("decodes");
+            assert_eq!(back.sys, case.sys, "{text}");
             assert_eq!(back.max_cycles, case.max_cycles);
             assert_eq!(back.ops, case.ops);
-            assert_eq!(back.sys.mac.arq_entries, case.sys.mac.arq_entries);
-            assert_eq!(back.sys.mac.flit_table, case.sys.mac.flit_table);
-            assert_eq!(back.sys.net.enabled, case.sys.net.enabled);
-            assert_eq!(back.sys.net.cubes, case.sys.net.cubes);
-            assert_eq!(back.sys.net.placement, case.sys.net.placement);
-            assert_eq!(back.sys.mac_disabled, case.sys.mac_disabled);
-            assert_eq!(back.sys.adapt, case.sys.adapt);
-            // And the decoded case must behave identically.
-            let a = case.run();
-            let b = back.run();
-            assert_eq!(a.report.cycles, b.report.cycles);
-            assert_eq!(a.report.soc, b.report.soc);
         }
+        // And a decoded case behaves identically.
+        let case = draw_case(9, 3, 500_000, true);
+        let back = decode_reproducer(&encode_reproducer(&case, &[])).expect("decodes");
+        let (a, b) = (case.run(), back.run());
+        assert_eq!(a.report.cycles, b.report.cycles);
+        assert_eq!(a.report.soc, b.report.soc);
+    }
+
+    /// A reproducer with `config` and then `rest`.
+    fn reproducer(config: &str, rest: &str) -> String {
+        format!("{HEADER}\nconfig {config}\n{rest}")
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode_reproducer("").is_err());
-        assert!(decode_reproducer("# mac-check fuzz reproducer v1\nbogus 1\n").is_err());
-        assert!(
-            decode_reproducer("# mac-check fuzz reproducer v1\nconfig threads=1 table=nope\n")
-                .is_err()
-        );
-        // The controller has no bypass axis, so its old switch is unknown.
-        let err =
-            decode_reproducer("# mac-check fuzz reproducer v1\nconfig threads=1\nadapt toggle=1\n")
-                .expect_err("toggle=1");
-        assert!(err.contains("unknown adapt token"), "{err}");
+        for (text, want) in [
+            (
+                reproducer("threads=1", "bogus 1\n"),
+                "line 3: unknown directive bogus",
+            ),
+            (
+                reproducer("threads=1 table=nope", ""),
+                "line 2: table=nope: expected span|always256|perchunk64",
+            ),
+            // The controller has no bypass axis, so its old switch is unknown.
+            (
+                reproducer("threads=1 toggle=1", ""),
+                "line 2: toggle=1: unknown key",
+            ),
+            (
+                reproducer("arq=16 arq=32", ""),
+                "line 2: arq=32: key given twice",
+            ),
+            (reproducer("arq", ""), "line 2: arq: expected key=value"),
+            (reproducer("scale=2", ""), "line 2: scale=2: unknown key"),
+            (
+                reproducer("threads=1", "config threads=2\n"),
+                "line 3: config given twice",
+            ),
+            (
+                reproducer("threads=1", "thread 0.1 L:100\n"),
+                "line 3: thread 0.1 out of range",
+            ),
+        ] {
+            assert_eq!(
+                decode_reproducer(&text).map(|_| ()),
+                Err(want.into()),
+                "{text}"
+            );
+        }
     }
 
-    /// A minimal reproducer around one `config` and one `net` line.
-    fn reproducer(config: &str, net: &str) -> String {
-        format!(
-            "# mac-check fuzz reproducer v1\nmaxcycles 100000\nconfig {config}\nnet {net}\n\
-             thread 0.0 L:100 S:2000 D\n"
-        )
+    #[test]
+    fn v1_reproducers_are_rejected_by_version() {
+        let v1 = "# mac-check fuzz reproducer v1\nmaxcycles 100000\nconfig threads=1\n";
+        assert_eq!(
+            decode_reproducer(v1).map(|_| ()),
+            Err(format!(
+                "line 1: \"# mac-check fuzz reproducer v1\" is not {HEADER:?}"
+            ))
+        );
+    }
+
+    #[test]
+    fn errors_name_their_line() {
+        // The header is line 1, and blank and comment lines count.
+        for (text, want) in [
+            (
+                format!("{HEADER}\n# I6\nconfig threads=1\nthread 0.0 L:100 X:1\n"),
+                "line 4: unknown op X:1",
+            ),
+            (
+                format!("{HEADER}\n\n# I6\nconfig threads=1 arq=eight\n"),
+                "line 4: arq=eight: expected a number",
+            ),
+        ] {
+            assert_eq!(
+                decode_reproducer(&text).map(|_| ()),
+                Err(want.into()),
+                "{text}"
+            );
+        }
+        // Range errors come from the whole case, as `validate` words them.
+        assert_eq!(
+            decode_reproducer(&reproducer("arq=0", "")).map(|_| ()),
+            Err("arq=0 outside 1..=4096".into())
+        );
+    }
+
+    #[test]
+    fn values_outside_their_form_are_rejected_not_read_as_false() {
+        // Each of these used to decode, reading the flag as `false`.
+        for (config, want) in [
+            ("macdisabled=true", "line 2: macdisabled=true: unknown key"),
+            ("bypass=yes", "line 2: bypass=yes: expected true|false"),
+            ("hiding=2", "line 2: hiding=2: expected true|false"),
+            ("nomac=1", "line 2: nomac=1: expected true|false"),
+            (
+                "topology=daisy",
+                "line 2: topology=daisy: expected chain|ring|mesh",
+            ),
+        ] {
+            let text = reproducer(config, "thread 0.0 L:100\n");
+            assert_eq!(decode_reproducer(&text).map(|_| ()), Err(want.into()));
+        }
+        let case = decode_reproducer(&reproducer("nomac=true bypass=false", "")).expect("flags");
+        assert!(case.sys.mac_disabled && !case.sys.mac.bypass_enabled);
     }
 
     #[test]
@@ -817,22 +769,28 @@ mod tests {
         // Neither network can be built (the address map needs a
         // power-of-two cube count, the mesh exactly four cubes), so both
         // must fail at decode rather than panic at replay.
-        let err =
-            decode_reproducer(&reproducer("threads=1", "enabled=1 cubes=3")).expect_err("cubes=3");
+        let thread = "thread 0.0 L:100 S:2000 D\n";
+        let err = decode_reproducer(&reproducer("threads=1 cubes=3", thread)).expect_err("cubes=3");
         assert!(err.contains("cubes must be 1, 2, 4, or 8"), "{err}");
-        let err = decode_reproducer(&reproducer("threads=1", "enabled=1 topology=mesh cubes=2"))
+        let err = decode_reproducer(&reproducer("threads=1 topology=mesh cubes=2", thread))
             .expect_err("mesh with 2 cubes");
         assert!(err.contains("mesh topology requires cubes=4"), "{err}");
         // The shapes the simulator can build still decode and replay.
-        for net in ["enabled=1 cubes=2", "enabled=1 topology=mesh cubes=4"] {
-            let case = decode_reproducer(&reproducer("threads=1", net)).expect(net);
+        for net in ["cubes=2", "topology=mesh cubes=4", "net=true"] {
+            let case =
+                decode_reproducer(&reproducer(&format!("threads=1 {net}"), thread)).expect(net);
+            assert!(case.sys.net.enabled, "{net}");
             assert!(case.run().is_clean(), "{net}");
         }
+        // `net=false` switches the network off, whatever order the keys
+        // take, and restores its defaults.
+        let case = decode_reproducer(&reproducer("net=false cubes=4 topology=ring", thread))
+            .expect("switched off");
+        assert_eq!(case.sys.net, mac_types::NetConfig::default());
     }
 
     #[test]
     fn decode_bounds_every_number() {
-        let net = "enabled=0 cubes=1";
         for bad in [
             "threads=0",
             "threads=65",
@@ -845,49 +803,42 @@ mod tests {
             "threads=1 pop=65537",
             "threads=1 accepts=0",
             "threads=1 accepts=65",
+            // Adaptive bounds feed the same arithmetic.
+            "minpop=18446744073709551615",
+            "maxpop=65537",
+            "minacc=0",
+            "maxacc=65",
+            "evidence=4294967295",
+            "hold=65537",
         ] {
-            assert!(decode_reproducer(&reproducer(bad, net)).is_err(), "{bad}");
+            assert!(decode_reproducer(&reproducer(bad, "")).is_err(), "{bad}");
         }
+        // So do compute ops.
+        assert!(decode_reproducer(&reproducer("", "thread 0.0 C:18446744073709551615\n")).is_err());
         let case = decode_reproducer(&reproducer(
             "threads=64 nodes=64 arq=4096 pop=65536 accepts=64",
-            net,
+            "",
         ))
         .expect("the bounds themselves are allowed");
         assert_eq!(case.ops.len(), 64);
         assert!(case.ops.iter().all(|node| node.len() == 64));
         assert_eq!(case.sys.mac.arq_entries, 4096);
-        // Adaptive bounds and compute ops feed the same arithmetic.
-        let header = "# mac-check fuzz reproducer v1\nconfig threads=1\n";
-        for bad in [
-            "adapt minpop=18446744073709551615",
-            "adapt maxpop=65537",
-            "adapt minacc=0",
-            "adapt maxacc=65",
-            "adapt evidence=4294967295",
-            "adapt hold=65537",
-            "thread 0.0 C:18446744073709551615",
-        ] {
-            assert!(
-                decode_reproducer(&format!("{header}{bad}\n")).is_err(),
-                "{bad}"
-            );
-        }
         // A cycle cap of zero ends the run before it starts; one above
         // the default cap holds the replay for as long as it asks.
         for bad in ["0", "200000001", "18446744073709551615"] {
-            let text = format!("{header}maxcycles {bad}\n");
-            assert!(decode_reproducer(&text).is_err(), "maxcycles {bad}");
+            let text = reproducer(&format!("maxcycles={bad}"), "");
+            assert!(decode_reproducer(&text).is_err(), "maxcycles={bad}");
         }
         let cap = mac_types::bounds::MAX_CYCLES.range;
         for good in [cap.start(), cap.end()] {
-            let case = decode_reproducer(&format!("{header}maxcycles {good}\n"))
+            let case = decode_reproducer(&reproducer(&format!("maxcycles={good}"), ""))
                 .expect("the bounds themselves are allowed");
             assert_eq!(case.max_cycles, *good);
         }
         // Per-cube MACs model one host node; more cannot be replayed.
-        let percube = "enabled=1 cubes=2 placement=percube";
-        assert!(decode_reproducer(&reproducer("threads=1 nodes=2", percube)).is_err());
-        assert!(decode_reproducer(&reproducer("threads=1 nodes=1", percube)).is_ok());
+        let percube = "cubes=2 placement=percube";
+        assert!(decode_reproducer(&reproducer(&format!("nodes=2 {percube}"), "")).is_err());
+        assert!(decode_reproducer(&reproducer(&format!("nodes=1 {percube}"), "")).is_ok());
     }
 
     #[test]

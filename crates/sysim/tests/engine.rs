@@ -2,10 +2,12 @@
 //! acceptance properties of the engine design — parallel runs are
 //! byte-identical to serial runs, and a warm cache re-run executes zero
 //! simulations — plus sim-level cache round-tripping across pools, with
-//! pooled, disk-restored and direct runs producing the same report.
+//! pooled, disk-restored and direct runs producing the same report, and
+//! a corrupt entry counted, recomputed and replaced.
 
 use std::path::PathBuf;
 
+use mac_sim::cachefmt;
 use mac_sim::engine::{run_experiments, EngineOptions, SimPool, SimRequest};
 use mac_sim::experiment::{run_workload, ExperimentConfig};
 use mac_sim::manifest::select;
@@ -138,6 +140,35 @@ fn sim_cache_round_trips_across_pools() {
         );
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_truncated_entry_is_counted_recomputed_and_replaced() {
+    let dir = scratch("corrupt");
+    let mut cfg = ExperimentConfig::paper(2);
+    cfg.workload.scale = 1;
+    let req = SimRequest::new("gups", &cfg);
+    let cold = SimPool::new(1)
+        .with_cache(&dir)
+        .run_batch(std::slice::from_ref(&req));
+    let path = dir.join(cachefmt::sim_entry(req.fingerprint()));
+    let text = std::fs::read_to_string(&path).expect("entry written");
+    std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
+
+    let pool = SimPool::new(1).with_cache(&dir);
+    let warm = pool.run_batch(&[req]);
+    assert_eq!(
+        (
+            pool.sims_executed(),
+            pool.corrupt_entries(),
+            pool.disk_cache_hits()
+        ),
+        (1, 1, 0)
+    );
+    assert_eq!(warm, cold);
+    let replaced = std::fs::read_to_string(&path).expect("entry rewritten");
+    assert!(cachefmt::decode_run(&replaced).is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

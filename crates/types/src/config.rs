@@ -428,6 +428,224 @@ pub mod bounds {
     pub const HOLD: Bound = Bound::new("hold", EVIDENCE.range);
 }
 
+/// The `key=value` table behind both doors that take a configuration
+/// as text, fuzz reproducers and MACS-1 submits: each [`Key`](keys::Key)
+/// names one value, parses its text into a config and prints it back,
+/// so both doors spell every value alike and a config printed and
+/// parsed back equals itself. [`SYSTEM`](keys::SYSTEM) holds the
+/// system's keys; `mac_sim`'s `ExperimentConfig::KEYS` adds the run's.
+/// The table only parses: ranges are the [`bounds`] table's, checked by
+/// `validate`.
+///
+/// Setting a key of the network (`cubes topology placement mapping`) or
+/// of the adaptive controller (`interval` … `hold`) switches that part
+/// on. Its switch, `net` or `adapt`, applies after its keys whatever
+/// order the pairs take, and `false` restores the part's defaults.
+pub mod keys {
+    use std::fmt;
+
+    use super::bounds::*;
+    use super::{AdaptConfig, Bound, NetConfig, SystemConfig};
+    use super::{CubeMapping::*, FlitTablePolicy::*, MacPlacement::*, NetTopology::*};
+
+    /// How a key's value is written, with the accessors that read it
+    /// from a config `C` and write it back.
+    pub enum Form<C: 'static> {
+        /// A decimal number, under its bounds row if it has one.
+        Num(Option<&'static Bound>, fn(&C) -> u64, fn(&mut C, u64)),
+        /// `true` or `false`.
+        Flag(fn(&C) -> bool, fn(&mut C, bool)),
+        /// One of the words, read and written as its index.
+        Word(&'static [&'static str], fn(&C) -> usize, fn(&mut C, usize)),
+    }
+
+    /// One key a door may set.
+    pub struct Key<C: 'static> {
+        /// The key's name.
+        pub name: &'static str,
+        /// How its value is written.
+        pub form: Form<C>,
+    }
+
+    /// A key's value in a config; it displays as the doors write it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Value {
+        /// A number.
+        Num(u64),
+        /// A flag.
+        Flag(bool),
+        /// A word.
+        Word(&'static str),
+    }
+
+    impl fmt::Display for Value {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Value::Num(n) => write!(f, "{n}"),
+                Value::Flag(b) => write!(f, "{b}"),
+                Value::Word(w) => f.write_str(w),
+            }
+        }
+    }
+
+    impl<C> Key<C> {
+        /// A numeric key named after its [`bounds`](super::bounds) row.
+        pub const fn num(bound: &'static Bound, get: fn(&C) -> u64, set: fn(&mut C, u64)) -> Self {
+            let form = Form::Num(Some(bound), get, set);
+            Key {
+                name: bound.name,
+                form,
+            }
+        }
+
+        /// A `true`/`false` key.
+        pub const fn flag(name: &'static str, get: fn(&C) -> bool, set: fn(&mut C, bool)) -> Self {
+            Key {
+                name,
+                form: Form::Flag(get, set),
+            }
+        }
+
+        /// This key's value in `cfg`.
+        pub fn value(&self, cfg: &C) -> Value {
+            match self.form {
+                Form::Num(_, get, _) => Value::Num(get(cfg)),
+                Form::Flag(get, _) => Value::Flag(get(cfg)),
+                Form::Word(words, get, _) => Value::Word(words[get(cfg)]),
+            }
+        }
+
+        /// Parse `text` into this key of `cfg`. Text not in the key's
+        /// form is an error naming the key and the text; a number its
+        /// field cannot hold is outside its range.
+        pub fn parse(&self, cfg: &mut C, text: &str) -> Result<(), String> {
+            let expected = |what: &str| format!("{}={text}: expected {what}", self.name);
+            match self.form {
+                Form::Num(bound, get, set) => {
+                    let v = text.parse().map_err(|_| expected("a number"))?;
+                    set(cfg, v);
+                    // A narrower field reads back another number.
+                    if get(cfg) != v {
+                        return Err(
+                            bound.map_or_else(|| expected("a smaller number"), |b| b.reject(v))
+                        );
+                    }
+                }
+                Form::Flag(_, set) => match text {
+                    "true" => set(cfg, true),
+                    "false" => set(cfg, false),
+                    _ => return Err(expected("true|false")),
+                },
+                Form::Word(words, _, set) => {
+                    let i = words.iter().position(|w| *w == text);
+                    set(cfg, i.ok_or_else(|| expected(&words.join("|")))?);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Split `key=value` tokens into pairs. A token without `=`, or a
+    /// key given twice ([`unique`]), is an error naming the token.
+    pub fn pairs<'a>(
+        tokens: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Vec<(&'a str, &'a str)>, String> {
+        let split = |tok: &'a str| {
+            tok.split_once('=')
+                .ok_or_else(|| format!("{tok}: expected key=value"))
+        };
+        let pairs = tokens
+            .into_iter()
+            .map(split)
+            .collect::<Result<Vec<_>, _>>()?;
+        unique(&pairs)?;
+        Ok(pairs)
+    }
+
+    /// An error naming the first pair whose key an earlier pair gives.
+    pub fn unique(pairs: &[(&str, &str)]) -> Result<(), String> {
+        match (1..pairs.len()).find(|&i| pairs[..i].iter().any(|p| p.0 == pairs[i].0)) {
+            Some(i) => Err(format!("{}={}: key given twice", pairs[i].0, pairs[i].1)),
+            None => Ok(()),
+        }
+    }
+
+    /// Parse the pairs that name a key of `table` into `cfg`, in table
+    /// order, and return the pairs that name none.
+    pub fn apply<'a, C>(
+        table: &[Key<C>],
+        cfg: &mut C,
+        pairs: &[(&'a str, &'a str)],
+    ) -> Result<Vec<(&'a str, &'a str)>, String> {
+        for key in table {
+            if let Some((_, text)) = pairs.iter().find(|(k, _)| *k == key.name) {
+                key.parse(cfg, text)?;
+            }
+        }
+        let known = |k: &&str| table.iter().any(|key| key.name == *k);
+        Ok(pairs.iter().filter(|(k, _)| !known(k)).copied().collect())
+    }
+
+    /// The network, switched on.
+    fn net(c: &mut SystemConfig) -> &mut NetConfig {
+        c.net.enabled = true;
+        &mut c.net
+    }
+
+    /// The adaptive controller, switched on.
+    fn adapt(c: &mut SystemConfig) -> &mut AdaptConfig {
+        c.adapt.enabled = true;
+        &mut c.adapt
+    }
+
+    /// The system's keys, in the order they print and apply. Each word
+    /// list follows its enum's declaration order.
+    #[rustfmt::skip]
+    pub const SYSTEM: [Key<SystemConfig>; 25] = [
+        Key::num(&THREADS, |c| c.soc.threads as u64, |c, v| c.soc.threads = v as usize),
+        Key::num(&NODES, |c| c.soc.nodes as u64, |c, v| c.soc.nodes = v as usize),
+        Key::num(&MAXOUT, |c| c.soc.max_outstanding_per_thread as u64,
+            |c, v| c.soc.max_outstanding_per_thread = v as usize),
+        Key::num(&ARQ, |c| c.mac.arq_entries as u64, |c, v| c.mac.arq_entries = v as usize),
+        Key::num(&POP, |c| c.mac.pop_interval, |c, v| c.mac.pop_interval = v),
+        Key::num(&ACCEPTS, |c| c.mac.accepts_per_cycle as u64,
+            |c, v| c.mac.accepts_per_cycle = v as usize),
+        Key::flag("bypass", |c| c.mac.bypass_enabled, |c, on| c.mac.bypass_enabled = on),
+        Key::flag("hiding", |c| c.mac.latency_hiding, |c, on| c.mac.latency_hiding = on),
+        Key { name: "table", form: Form::Word(&["span", "always256", "perchunk64"],
+            |c| c.mac.flit_table as usize,
+            |c, i| c.mac.flit_table = [SpanRounded, Always256, PerChunk64][i]) },
+        Key::num(&ROUTER, |c| c.mac.router_queue_depth as u64,
+            |c, v| c.mac.router_queue_depth = v as usize),
+        Key::num(&VAULTQ, |c| c.hmc.vault_queue_depth as u64,
+            |c, v| c.hmc.vault_queue_depth = v as usize),
+        Key::flag("nomac", |c| c.mac_disabled, |c, on| c.mac_disabled = on),
+        Key { name: "cubes", form: Form::Num(None, |c| c.net.cubes as u64,
+            |c, v| net(c).cubes = v as usize) },
+        Key { name: "topology", form: Form::Word(&["chain", "ring", "mesh"],
+            |c| c.net.topology as usize, |c, i| net(c).topology = [DaisyChain, Ring, Mesh2x2][i]) },
+        Key { name: "placement", form: Form::Word(&["host", "percube"],
+            |c| c.net.placement as usize, |c, i| net(c).placement = [HostOnly, PerCube][i]) },
+        Key { name: "mapping", form: Form::Word(&["contig", "interleave"],
+            |c| c.net.mapping as usize, |c, i| net(c).mapping = [Contiguous, Interleaved][i]) },
+        Key::flag("net", |c| c.net.enabled,
+            |c, on| if on { c.net.enabled = true } else { c.net = NetConfig::default() }),
+        Key::num(&INTERVAL, |c| c.adapt.interval, |c, v| adapt(c).interval = v),
+        Key::num(&MIN_POP, |c| c.adapt.min_pop_interval, |c, v| adapt(c).min_pop_interval = v),
+        Key::num(&MAX_POP, |c| c.adapt.max_pop_interval, |c, v| adapt(c).max_pop_interval = v),
+        Key::num(&MIN_ACCEPTS, |c| c.adapt.min_accepts as u64,
+            |c, v| adapt(c).min_accepts = v as usize),
+        Key::num(&MAX_ACCEPTS, |c| c.adapt.max_accepts as u64,
+            |c, v| adapt(c).max_accepts = v as usize),
+        Key::num(&EVIDENCE, |c| c.adapt.evidence_threshold.into(),
+            |c, v| adapt(c).evidence_threshold = v as u32),
+        Key::num(&HOLD, |c| c.adapt.hold_intervals.into(),
+            |c, v| adapt(c).hold_intervals = v as u32),
+        Key::flag("adapt", |c| c.adapt.enabled,
+            |c, on| if on { c.adapt.enabled = true } else { c.adapt = AdaptConfig::default() }),
+    ];
+}
+
 /// Where the coalescer sits relative to the cube network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MacPlacement {

@@ -30,8 +30,9 @@ pub mod stats;
 pub use addr::{CubeId, PhysAddr, RowId, FLITS_PER_ROW, FLIT_BYTES, ROW_BYTES};
 pub use bandwidth::{bandwidth_efficiency, control_overhead_fraction, CONTROL_BYTES_PER_ACCESS};
 pub use config::{
-    bounds, AdaptConfig, Bound, CubeMapping, DdrConfig, FlitTablePolicy, HbmConfig, HmcConfig,
-    MacConfig, MacPlacement, MemBackend, NetConfig, NetTopology, SocConfig, SystemConfig,
+    bounds, keys, AdaptConfig, Bound, CubeMapping, DdrConfig, FlitTablePolicy, HbmConfig,
+    HmcConfig, MacConfig, MacPlacement, MemBackend, NetConfig, NetTopology, SocConfig,
+    SystemConfig,
 };
 pub use fingerprint::{Fingerprint, Fnv128};
 pub use flit::{ChunkMask, FlitMap, CHUNKS_PER_ROW, CHUNK_BYTES, FLITS_PER_CHUNK};
