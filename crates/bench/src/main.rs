@@ -7,8 +7,6 @@
 //! mac-bench [run] [--filter GLOB[,GLOB...]] [--jobs N] [--scale N]
 //!           [--out DIR] [--no-cache] [--trace]
 //!           [--metrics] [--metrics-interval N] [--profile] [--list]
-//! mac-bench baseline [--check | --update] [--file PATH]
-//!           [--jobs N] [--out DIR] [--no-cache]
 //! mac-bench fuzz [--iters N] [--seed S] [--out DIR] [--max-cycles N]
 //!           [--smoke] [--adaptive] [--replay FILE]
 //! mac-bench serve [--addr A] [--workers N] [--sim-jobs N] [--out DIR]
@@ -51,12 +49,6 @@
 //!   hits its cycle cap marks its entry `[FAILED]` in the per-entry
 //!   summary and the run exits non-zero — truncated measurements must
 //!   not pass silently in CI.
-//! * `baseline --check` re-simulates the smoke baseline set (in
-//!   parallel, through the result cache) and exits 1 if any checked-in
-//!   metric drifts out of tolerance; it writes nothing outside the
-//!   cache. `baseline --update` regenerates the file (default
-//!   `baselines/smoke.macb`). Simulator speed is measured by `mac-perf`
-//!   (`crates/perf`), not here.
 //! * `fuzz` runs the differential conformance fuzzer: seeded random
 //!   configs × adversarial address streams, each simulated with the
 //!   `mac-check` invariant checker attached and diffed against the
@@ -99,8 +91,7 @@ use mac_metrics::MetricsSnapshot;
 use mac_serve::{
     serve, AdmissionConfig, Frame, JobSpec, JobState, Response, ServeClient, ServerConfig,
 };
-use mac_sim::baseline::{self, Baseline, DEFAULT_BASELINE_PATH};
-use mac_sim::engine::{run_experiments, EngineOptions, SimPool};
+use mac_sim::engine::{run_experiments, EngineOptions};
 use mac_sim::fuzz::{self, FuzzOptions};
 use mac_sim::manifest::{manifest, select};
 use mac_telemetry::{export_merged, read_trace_file, CounterTrack, ProfSnapshot};
@@ -108,7 +99,6 @@ use mac_types::{bounds, keys, Bound, JobId};
 
 const USAGE: &str = "\
 usage: mac-bench [run] [options]
-       mac-bench baseline [--check | --update] [options]
        mac-bench fuzz [--iters N] [--seed S] [--out DIR] [--max-cycles N]
                       [--smoke] [--adaptive] [--replay FILE]
        mac-bench serve [--addr A] [--workers N] [--sim-jobs N] [--out DIR]
@@ -131,12 +121,6 @@ run options:
   --profile              record host-side spans/counters under <out>/profile/
                          and write the merged Perfetto timeline
   --list                 list manifest entries and exit
-
-baseline options:
-  --check                compare against the checked-in baseline (default)
-  --update               regenerate the baseline file from a fresh run
-  --file PATH            baseline file (default `baselines/smoke.macb`)
-  --jobs/--out/--no-cache as above
 
 fuzz options:
   --iters N              random cases to run (default 100)
@@ -422,104 +406,6 @@ fn write_merged_trace(opts: &EngineOptions, prof: &ProfSnapshot) {
         records.len(),
         tracks.len()
     );
-}
-
-fn baseline_main(args: &[String]) {
-    let mut update = false;
-    let mut file = PathBuf::from(DEFAULT_BASELINE_PATH);
-    let mut opts = EngineOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check" => update = false,
-            "--update" => update = true,
-            "--file" => {
-                file = PathBuf::from(value(args, i, "--file"));
-                i += 1;
-            }
-            "--jobs" => {
-                opts.jobs = value(args, i, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--jobs needs an integer"));
-                i += 1;
-            }
-            "--out" => {
-                opts.out_dir = PathBuf::from(value(args, i, "--out"));
-                i += 1;
-            }
-            "--no-cache" => opts.use_cache = false,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            other => usage_error(&format!("unknown baseline argument `{other}`")),
-        }
-        i += 1;
-    }
-
-    let mut pool = SimPool::new(opts.jobs);
-    if opts.use_cache {
-        pool = pool.with_cache(&opts.cache_dir());
-    }
-    eprintln!(
-        "mac-bench: collecting baseline metrics ({} sims, cache {})",
-        baseline::baseline_requests().len(),
-        if opts.use_cache { "on" } else { "off" },
-    );
-    let current = baseline::collect(&pool);
-
-    if update {
-        if let Some(parent) = file.parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        if let Err(e) = std::fs::write(&file, current.encode()) {
-            eprintln!("mac-bench: cannot write {}: {e}", file.display());
-            exit(1);
-        }
-        eprintln!(
-            "mac-bench: wrote {} ({} entries)",
-            file.display(),
-            current.entries.len()
-        );
-        return;
-    }
-
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "mac-bench: cannot read baseline {}: {e} (run `mac-bench baseline --update` first)",
-                file.display()
-            );
-            exit(1);
-        }
-    };
-    let expected = match Baseline::decode(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mac-bench: malformed baseline {}: {e}", file.display());
-            exit(1);
-        }
-    };
-    let result = expected.check(&current);
-    if result.passed() {
-        eprintln!(
-            "mac-bench: baseline OK ({} entries, {} metrics)",
-            expected.entries.len(),
-            expected.entries.values().map(|m| m.len()).sum::<usize>()
-        );
-        return;
-    }
-    for v in &result.violations {
-        eprintln!("mac-bench: baseline drift: {v}");
-    }
-    eprintln!(
-        "mac-bench: baseline check FAILED ({} violation(s)); if intentional, re-run `mac-bench baseline --update`",
-        result.violations.len()
-    );
-    exit(1);
 }
 
 fn fuzz_main(args: &[String]) {
@@ -1270,7 +1156,6 @@ fn main() {
     // means `run`.
     match args.first().map(String::as_str) {
         Some("run") => run_main(&args[1..]),
-        Some("baseline") => baseline_main(&args[1..]),
         Some("fuzz") => fuzz_main(&args[1..]),
         Some("serve") => serve_main(&args[1..]),
         Some("client") => client_main(&args[1..]),

@@ -15,7 +15,7 @@
 //!   bounded queue, per-client fairness caps, and load shedding with
 //!   explicit `retry-after` backpressure responses instead of hangs.
 //! * **Versioned wire protocol** ([`proto`]) — line-delimited flat JSON
-//!   over TCP, framed and versioned like the repo's `.mrc`/`.macb` text
+//!   over TCP, framed and versioned like the repo's `.mrc`/`.art` text
 //!   formats (`"proto":"macs-1"` on every message).
 //! * **Server** ([`server`]) and **client** ([`client`]) — a std-only
 //!   threaded TCP server with submit/poll/wait/fetch/stats verbs,

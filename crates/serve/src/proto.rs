@@ -6,7 +6,7 @@
 //! a single flat object whose values are strings, non-negative integers,
 //! or booleans (no nesting, no arrays, no floats). Every message carries
 //! `"proto":"macs-1"`; a server or client that sees any other value must
-//! reject the message, exactly as the `.mrc`/`.macb` decoders reject
+//! reject the message, exactly as the `.mrc`/`.art` decoders reject
 //! unknown format versions. Messages that carry a bulk payload (fetched
 //! artifacts, the stats export) say so with a `"lines":N` field: the
 //! next `N` raw lines after the JSON line are the payload, verbatim.

@@ -725,6 +725,11 @@ impl Inner {
             interval: 1,
             series: vec![
                 series("admission_evidence", SeriesKind::Gauge, evidence),
+                series(
+                    "cache_corrupt",
+                    SeriesKind::Counter,
+                    self.store.corrupt_entries(),
+                ),
                 ctr("jobs_accepted", &c.jobs_accepted),
                 ctr("jobs_cached", &c.jobs_cached),
                 ctr("jobs_completed", &c.jobs_completed),

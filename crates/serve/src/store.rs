@@ -18,6 +18,7 @@
 //! never expose torn files to each other.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mac_sim::cachefmt;
 use mac_sim::engine::{atomic_write, Artifact};
@@ -29,9 +30,11 @@ use crate::job::{JobKind, JobSpec};
 const CHECKED_HEADER: &str = "# mac-serve checked result v1";
 
 /// A content-addressed result store rooted at one `results/` tree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
+    /// Payloads [`ArtifactStore::load`] found present but undecodable.
+    corrupt: AtomicU64,
 }
 
 impl ArtifactStore {
@@ -40,6 +43,7 @@ impl ArtifactStore {
     pub fn new(root: &Path) -> Self {
         ArtifactStore {
             root: root.to_path_buf(),
+            corrupt: AtomicU64::new(0),
         }
     }
 
@@ -66,16 +70,23 @@ impl ArtifactStore {
     }
 
     /// Load a job's payload, validating that it decodes in its format.
-    /// A file that exists but fails validation is treated as absent (it
-    /// will be regenerated and atomically replaced).
+    /// Like [`cachefmt::probe`], a file that exists but does not decode
+    /// (non-UTF-8 included) is counted in
+    /// [`ArtifactStore::corrupt_entries`] and read as absent, so the job
+    /// runs again and atomically replaces it.
     pub fn load(&self, spec: &JobSpec) -> Option<String> {
-        let text = std::fs::read_to_string(self.path_for(spec)).ok()?;
-        let valid = match &spec.kind {
-            JobKind::Entry { .. } => cachefmt::decode_artifacts(&text).is_some(),
-            JobKind::Sim { .. } if spec.checked => decode_checked(&text).is_some(),
-            JobKind::Sim { .. } => cachefmt::decode_run(&text).is_some(),
+        let decode: fn(&str) -> Option<String> = match &spec.kind {
+            JobKind::Entry { .. } => |t| cachefmt::decode_artifacts(t).map(|_| t.to_string()),
+            JobKind::Sim { .. } if spec.checked => |t| decode_checked(t).map(|_| t.to_string()),
+            JobKind::Sim { .. } => |t| cachefmt::decode_run(t).map(|_| t.to_string()),
         };
-        valid.then_some(text)
+        cachefmt::probe(&self.path_for(spec), decode, &self.corrupt)
+    }
+
+    /// How many payloads [`ArtifactStore::load`] has found present but
+    /// undecodable.
+    pub fn corrupt_entries(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
     }
 
     /// Store a sim job's report (normalized like the engine's cache:
@@ -199,6 +210,10 @@ mod tests {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "not a cache file").unwrap();
         assert!(store.load(&spec).is_none());
+        assert_eq!(store.corrupt_entries(), 1);
+        std::fs::write(&path, [0xff, 0xfe]).unwrap();
+        assert!(store.load(&spec).is_none(), "non-UTF-8 is corrupt too");
+        assert_eq!(store.corrupt_entries(), 2);
         // A checked envelope cut inside its last number is absent, not
         // a report with a smaller count.
         let mut checked = spec.clone();
@@ -211,6 +226,7 @@ mod tests {
         assert!(store.load(&checked).is_some());
         std::fs::write(store.path_for(&checked), &text[..text.len() - 2]).unwrap();
         assert!(store.load(&checked).is_none());
+        assert_eq!(store.corrupt_entries(), 3);
         let _ = std::fs::remove_dir_all(&root);
     }
 

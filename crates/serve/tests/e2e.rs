@@ -1,11 +1,14 @@
 //! End-to-end acceptance tests for the job server, exercising the full
 //! stack over real TCP: concurrent clients, in-flight dedup, warm
-//! replay from the shared store, queue-overflow backpressure, and
-//! drain-then-exit shutdown.
+//! replay from the shared store, queue-overflow backpressure,
+//! drain-then-exit shutdown, and a corrupt stored result that is
+//! counted and recomputed.
 
 use std::path::PathBuf;
 
-use mac_serve::{serve, AdmissionConfig, JobSpec, JobState, Response, ServeClient, ServerConfig};
+use mac_serve::{
+    serve, AdmissionConfig, ArtifactStore, JobSpec, JobState, Response, ServeClient, ServerConfig,
+};
 use mac_sim::experiment::ExperimentConfig;
 
 /// A unique scratch directory per test (removed on entry so reruns start
@@ -234,5 +237,47 @@ fn checked_and_entry_jobs_round_trip_and_drain_rejects() {
         Err(_) => {} // server already exited and closed the socket: also fine
     }
     handle.wait().expect("drains and exits");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// A stored result that exists but does not decode is counted in
+/// `serve/cache_corrupt` and recomputed, once: the rerun replaces it,
+/// so the next resubmission is a warm hit.
+#[test]
+fn corrupt_stored_result_is_counted_and_rerun() {
+    let out = scratch("corrupt");
+    let spec = JobSpec::sim("sg", fast_cfg(5));
+    let submit = |c: &mut ServeClient| match c.submit(&spec).expect("submits") {
+        Response::Accepted { job, cached, .. } => (job, cached),
+        other => panic!("not admitted: {other:?}"),
+    };
+
+    let handle = serve(server_config(out.clone())).expect("server starts");
+    let mut c = ServeClient::connect(&handle.addr().to_string(), "corrupt").expect("connects");
+    let (job, _) = submit(&mut c);
+    assert_eq!(c.wait(job, 60_000).expect("waits"), JobState::Done);
+    c.shutdown().expect("shutdown acked");
+    handle.wait().expect("drains and exits");
+
+    let path = ArtifactStore::new(&out).path_for(&spec);
+    assert!(path.to_string_lossy().contains("cache/sim-"), "{path:?}");
+    let text = std::fs::read(&path).expect("result stored");
+    std::fs::write(&path, &text[..100]).expect("cuts the result");
+
+    let handle = serve(server_config(out.clone())).expect("fresh server starts");
+    let mut c = ServeClient::connect(&handle.addr().to_string(), "corrupt").expect("connects");
+    let (job, cached) = submit(&mut c);
+    assert!(!cached, "a cut result is not a warm hit");
+    assert_eq!(c.wait(job, 60_000).expect("waits"), JobState::Done);
+    let stats = c.stats().expect("stats");
+    assert_eq!(metric(&stats, "serve/sims_executed"), 1, "{stats}");
+    assert_eq!(metric(&stats, "serve/cache_corrupt"), 1, "{stats}");
+
+    let (_, cached) = submit(&mut c);
+    assert!(cached, "the rerun replaced the cut result");
+    assert_eq!(metric(&c.stats().expect("stats"), "serve/cache_corrupt"), 1);
+    c.shutdown().expect("shutdown acked");
+    let csv = handle.wait().expect("drains and exits");
+    assert_eq!(metric(&csv, "serve/cache_corrupt"), 1);
     let _ = std::fs::remove_dir_all(&out);
 }

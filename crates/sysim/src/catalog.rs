@@ -991,14 +991,22 @@ pub(crate) fn latency_tails(ctx: &ExpCtx) -> Vec<Artifact> {
     vec![a]
 }
 
-pub(crate) fn smoke(ctx: &ExpCtx) -> Vec<Artifact> {
-    // Micro calibration workloads at scale 1 with a small cycle cap:
-    // fast enough for CI, still exercising pool + cache + pair logic.
-    let mut cfg = ExperimentConfig::paper(4);
+/// The smoke configuration: Table 1 at `threads` threads, workload
+/// scale 1 and a 50M-cycle cap. Fast enough for CI; the smoke entries
+/// and [`pinned_requests`] all start from it, so one warm cache serves
+/// them.
+fn smoke_config(threads: usize) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::paper(threads);
     cfg.workload.scale = 1;
     cfg.max_cycles = 50_000_000;
+    cfg
+}
+
+pub(crate) fn smoke(ctx: &ExpCtx) -> Vec<Artifact> {
+    // Micro calibration workloads: the pool, cache and pair logic end
+    // to end.
     let ws: Vec<Box<dyn mac_workloads::Workload>> = mac_workloads::micro::calibration_workloads();
-    let pairs = ctx.pool.run_suite_pairs(&ws, &cfg);
+    let pairs = ctx.pool.run_suite_pairs(&ws, &smoke_config(4));
     let rows = pairs
         .iter()
         .map(|(n, with, without)| {
@@ -1028,12 +1036,9 @@ pub(crate) fn smoke(ctx: &ExpCtx) -> Vec<Artifact> {
 pub(crate) fn guest_smoke(ctx: &ExpCtx) -> Vec<Artifact> {
     // Every shipped guest binary through the full engine (assemble →
     // ELF → rv64 execution → trace capture → SystemSim), with/without
-    // MAC, at the same reduced cycle cap as the other smoke entries.
-    let mut cfg = ExperimentConfig::paper(4);
-    cfg.workload.scale = 1;
-    cfg.max_cycles = 50_000_000;
+    // MAC.
     let ws = mac_workloads::guest::guest_workloads();
-    let pairs = ctx.pool.run_suite_pairs(&ws, &cfg);
+    let pairs = ctx.pool.run_suite_pairs(&ws, &smoke_config(4));
     let rows = pairs
         .iter()
         .map(|(n, with, without)| {
@@ -1250,16 +1255,9 @@ pub(crate) fn net_topology(ctx: &ExpCtx) -> Vec<Artifact> {
 }
 
 pub(crate) fn net_smoke(ctx: &ExpCtx) -> Vec<Artifact> {
-    // One SG run over a chain of 2 at scale 1: fast enough for CI,
-    // exercising host links, one fabric hop, and the net cache fields.
-    let mut cfg = ExperimentConfig::paper(4);
-    cfg.workload.scale = 1;
-    cfg.max_cycles = 50_000_000;
-    cfg.system = cfg
-        .system
-        .with_net(2, NetTopology::DaisyChain, MacPlacement::HostOnly);
-    let reqs = [SimRequest::new("sg", &cfg)];
-    let reports = ctx.pool.run_batch(&reqs);
+    // One SG run over a chain of 2: host links, one fabric hop, and the
+    // net cache fields.
+    let reports = ctx.pool.run_batch(&[net_smoke_request()]);
     let r = &reports[0];
     let rows = vec![vec![
         "sg".to_string(),
@@ -1277,6 +1275,99 @@ pub(crate) fn net_smoke(ctx: &ExpCtx) -> Vec<Artifact> {
             "transactions",
             "remote frac",
             "remote lat",
+        ],
+        rows,
+    )]
+}
+
+/// `net_smoke`'s run, which [`pinned_requests`] also pins: SG over a
+/// chain of 2 cubes with the MAC at the host.
+fn net_smoke_request() -> SimRequest {
+    let mut cfg = smoke_config(4);
+    cfg.system = cfg
+        .system
+        .with_net(2, NetTopology::DaisyChain, MacPlacement::HostOnly);
+    SimRequest::new("sg", &cfg)
+}
+
+/// The labelled runs the `pins` entry pins: every calibration and
+/// guest-binary workload with and without the MAC, `net_smoke`'s SG
+/// run over a 2-cube chain, the tuned adaptive controller on `sg` and
+/// `stream`, and three idle-heavy `lat1` runs (one thread, one access
+/// outstanding) where the event-driven loop (DESIGN.md §14) skips the
+/// most. The smoke entries build the same requests, so one warm cache
+/// serves them all. The scale is fixed at 1 whatever `--scale` says.
+pub fn pinned_requests() -> Vec<(String, SimRequest)> {
+    let cfg = smoke_config(4);
+    let mut nomac = cfg.clone();
+    nomac.system.mac_disabled = true;
+    let mut out = Vec::new();
+    let calibration = mac_workloads::micro::calibration_workloads();
+    for w in calibration
+        .iter()
+        .chain(&mac_workloads::guest::guest_workloads())
+    {
+        out.push((format!("{}/mac", w.name()), SimRequest::new(w.name(), &cfg)));
+        out.push((
+            format!("{}/nomac", w.name()),
+            SimRequest::new(w.name(), &nomac),
+        ));
+    }
+    out.push(("sg/net2".to_string(), net_smoke_request()));
+    let mut adapt = cfg;
+    adapt.system.adapt = AdaptConfig::tuned();
+    for w in ["sg", "stream"] {
+        out.push((format!("{w}/adapt"), SimRequest::new(w, &adapt)));
+    }
+    let mut lat = smoke_config(1);
+    lat.system.soc.max_outstanding_per_thread = 1;
+    for w in calibration.iter().map(|w| w.name()).chain(["sg"]) {
+        out.push((format!("{w}/lat1"), SimRequest::new(w, &lat)));
+    }
+    out
+}
+
+/// The `pins` entry: nine exact end-of-run counters of each of the
+/// [`pinned_requests`], one row per run in list order. The simulator is
+/// deterministic, so any moved value is a behaviour change.
+pub(crate) fn pins(ctx: &ExpCtx) -> Vec<Artifact> {
+    let runs = pinned_requests();
+    let reqs: Vec<SimRequest> = runs.iter().map(|(_, r)| r.clone()).collect();
+    let reports = ctx.pool.run_batch(&reqs);
+    let rows = runs
+        .into_iter()
+        .zip(&reports)
+        .map(|((label, _), r)| {
+            let counters = [
+                r.cycles as u128,
+                r.soc.raw_requests as u128,
+                r.soc.completions as u128,
+                r.mac.emitted_total() as u128,
+                r.hmc.accesses() as u128,
+                r.hmc.bank_conflicts as u128,
+                r.link_bytes(),
+                r.hmc.latency.sum,
+                r.net.remote_accesses as u128,
+            ];
+            std::iter::once(label)
+                .chain(counters.iter().map(u128::to_string))
+                .collect()
+        })
+        .collect();
+    vec![art(
+        "pins",
+        "Pinned runs: exact end-of-run counters at scale 1",
+        &[
+            "run",
+            "cycles",
+            "raw_requests",
+            "completions",
+            "emitted_total",
+            "hmc_accesses",
+            "bank_conflicts",
+            "link_bytes",
+            "latency_sum",
+            "remote_accesses",
         ],
         rows,
     )]
@@ -1367,6 +1458,42 @@ mod tests {
         );
         assert!(rand_big > 10.0 * seq_big.max(1e-6) || seq_big == 0.0);
         assert!(rand_big > rand_small, "random miss rate grows with dataset");
+    }
+
+    #[test]
+    fn pinned_requests_cover_pairs_and_net() {
+        let runs = pinned_requests();
+        assert_eq!(runs.len(), 18);
+        let mut labels: Vec<&str> = runs.iter().map(|(l, _)| l.as_str()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), runs.len(), "labels are unique");
+        // A with/without pair for every calibration and guest workload.
+        let calibration = mac_workloads::micro::calibration_workloads();
+        for w in calibration
+            .iter()
+            .chain(&mac_workloads::guest::guest_workloads())
+        {
+            for (suffix, disabled) in [("mac", false), ("nomac", true)] {
+                let label = format!("{}/{suffix}", w.name());
+                let (_, req) = runs.iter().find(|(l, _)| *l == label).expect(&label);
+                assert_eq!(req.cfg.system.mac_disabled, disabled, "{label}");
+            }
+        }
+        let (_, net) = runs.iter().find(|(l, _)| l == "sg/net2").unwrap();
+        assert!(net.cfg.system.net.enabled);
+        // The adaptive runs pin the controller's decision trajectory.
+        let adapt: Vec<_> = runs.iter().filter(|(l, _)| l.ends_with("/adapt")).collect();
+        assert_eq!(adapt.len(), 2);
+        assert!(adapt.iter().all(|(_, r)| r.cfg.system.adapt.enabled));
+        // The idle-heavy runs that pin the skip path.
+        let lat: Vec<_> = runs.iter().filter(|(l, _)| l.ends_with("/lat1")).collect();
+        assert_eq!(lat.len(), 3);
+        for (label, req) in lat {
+            assert_eq!(req.cfg.workload.threads, 1, "{label}");
+            assert_eq!(req.cfg.system.soc.threads, 1, "{label}");
+            assert_eq!(req.cfg.system.soc.max_outstanding_per_thread, 1, "{label}");
+        }
     }
 
     #[test]

@@ -33,8 +33,6 @@
 //!   produces its artifacts.
 //! * [`catalog`] — one row builder per manifest entry: it runs the
 //!   entry's simulations through the pool and formats its tables.
-//! * [`baseline`] — the behaviour baseline harness behind
-//!   `mac-bench baseline --check`.
 //! * [`fuzz`] — the differential conformance fuzzer behind
 //!   `mac-bench fuzz`: seeded random configs × adversarial address
 //!   streams run with the `mac-check` invariant checker attached and
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod baseline;
 pub mod cachefmt;
 pub mod catalog;
 pub mod driver;
@@ -59,7 +56,6 @@ pub mod report;
 pub mod system;
 
 pub use analyzer::{analyze, TraceAnalysis};
-pub use baseline::{Baseline, BaselineCheck};
 pub use engine::{run_experiments, Artifact, EngineOptions, EngineRun, SimPool, SimRequest};
 pub use experiment::{
     run_ops_checked, run_pair, run_workload, run_workload_checked, run_workload_observed,

@@ -224,6 +224,13 @@ pub fn manifest() -> Vec<Experiment> {
             run: catalog::latency_tails,
         },
         Experiment {
+            name: "pins",
+            title: "Pinned runs: 9 exact counters of 18 smoke-scale runs",
+            claim: "the simulator's behaviour, pinned for regeneration (not a paper figure)",
+            tags: &["aux", "sim"],
+            run: catalog::pins,
+        },
+        Experiment {
             name: "smoke",
             title: "CI smoke: stream+gups micro pairs, reduced cycle cap",
             claim: "the engine end-to-end in seconds (not a paper figure)",
@@ -345,7 +352,7 @@ mod tests {
         let m = manifest();
         let names: std::collections::HashSet<_> = m.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), m.len());
-        assert_eq!(m.len(), 33);
+        assert_eq!(m.len(), 34);
     }
 
     #[test]

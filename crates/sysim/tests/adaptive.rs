@@ -24,7 +24,7 @@
 //! invariant checker attached, diffed against the functional oracle.
 
 use mac_metrics::MetricsHub;
-use mac_sim::baseline::baseline_requests;
+use mac_sim::catalog::pinned_requests;
 use mac_sim::engine::{SimPool, SimRequest};
 use mac_sim::experiment::{
     run_workload, run_workload_observed, run_workload_stepped, ExperimentConfig, RunObservers,
@@ -60,7 +60,7 @@ fn disabled_adapt_keeps_pre_controller_fingerprints() {
     // the same cache entry. This is what lets the cache format bump be
     // the only invalidation this feature causes.
     assert_eq!(AdaptConfig::disabled(), AdaptConfig::default());
-    for (label, req) in baseline_requests() {
+    for (label, req) in pinned_requests() {
         if req.cfg.system.adapt.enabled {
             continue; // the /adapt entries are the feature, not the pin
         }

@@ -6,8 +6,8 @@
 //!
 //! The manifest's entries all dispatch through the same two run loops
 //! (`SystemSim` / `NetSystem`), so coverage here is by configuration
-//! axis: the full smoke baseline set (calibration pairs, the 2-cube
-//! HostOnly net run, and the idle-heavy latency entries), per-cube MAC
+//! axis: the full pinned set (calibration pairs, the 2-cube HostOnly
+//! net run, and the idle-heavy latency entries), per-cube MAC
 //! placement, multi-node interconnects, disabled MAC, the HBM/DDR
 //! backends, runs with metrics sampling attached, and backpressure-heavy
 //! configs whose dispatch queues sit blocked on full device queues.
@@ -25,7 +25,7 @@
 
 use mac_check::{ConformanceChecker, Violation};
 use mac_metrics::MetricsHub;
-use mac_sim::baseline::baseline_requests;
+use mac_sim::catalog::pinned_requests;
 use mac_sim::driver::{Fabric, RunDriver};
 use mac_sim::experiment::{
     run_workload_observed, run_workload_stepped, ExperimentConfig, RunObservers,
@@ -74,12 +74,12 @@ fn assert_modes_identical(workload: &str, cfg: &ExperimentConfig, interval: u64)
 
 #[test]
 fn baseline_set_is_mode_identical() {
-    // The full smoke baseline set: calibration pairs at 4 threads, the
+    // The full pinned set: calibration pairs at 4 threads, the
     // 2-cube HostOnly scatter/gather run, and the three idle-heavy
     // latency entries where the fast path actually skips (the sampler
     // clamp is what this asserts: interval boundaries inside skipped
     // spans must still be visited).
-    for (label, req) in baseline_requests() {
+    for (label, req) in pinned_requests() {
         let report = assert_modes_identical(&req.workload, &req.cfg, 10_000);
         assert!(report.cycles > 0, "{label}: empty run proves nothing");
         assert_eq!(
