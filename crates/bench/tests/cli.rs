@@ -109,6 +109,40 @@ fn client_commands_are_checked_before_connecting() {
     }
 }
 
+/// An entry that ignores `--scale` has one cached artifact for every
+/// scale: `table1` at scale 2 and then 3 into one directory runs once.
+#[test]
+fn scale_free_entry_is_cached_once_across_scales() {
+    let bench = env!("CARGO_BIN_EXE_mac-bench");
+    let dir = std::env::temp_dir().join(format!("mac-cli-{}-scalefree", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    // mac-bench prints one `<entry> [ran]` or `<entry> [cached]` line.
+    let status = |scale: &str| {
+        let out = Command::new(bench)
+            .args(["--filter", "table1", "--scale", scale, "--out", out_dir])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "scale {scale}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("table1 "));
+        line.and_then(|l| l.split_whitespace().nth(1))
+            .map(str::to_string)
+    };
+    assert_eq!(status("2").as_deref(), Some("[ran]"));
+    assert_eq!(status("3").as_deref(), Some("[cached]"));
+    let arts = std::fs::read_dir(dir.join("cache"))
+        .expect("cache directory")
+        .filter_map(Result::ok)
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("exp-") && name.ends_with(".art")
+        })
+        .count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(arts, 1);
+}
+
 #[test]
 fn trace_thread_count_outside_the_table_is_a_runtime_failure() {
     // A `.mact` whose header names 0 or 65 threads, each with no

@@ -83,13 +83,22 @@ impl FlatMemory {
     }
 
     /// Start of the span `addr .. addr + len` when it lies in bounds.
+    #[inline]
     fn span(&self, addr: u64, len: usize) -> Option<usize> {
         let a = usize::try_from(addr).ok()?;
         a.checked_add(len).filter(|&end| end <= self.len).map(|_| a)
     }
 
     /// Copy in-bounds memory at `a` into `dst`.
+    #[inline]
     fn copy_out(&self, a: usize, dst: &mut [u8]) {
+        if let Some((page, off)) = one_page(a, dst.len()) {
+            match &self.pages[page] {
+                Some(p) => dst.copy_from_slice(&p[off..off + dst.len()]),
+                None => dst.fill(0),
+            }
+            return;
+        }
         for (page, off, r) in pieces(a, dst.len()) {
             let out = &mut dst[r];
             match &self.pages[page] {
@@ -100,17 +109,36 @@ impl FlatMemory {
     }
 
     /// Copy `src` to in-bounds memory at `a`, allocating pages.
+    #[inline]
     fn copy_in(&mut self, a: usize, src: &[u8]) {
+        if let Some((page, off)) = one_page(a, src.len()) {
+            self.page_mut(page)[off..off + src.len()].copy_from_slice(src);
+            return;
+        }
         for (page, off, r) in pieces(a, src.len()) {
-            let p = self.pages[page].get_or_insert_with(|| {
-                vec![0; PAGE_BYTES]
-                    .into_boxed_slice()
-                    .try_into()
-                    .expect("a page is PAGE_BYTES long")
-            });
-            p[off..off + r.len()].copy_from_slice(&src[r]);
+            self.page_mut(page)[off..off + r.len()].copy_from_slice(&src[r]);
         }
     }
+
+    /// Page `page`, allocated zeroed on first use.
+    fn page_mut(&mut self, page: usize) -> &mut [u8; PAGE_BYTES] {
+        self.pages[page].get_or_insert_with(|| {
+            vec![0; PAGE_BYTES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a page is PAGE_BYTES long")
+        })
+    }
+}
+
+/// Page index and offset of the span `a .. a + len` when it is not empty
+/// and lies inside one page: every fetch and every naturally aligned
+/// load, store and AMO. Other spans are split by [`pieces`]; an empty one
+/// may start one past the last page.
+#[inline]
+fn one_page(a: usize, len: usize) -> Option<(usize, usize)> {
+    let off = a % PAGE_BYTES;
+    (len > 0 && off + len <= PAGE_BYTES).then_some((a / PAGE_BYTES, off))
 }
 
 /// Split the span `a .. a + len` at page boundaries: yields each piece's
@@ -129,6 +157,7 @@ fn pieces(a: usize, len: usize) -> impl Iterator<Item = (usize, usize, std::ops:
 }
 
 impl Memory for FlatMemory {
+    #[inline]
     fn read(&mut self, addr: u64, buf: &mut [u8]) {
         match self.span(addr, buf.len()) {
             Some(a) => self.copy_out(a, buf),
@@ -138,12 +167,14 @@ impl Memory for FlatMemory {
             }
         }
     }
+    #[inline]
     fn write(&mut self, addr: u64, buf: &[u8]) {
         match self.span(addr, buf.len()) {
             Some(a) => self.copy_in(a, buf),
             None => self.faults += 1,
         }
     }
+    #[inline]
     fn fault_count(&self) -> u64 {
         self.faults
     }
@@ -222,6 +253,52 @@ pub enum ExecResult {
 /// Default SPM window base in the hart's address space.
 pub const SPM_BASE: u64 = 0xFFFF_0000;
 
+/// Slots in a hart's decode memo (a power of two). 256 slots map 1 KiB
+/// of code without a conflict, four times the largest shipped guest
+/// program (61 instructions), in 6 KiB held inline in the hart.
+const MEMO_SLOTS: usize = 256;
+
+/// A direct-mapped memo of [`decode`]: slot `(pc / 4) % MEMO_SLOTS`
+/// holds the last word fetched at a pc mapping there, tagged by that
+/// word, with its decode (`None` for an undecodable word).
+///
+/// `decode` is a pure function of the word and the tag is the word
+/// itself, so a slot whose tag equals the word just fetched holds that
+/// word's decode whatever was written since. A store that rewrites code
+/// makes the next fetch miss; nothing needs invalidating.
+#[derive(Clone)]
+struct DecodeMemo {
+    slots: [(u32, Option<Instruction>); MEMO_SLOTS],
+}
+
+impl DecodeMemo {
+    /// Every slot starts tagged with word 0 and holding its decode.
+    fn new() -> Self {
+        DecodeMemo {
+            slots: [(0, decode(0)); MEMO_SLOTS],
+        }
+    }
+
+    /// `decode(word)` for the word fetched at `pc`.
+    #[inline]
+    fn decode(&mut self, pc: u64, word: u32) -> Option<Instruction> {
+        let slot = &mut self.slots[(pc >> 2) as usize % MEMO_SLOTS];
+        if slot.0 != word {
+            *slot = (word, decode(word));
+        }
+        slot.1
+    }
+}
+
+/// Prints the slot count, not 256 slots, so a hart's `Debug` stays short.
+impl std::fmt::Debug for DecodeMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DecodeMemo")
+            .field("slots", &MEMO_SLOTS)
+            .finish()
+    }
+}
+
 /// One RV64 hart with a private scratchpad.
 #[derive(Debug, Clone)]
 pub struct Cpu {
@@ -237,6 +314,7 @@ pub struct Cpu {
     /// Retired instruction count.
     pub retired: u64,
     halted: bool,
+    memo: DecodeMemo,
 }
 
 impl Cpu {
@@ -251,6 +329,7 @@ impl Cpu {
             reservation: None,
             retired: 0,
             halted: false,
+            memo: DecodeMemo::new(),
         }
     }
 
@@ -389,7 +468,7 @@ impl Cpu {
             }
         }
         let word = u32::from_le_bytes(word_bytes);
-        let Some(ins) = decode(word) else {
+        let Some(ins) = self.memo.decode(self.pc, word) else {
             return Err(Trap {
                 kind: TrapKind::IllegalInstruction,
                 pc: self.pc,
@@ -1071,6 +1150,119 @@ mod tests {
         let mut cpu = Cpu::new(0, 64);
         let (_, r) = cpu.run(&mut mem, 100);
         assert!(matches!(r, ExecResult::Trap(t) if t.kind == TrapKind::OutOfRange));
+    }
+
+    /// Step `cpu` until it stops, and at every step also step a fresh
+    /// hart (same architectural state, empty decode memo) on a copy of
+    /// memory: both must produce the same result, events, registers, pc
+    /// and memory.
+    fn run_against_fresh(cpu: &mut Cpu, mem: &mut FlatMemory, max_steps: u64) -> ExecResult {
+        let dump = |m: &mut FlatMemory| {
+            let mut all = vec![0; m.len()];
+            m.read(0, &mut all);
+            all
+        };
+        for _ in 0..max_steps {
+            let mut twin = Cpu {
+                memo: DecodeMemo::new(),
+                ..cpu.clone()
+            };
+            let mut twin_mem = mem.clone();
+            let (mut ev, mut twin_ev) = (Vec::new(), Vec::new());
+            let r = cpu.step(mem, &mut ev);
+            assert_eq!(
+                r,
+                twin.step(&mut twin_mem, &mut twin_ev),
+                "pc {:#x}",
+                twin.pc
+            );
+            assert_eq!(ev, twin_ev);
+            assert_eq!((cpu.regs, cpu.pc), (twin.regs, twin.pc));
+            assert_eq!(mem.faults, twin_mem.faults);
+            assert!(dump(mem) == dump(&mut twin_mem), "memory differs");
+            if r != ExecResult::Continue {
+                return r;
+            }
+        }
+        ExecResult::Continue
+    }
+
+    /// Memory holding each `(addr, source)` piece assembled at `addr`.
+    fn image_at(size: usize, pieces: &[(u64, &str)]) -> FlatMemory {
+        let mut mem = FlatMemory::new(size);
+        for &(addr, src) in pieces {
+            mem.load_image(addr, &assemble(src).expect("assembles"));
+        }
+        mem
+    }
+
+    #[test]
+    fn memo_executes_a_word_stored_over_the_next_instruction() {
+        // The first pass enters at 0x104 and runs its `addi` as `+1`; the
+        // second enters at 0x100, whose store rewrites the `addi` it then
+        // runs into as `+100`.
+        let patch = crate::encode(Instruction::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg(10),
+            rs1: Reg(10),
+            imm: 100,
+        });
+        let src = format!("li t0, 0x100\nli t1, {patch}\nli t3, 0x104\njr t3\n");
+        let body = "sw t1, 4(t0)\naddi a0, a0, 1\nbnez t2, end\nli t2, 1\njr t0\nend:\necall\n";
+        let mut mem = image_at(8192, &[(0, &src), (0x100, body)]);
+        let mut cpu = Cpu::new(0, 64);
+        assert_eq!(
+            run_against_fresh(&mut cpu, &mut mem, 100),
+            ExecResult::Halted
+        );
+        assert_eq!(cpu.reg(Reg(10)), 101, "the rewritten word executed");
+    }
+
+    #[test]
+    fn memo_alternates_two_pcs_that_share_a_slot() {
+        let (a, b) = (0x100, 0x100 + 4 * MEMO_SLOTS as u64);
+        let start = format!("li t0, {a}\nli t1, {b}\nli a2, 5\njr t0\n");
+        let at_a = "addi a0, a0, 1\naddi a3, a3, 2\njr t1\n";
+        let at_b = "addi a1, a1, 7\naddi a2, a2, -1\nbeqz a2, end\njr t0\nend:\necall\n";
+        let mut mem = image_at(8192, &[(0, &start), (a, at_a), (b, at_b)]);
+        let mut cpu = Cpu::new(0, 64);
+        assert_eq!(
+            run_against_fresh(&mut cpu, &mut mem, 1000),
+            ExecResult::Halted
+        );
+        assert_eq!(cpu.reg(Reg(10)), 5);
+        assert_eq!(cpu.reg(Reg(11)), 35);
+        assert_eq!(cpu.reg(Reg(13)), 10);
+    }
+
+    #[test]
+    fn warm_memo_traps_like_a_fresh_hart() {
+        // Each target maps to the memo slot of 0x100, which the loop
+        // warms before the jump.
+        let size = 8 * 1024;
+        let illegal = 0x100 + 8 * MEMO_SLOTS as u64;
+        let past_end = size as u64 + 0x100;
+        for (target, kind, info) in [
+            (0x102, TrapKind::MisalignedAccess, 0x102),
+            (past_end, TrapKind::OutOfRange, past_end),
+            (illegal, TrapKind::IllegalInstruction, 0xFFFF_FFFF),
+        ] {
+            let start = format!("li t0, 0x100\nli t1, {target}\nli a2, 3\njr t0\n");
+            let warm = "w:\naddi a2, a2, -1\nbnez a2, w\njr t1\n";
+            let mut mem = image_at(size, &[(0, &start), (0x100, warm)]);
+            mem.load_image(illegal, &0xFFFF_FFFFu32.to_le_bytes());
+            let mut cpu = Cpu::new(0, 64);
+            let r = run_against_fresh(&mut cpu, &mut mem, 100);
+            assert_eq!(
+                r,
+                ExecResult::Trap(Trap {
+                    kind,
+                    pc: target,
+                    info
+                }),
+                "jump to {target:#x}"
+            );
+        }
     }
 
     #[test]

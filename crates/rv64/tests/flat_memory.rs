@@ -5,7 +5,9 @@
 //! pages as zeros. Whatever the paging, it must behave exactly like one
 //! zeroed byte vector: same bytes after every step, the same bytes read
 //! back, and the same fault count for out-of-range ends, zero-length
-//! accesses past the end and `addr + len` overflow.
+//! accesses past the end and `addr + len` overflow. A span inside one
+//! page takes a page-direct path and any other span the general one, so
+//! the edges of pages and of memory are checked one by one as well.
 
 use proptest::prelude::*;
 
@@ -144,5 +146,50 @@ proptest! {
             prop_assert!(all == reference.bytes, "step {}: contents differ after {:?}", step, op);
             prop_assert_eq!(mem.faults, reference.faults, "a whole-memory read faulted");
         }
+    }
+}
+
+/// Aligned 1/2/4/8-byte writes and reads at the first and last bytes of
+/// every page (so of memory too) and one past the end, and zero-length
+/// accesses at and past `len`, on exactly paged and ragged sizes.
+#[test]
+fn aligned_accesses_at_page_and_memory_edges() {
+    for size in [PAGE as usize, 3 * PAGE as usize, 2 * PAGE as usize + 200] {
+        let mut mem = FlatMemory::new(size);
+        let mut reference = Reference::new(size);
+        let len = size as u64;
+        let mut check = |addr: u64, n: usize, mem: &mut FlatMemory| {
+            let bytes: Vec<u8> = (0..n).map(|i| (addr as usize + i) as u8 | 0x80).collect();
+            mem.write(addr, &bytes);
+            reference.write(addr, &bytes);
+            let (mut got, mut want) = (vec![0xAA; n], vec![0x55; n]);
+            mem.read(addr, &mut got);
+            reference.read(addr, &mut want);
+            assert_eq!(got, want, "size {size}: {n} bytes at {addr:#x}");
+            assert_eq!(
+                mem.faults, reference.faults,
+                "size {size}: {n} bytes at {addr:#x}"
+            );
+        };
+        for n in [1usize, 2, 4, 8] {
+            let w = n as u64;
+            for page in 0..len.div_ceil(PAGE) {
+                let first = page * PAGE;
+                check(first, n, &mut mem);
+                check((first + PAGE).min(len) - w, n, &mut mem);
+            }
+            check(len, n, &mut mem);
+        }
+        let faults = mem.faults;
+        check(len, 0, &mut mem);
+        assert_eq!(
+            mem.faults, faults,
+            "a zero-length access at len is in bounds"
+        );
+        check(len + 1, 0, &mut mem);
+        assert_eq!(mem.faults, faults + 2, "one past len faults");
+        let mut all = vec![0xAA; size];
+        mem.read(0, &mut all);
+        assert!(all == reference.bytes, "size {size}: contents differ");
     }
 }

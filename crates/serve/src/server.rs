@@ -898,7 +898,7 @@ fn execute_job(inner: &Arc<Inner>, spec: &JobSpec) -> JobState {
             };
             let ctx = ExpCtx {
                 pool: &pool,
-                scale: *scale,
+                scale: exp.scale(*scale),
             };
             let arts = (exp.run)(&ctx);
             let timed_out = pool.sims_timed_out();

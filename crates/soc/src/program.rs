@@ -42,8 +42,10 @@ pub struct ReplayProgram {
 }
 
 impl ReplayProgram {
-    /// Wrap an operation list.
-    pub fn new(ops: Vec<ThreadOp>) -> Self {
+    /// Wrap an operation list, dropping its spare capacity: a program
+    /// lives as long as its simulation.
+    pub fn new(mut ops: Vec<ThreadOp>) -> Self {
+        ops.shrink_to_fit();
         ReplayProgram { ops: ops.into() }
     }
 
@@ -190,6 +192,15 @@ mod tests {
         assert!(matches!(p.next_op(), ThreadOp::Mem { .. }));
         assert_eq!(p.next_op(), ThreadOp::Done);
         assert_eq!(p.next_op(), ThreadOp::Done, "Done repeats");
+    }
+
+    #[test]
+    fn replay_holds_no_spare_capacity() {
+        let mut ops = Vec::with_capacity(1000);
+        ops.extend([ThreadOp::Compute(1), ThreadOp::Spm, ThreadOp::Compute(2)]);
+        let p = ReplayProgram::new(ops);
+        assert_eq!(p.ops.len(), 3);
+        assert_eq!(p.ops.capacity(), 3);
     }
 
     #[test]

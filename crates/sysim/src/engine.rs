@@ -58,7 +58,7 @@ use mac_workloads::{by_name, Workload};
 
 use crate::cachefmt;
 use crate::experiment::{run_workload_observed, ExperimentConfig, RunObservers};
-use crate::manifest::Experiment;
+use crate::manifest::{self, Experiment};
 use crate::progress::{ProgressProbe, PHASE_DONE, PHASE_RUNNING};
 use crate::report::RunReport;
 
@@ -821,10 +821,15 @@ impl EngineRun {
 }
 
 /// Content address of one manifest entry's rendered artifacts at a given
-/// workload scale — the name of the `exp-<hex>.art` cache entry. Public
-/// so `mac-serve` jobs that run manifest entries share the CLI's
-/// artifact cache.
+/// workload scale — the name of the `exp-<hex>.art` cache entry. An
+/// entry that ignores the scale has one key for every scale
+/// ([`Experiment::scale`]). Public so `mac-serve` jobs that run manifest
+/// entries share the CLI's artifact cache.
 pub fn experiment_cache_key(name: &str, scale: u32) -> u128 {
+    let scale = manifest::manifest()
+        .iter()
+        .find(|e| e.name == name)
+        .map_or(scale, |e| e.scale(scale));
     let mut h = Fnv128::new();
     h.write_str("mac-sim/experiment");
     h.write_u64(CACHE_FORMAT_VERSION as u64);
@@ -878,7 +883,7 @@ pub fn run_experiments(exps: &[Experiment], opts: &EngineOptions) -> std::io::Re
             None => {
                 let ctx = ExpCtx {
                     pool: &pool,
-                    scale: opts.scale,
+                    scale: exp.scale(opts.scale),
                 };
                 let arts = (exp.run)(&ctx);
                 if opts.use_cache {

@@ -36,6 +36,11 @@ pub struct Experiment {
     /// The catalog builder that runs this entry's simulations and
     /// formats its artifacts.
     pub run: fn(&ExpCtx) -> Vec<Artifact>,
+    /// Whether the builder reads `--scale`. One that does not (the
+    /// analytic entries and the fixed-scale smoke, pinned and
+    /// cross-validation runs) runs and is cached at scale 1 whatever
+    /// `--scale` says, so one artifact serves every scale.
+    pub scaled: bool,
 }
 
 /// Every experiment the runner knows, in canonical (paper) order.
@@ -47,6 +52,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "8 cores @ 3.3 GHz, 4-link 8 GB HMC, 32-entry 64 B ARQ",
             tags: &["table", "analytic"],
             run: catalog::table1,
+            scaled: false,
         },
         Experiment {
             name: "fig01",
@@ -54,6 +60,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "mean LLC miss rate 49.09%; SG 2.36% seq vs 63.85% random at 32 GB",
             tags: &["figure", "sim"],
             run: catalog::fig01,
+            scaled: true,
         },
         Experiment {
             name: "fig03",
@@ -61,6 +68,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "16 B requests reach 33.33% efficiency, 256 B reach 88.89%",
             tags: &["figure", "analytic"],
             run: catalog::fig03,
+            scaled: false,
         },
         Experiment {
             name: "fig09",
@@ -68,6 +76,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "paper mean 9.32 demand requests per cycle across the suite",
             tags: &["figure", "sim"],
             run: catalog::fig09,
+            scaled: true,
         },
         Experiment {
             name: "fig10",
@@ -75,6 +84,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "paper means 48.37% / 50.51% / 52.86% at 2/4/8 threads",
             tags: &["figure", "sim"],
             run: catalog::fig10,
+            scaled: true,
         },
         Experiment {
             name: "fig11",
@@ -82,6 +92,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "37.58% at 8 entries to 56.04% at 64, diminishing returns",
             tags: &["figure", "sim"],
             run: catalog::fig11,
+            scaled: true,
         },
         Experiment {
             name: "fig12",
@@ -89,6 +100,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "coalescing removes most raw-access bank conflicts",
             tags: &["figure", "sim", "paired"],
             run: catalog::fig12,
+            scaled: true,
         },
         Experiment {
             name: "fig13",
@@ -96,6 +108,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "70.35% coalesced vs 33.33% raw 16 B",
             tags: &["figure", "sim", "paired"],
             run: catalog::fig13,
+            scaled: true,
         },
         Experiment {
             name: "fig14",
@@ -103,6 +116,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "mean 22.76 GB of link traffic avoided at full scale",
             tags: &["figure", "sim", "paired"],
             run: catalog::fig14,
+            scaled: true,
         },
         Experiment {
             name: "fig15",
@@ -110,6 +124,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "2.13 average / 3.14 max targets — 12-target entries never bind",
             tags: &["figure", "sim"],
             run: catalog::fig15,
+            scaled: true,
         },
         Experiment {
             name: "fig16",
@@ -117,6 +132,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "512 B at 8 entries to 16 KB at 256; default MAC ~2062 B total",
             tags: &["figure", "analytic"],
             run: catalog::fig16,
+            scaled: false,
         },
         Experiment {
             name: "fig17",
@@ -124,6 +140,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "mean 60.73% speedup; MG/GRAPPOLO/SG/SPARSELU above 70%",
             tags: &["figure", "sim", "paired"],
             run: catalog::fig17,
+            scaled: true,
         },
         Experiment {
             name: "ablate_flit_table",
@@ -131,6 +148,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "span-rounded sizing beats always-256B and per-chunk-64B strawmen",
             tags: &["ablation", "sim"],
             run: catalog::ablate_flit_table,
+            scaled: true,
         },
         Experiment {
             name: "ablate_bypass",
@@ -138,6 +156,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "bypassing lone FLITs avoids 48 B of wasted payload per packet",
             tags: &["ablation", "sim"],
             run: catalog::ablate_bypass,
+            scaled: true,
         },
         Experiment {
             name: "ablate_latency_hiding",
@@ -145,6 +164,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "comparator-skipping bulk fills keep the ARQ busy under backlog",
             tags: &["ablation", "sim"],
             run: catalog::ablate_latency_hiding,
+            scaled: true,
         },
         Experiment {
             name: "ablate_pop_rate",
@@ -152,6 +172,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "one pop per 2 cycles balances merge window vs queueing delay",
             tags: &["ablation", "sim"],
             run: catalog::ablate_pop_rate,
+            scaled: true,
         },
         Experiment {
             name: "ablate_closed_loop",
@@ -159,6 +180,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "open-loop replay vs stall-until-complete cores",
             tags: &["ablation", "sim"],
             run: catalog::ablate_closed_loop,
+            scaled: true,
         },
         Experiment {
             name: "ablate_mshr_baseline",
@@ -166,6 +188,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "row-granular ARQ merging beats 64 B MSHR line merging",
             tags: &["ablation", "sim"],
             run: catalog::ablate_mshr_baseline,
+            scaled: true,
         },
         Experiment {
             name: "ablate_accept_width",
@@ -173,6 +196,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "the 1/cycle accept port caps steady-state coalescing near 50%",
             tags: &["ablation", "sim"],
             run: catalog::ablate_accept_width,
+            scaled: true,
         },
         Experiment {
             name: "ablate_smt",
@@ -180,6 +204,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "switch cost erodes the concurrency that feeds the MAC",
             tags: &["ablation", "sim"],
             run: catalog::ablate_smt,
+            scaled: true,
         },
         Experiment {
             name: "ablate_link_errors",
@@ -187,6 +212,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "CRC retries add mean latency with the error rate; the p99 holds up to 5 %",
             tags: &["ablation", "sim"],
             run: catalog::ablate_link_errors,
+            scaled: true,
         },
         Experiment {
             name: "adapt_ablation",
@@ -194,6 +220,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "evidence-driven retuning matches the best static point per workload",
             tags: &["ablation", "sim", "adapt"],
             run: catalog::adapt_ablation,
+            scaled: true,
         },
         Experiment {
             name: "backend_hbm",
@@ -201,6 +228,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "§4.3: the same coalescing logic transfers to HBM",
             tags: &["aux", "sim", "paired"],
             run: catalog::backend_hbm,
+            scaled: true,
         },
         Experiment {
             name: "baseline_ddr",
@@ -208,6 +236,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "§2.2: DDR row hits coalesce but serialize; HMC+MAC wins both",
             tags: &["aux", "sim"],
             run: catalog::baseline_ddr,
+            scaled: true,
         },
         Experiment {
             name: "extended_suite",
@@ -215,6 +244,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "coalescing gains generalize beyond the paper's 12 benchmarks",
             tags: &["aux", "sim", "paired"],
             run: catalog::extended_suite,
+            scaled: true,
         },
         Experiment {
             name: "latency_tails",
@@ -222,6 +252,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "coalescing removes the conflict-queueing latency tail",
             tags: &["aux", "sim", "paired"],
             run: catalog::latency_tails,
+            scaled: true,
         },
         Experiment {
             name: "pins",
@@ -229,6 +260,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "the simulator's behaviour, pinned for regeneration (not a paper figure)",
             tags: &["aux", "sim"],
             run: catalog::pins,
+            scaled: false,
         },
         Experiment {
             name: "smoke",
@@ -236,6 +268,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "the engine end-to-end in seconds (not a paper figure)",
             tags: &["smoke", "sim", "paired"],
             run: catalog::smoke,
+            scaled: false,
         },
         Experiment {
             name: "net_chain_sweep",
@@ -243,6 +276,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "HMC §7 chaining: remote latency grows per hop; 1 cube = single device",
             tags: &["net", "aux", "sim"],
             run: catalog::net_chain_sweep,
+            scaled: true,
         },
         Experiment {
             name: "net_placement",
@@ -250,6 +284,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "host-side MACs merge before the hop; per-cube MACs pay raw request traffic",
             tags: &["net", "aux", "sim"],
             run: catalog::net_placement,
+            scaled: true,
         },
         Experiment {
             name: "net_topology",
@@ -257,6 +292,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "fewer mean hops (ring, mesh) cut remote latency on the same traffic",
             tags: &["net", "aux", "sim"],
             run: catalog::net_topology,
+            scaled: true,
         },
         Experiment {
             name: "net_smoke",
@@ -264,6 +300,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "the cube network end-to-end in seconds (not a paper figure)",
             tags: &["net", "smoke", "sim"],
             run: catalog::net_smoke,
+            scaled: false,
         },
         Experiment {
             name: "guest_smoke",
@@ -271,6 +308,7 @@ pub fn manifest() -> Vec<Experiment> {
             claim: "real rv64 binaries drive SystemSim like modeled traces (not a paper figure)",
             tags: &["guest", "smoke", "sim"],
             run: catalog::guest_smoke,
+            scaled: false,
         },
         Experiment {
             name: "guest_xval",
@@ -279,6 +317,7 @@ pub fn manifest() -> Vec<Experiment> {
                 "guest binaries reproduce the modeled kernels' access statistics within tolerance",
             tags: &["guest", "xval", "sim"],
             run: catalog::guest_xval,
+            scaled: false,
         },
     ]
 }
@@ -318,6 +357,16 @@ impl Experiment {
     /// any of its tags)?
     pub fn matches(&self, pattern: &str) -> bool {
         glob_match(pattern, self.name) || self.tags.iter().any(|t| glob_match(pattern, t))
+    }
+
+    /// The scale this entry runs and is cached at under `--scale scale`:
+    /// `scale` itself, or 1 for an entry that is not [`scaled`](Self::scaled).
+    pub fn scale(&self, scale: u32) -> u32 {
+        if self.scaled {
+            scale
+        } else {
+            1
+        }
     }
 }
 
