@@ -72,7 +72,7 @@
 //!
 //! * `guest` drives the mac-guest toolchain directly: `list` the
 //!   shipped guest programs, `assemble` one to an ELF file, `disasm`
-//!   its loaded image, `run` it once per simulated thread on the rv64
+//!   its assembled text, `run` it once per simulated thread on the rv64
 //!   interpreter (non-zero exit if any thread fails), and `xval` its
 //!   captured address stream against the modeled counterpart (`--vs`
 //!   overrides the counterpart; any tolerance breach exits 1). The
@@ -169,7 +169,7 @@ client verbs (after global --addr A and --name NAME):
 guest actions:
   list                   list the shipped guest programs
   assemble NAME          assemble to ELF; --out FILE writes it (default NAME.elf)
-  disasm NAME            print the loaded image's labelled disassembly
+  disasm NAME            print the assembled text's labelled disassembly
   run NAME               execute once per thread on the rv64 interpreter;
                          exits non-zero if any thread fails
   xval [NAME]            cross-validate captured vs modeled address streams
@@ -995,6 +995,12 @@ fn guest_main(args: &[String]) {
             .first()
             .unwrap_or_else(|| usage_error("this guest action needs a program NAME"))
     };
+    let guest_object = |spec: &mac_guest::ProgramSpec| {
+        spec.object().unwrap_or_else(|e| {
+            eprintln!("mac-bench: assemble failed: {e}");
+            exit(1);
+        })
+    };
 
     match action.as_str() {
         "list" => {
@@ -1010,10 +1016,8 @@ fn guest_main(args: &[String]) {
         }
         "assemble" => {
             let spec = guest_spec(one_name());
-            let bytes = spec.elf_bytes().unwrap_or_else(|e| {
-                eprintln!("mac-bench: assemble failed: {e}");
-                exit(1);
-            });
+            let obj = guest_object(spec);
+            let bytes = mac_guest::write_elf(&obj);
             let path = cli
                 .out
                 .unwrap_or_else(|| PathBuf::from(format!("{}.elf", spec.name)));
@@ -1025,25 +1029,17 @@ fn guest_main(args: &[String]) {
                 "mac-bench: wrote {} ({} bytes, entry {:#x})",
                 path.display(),
                 bytes.len(),
-                spec.load().expect("just assembled").entry
+                obj.entry
             );
         }
         "disasm" => {
-            let spec = guest_spec(one_name());
-            let elf = spec.load().unwrap_or_else(|e| {
-                eprintln!("mac-bench: {e}");
-                exit(1);
-            });
-            for line in elf.listing() {
+            for line in guest_object(guest_spec(one_name())).listing() {
                 println!("{line}");
             }
         }
         "run" => {
             let spec = guest_spec(one_name());
-            let elf = spec.load().unwrap_or_else(|e| {
-                eprintln!("mac-bench: {e}");
-                exit(1);
-            });
+            let obj = guest_object(spec);
             let cfg = mac_guest::GuestConfig {
                 mem_bytes: spec.mem_bytes(cli.params.threads, cli.params.scale),
                 max_steps: spec.max_steps(cli.params.scale),
@@ -1057,10 +1053,7 @@ fn guest_main(args: &[String]) {
                     scale: cli.params.scale as u64,
                     seed: cli.params.seed,
                 };
-                let run = mac_guest::run_guest(&elf, &ga, &cfg).unwrap_or_else(|e| {
-                    eprintln!("mac-bench: {e}");
-                    exit(1);
-                });
+                let run = mac_guest::run_guest(&obj, &ga, &cfg);
                 let ok = run.exit.is_success();
                 failed |= !ok;
                 println!(

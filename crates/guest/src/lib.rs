@@ -5,15 +5,12 @@
 //! trace to the simulator (§5.1). This crate closes the same loop for the
 //! in-repo toolchain:
 //!
-//! * [`gasm`] — a section-aware assembler over the rv64 crate's parser:
-//!   `.text`/`.data` sections, symbols, `la`, and label branches with
-//!   convergence-based relaxation (short branch ↔ inverted-branch+`jal`).
-//! * [`elf`] — an ELF64 writer for assembled objects and a loader that
-//!   maps `PT_LOAD` segments into the rv64 [`rv64_sim::FlatMemory`].
-//! * [`runtime`] — a deterministic guest runtime: a 4-call ecall ABI
-//!   (exit / putchar / retired-count / trace-marker), a step budget, and
-//!   memory-access capture into the SoC's [`soc_sim::ThreadOp`]
-//!   vocabulary.
+//! * [`elf`] — an ELF64 writer for the [`rv64_sim::Object`]s the rv64
+//!   assembler places (`mac-bench guest assemble`).
+//! * [`runtime`] — a deterministic guest runtime that runs an assembled
+//!   object on one hart: a 4-call ecall ABI (exit / putchar /
+//!   retired-count / trace-marker), a step budget, and memory-access
+//!   capture into the SoC's [`soc_sim::ThreadOp`] vocabulary.
 //! * [`programs`] — the shipped guest kernels (checked-in `.s` sources,
 //!   assembled at build/test time) and [`programs::capture_traces`], the
 //!   bridge that runs one guest binary per simulated thread.
@@ -24,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod elf;
-pub mod gasm;
 pub mod programs;
 pub mod runtime;
 pub mod xval;
 
-pub use elf::{load_elf, write_elf, LoadedElf, Segment};
-pub use gasm::{assemble_object, Object, Symbol, TEXT_BASE};
+pub use elf::write_elf;
 pub use programs::{capture_traces, program_by_name, shipped_programs, ProgramSpec};
 pub use runtime::{run_guest, GuestArgs, GuestConfig, GuestExit, GuestRun, STACK_TOP};
 pub use xval::{cross_validate, TraceProfile, XvalCheck, XvalReport, XvalTolerances};

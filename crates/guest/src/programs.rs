@@ -5,9 +5,8 @@
 //! runtime needs and — for the kernels that reproduce a modeled
 //! workload — the name of that counterpart for cross-validation.
 
-use crate::elf::{load_elf, write_elf, LoadedElf};
-use crate::gasm::{assemble_object, Object};
 use crate::runtime::{run_guest, GuestArgs, GuestConfig};
+use rv64_sim::{assemble_object, Object};
 use soc_sim::ThreadOp;
 
 /// A shipped guest kernel: source plus runtime budgets.
@@ -47,18 +46,6 @@ impl ProgramSpec {
     /// Assemble the source into a placed object.
     pub fn object(&self) -> Result<Object, String> {
         assemble_object(self.source).map_err(|e| format!("{}: {e}", self.name))
-    }
-
-    /// Assemble and serialize to an ELF image.
-    pub fn elf_bytes(&self) -> Result<Vec<u8>, String> {
-        Ok(write_elf(&self.object()?))
-    }
-
-    /// Assemble, serialize, and re-load (the exact path `mac-bench
-    /// guest run` and the workload bridge use — the ELF trip is never
-    /// skipped).
-    pub fn load(&self) -> Result<LoadedElf, String> {
-        load_elf(&self.elf_bytes()?).map_err(|e| format!("{}: {e}", self.name))
     }
 }
 
@@ -121,15 +108,15 @@ pub fn program_by_name(name: &str) -> Option<&'static ProgramSpec> {
 /// per-thread [`ThreadOp`] traces — the guest-side equivalent of a
 /// modeled workload's `generate`.
 ///
-/// The full toolchain path runs every time: assemble → ELF → load →
-/// execute. Fails unless every thread exits cleanly with status 0.
+/// Assembles the source once and runs the object on every thread.
+/// Fails unless every thread exits cleanly with status 0.
 pub fn capture_traces(
     spec: &ProgramSpec,
     threads: usize,
     scale: u32,
     seed: u64,
 ) -> Result<Vec<Vec<ThreadOp>>, String> {
-    let elf = spec.load()?;
+    let obj = spec.object()?;
     let cfg = GuestConfig {
         mem_bytes: spec.mem_bytes(threads, scale),
         max_steps: spec.max_steps(scale),
@@ -143,7 +130,7 @@ pub fn capture_traces(
             scale: scale as u64,
             seed,
         };
-        let run = run_guest(&elf, &args, &cfg)?;
+        let run = run_guest(&obj, &args, &cfg);
         if !run.exit.is_success() {
             return Err(format!(
                 "{} thread {tid}: guest did not exit cleanly: {}",
@@ -161,17 +148,17 @@ mod tests {
     use crate::xval::{cross_validate, TraceProfile, XvalTolerances};
 
     #[test]
-    fn every_shipped_program_assembles_to_a_loadable_elf() {
+    fn every_shipped_program_fits_its_memory_budget() {
         for spec in shipped_programs() {
             let obj = spec.object().expect(spec.name);
             assert!(!obj.text.is_empty(), "{}: empty text", spec.name);
-            let loaded = spec.load().expect(spec.name);
-            assert_eq!(loaded.entry, obj.entry, "{}", spec.name);
-            assert!(
-                loaded.mem_floor() <= spec.mem_bytes(8, 1) as u64,
-                "{}: budget below segment end",
-                spec.name
-            );
+            for (base, bytes) in obj.sections() {
+                assert!(
+                    base + bytes.len() as u64 <= spec.mem_bytes(8, 1) as u64,
+                    "{}: budget below section end",
+                    spec.name
+                );
+            }
         }
     }
 

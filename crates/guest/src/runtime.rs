@@ -1,4 +1,4 @@
-//! Deterministic guest runtime: load, run, capture.
+//! Deterministic guest runtime: place, run, capture.
 //!
 //! A guest binary runs on one rv64 hart with a private flat memory and a
 //! tiny ecall ABI (selector in `a7`, argument/result in `a0`):
@@ -18,9 +18,7 @@
 //! exhaustion) is a deterministic, reportable [`GuestExit`] — never a
 //! host panic.
 
-use crate::elf::LoadedElf;
-use mac_types::{MemOpKind, PhysAddr};
-use rv64_sim::{Cpu, ExecResult, FlatMemory, MemEvent, MemEventKind, Reg, Trap};
+use rv64_sim::{Cpu, ExecResult, FlatMemory, MemEvent, Object, Reg, Trap};
 use soc_sim::ThreadOp;
 
 /// `exit(status)` — terminate the guest.
@@ -42,7 +40,7 @@ const SP: Reg = Reg(2);
 /// Runtime limits for one guest execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuestConfig {
-    /// Guest main-memory size in bytes (grown to fit the ELF segments).
+    /// Guest main-memory size in bytes (grown to fit the sections).
     pub mem_bytes: usize,
     /// Scratchpad size in bytes.
     pub spm_bytes: usize,
@@ -139,27 +137,19 @@ pub struct GuestRun {
     pub ops: Vec<ThreadOp>,
 }
 
-fn convert(e: MemEvent) -> ThreadOp {
-    let kind = match e.kind {
-        MemEventKind::Load => MemOpKind::Load,
-        MemEventKind::Store => MemOpKind::Store,
-        MemEventKind::Atomic => MemOpKind::Atomic,
-        MemEventKind::Fence => MemOpKind::Fence,
-    };
-    ThreadOp::Mem {
-        addr: PhysAddr::new(e.addr),
-        kind,
+/// Execute an assembled guest to completion under `cfg`, capturing its
+/// memory trace. Memory holds `cfg.mem_bytes`, grown to the end of the
+/// highest non-empty section; guest-side failures end up in
+/// [`GuestRun::exit`].
+pub fn run_guest(obj: &Object, args: &GuestArgs, cfg: &GuestConfig) -> GuestRun {
+    let end = obj
+        .sections()
+        .map(|(base, bytes)| base + bytes.len() as u64);
+    let mut mem = FlatMemory::new((cfg.mem_bytes as u64).max(end.max().unwrap_or(0)) as usize);
+    for (base, bytes) in obj.sections() {
+        mem.load_image(base, bytes);
     }
-}
-
-/// Execute a loaded guest binary to completion under `cfg`, capturing
-/// its memory trace. Errors only on setup problems (unloadable image);
-/// guest-side failures end up in [`GuestRun::exit`].
-pub fn run_guest(elf: &LoadedElf, args: &GuestArgs, cfg: &GuestConfig) -> Result<GuestRun, String> {
-    let mem_bytes = (cfg.mem_bytes as u64).max(elf.mem_floor()) as usize;
-    let mut mem = FlatMemory::new(mem_bytes);
-    elf.load_into(&mut mem)?;
-    let mut cpu = Cpu::new(elf.entry, cfg.spm_bytes);
+    let mut cpu = Cpu::new(obj.entry, cfg.spm_bytes);
     cpu.set_reg(SP, STACK_TOP);
     cpu.set_reg(Reg(10), args.tid);
     cpu.set_reg(Reg(11), args.nthreads);
@@ -191,7 +181,7 @@ pub fn run_guest(elf: &LoadedElf, args: &GuestArgs, cfg: &GuestConfig) -> Result
                     computed += 1;
                 } else {
                     flush_compute(&mut run.ops, &mut computed);
-                    run.ops.extend(events.drain(..).map(convert));
+                    run.ops.extend(events.drain(..).map(ThreadOp::from));
                 }
             }
             ExecResult::Trap(t) => {
@@ -228,22 +218,21 @@ pub fn run_guest(elf: &LoadedElf, args: &GuestArgs, cfg: &GuestConfig) -> Result
     }
     flush_compute(&mut run.ops, &mut computed);
     run.retired = cpu.retired;
-    Ok(run)
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elf::{load_elf, write_elf};
-    use crate::gasm::assemble_object;
-    use rv64_sim::TrapKind;
+    use mac_types::MemOpKind;
+    use rv64_sim::{assemble_object, TrapKind};
 
-    fn load(src: &str) -> LoadedElf {
-        load_elf(&write_elf(&assemble_object(src).unwrap())).unwrap()
+    fn load(src: &str) -> Object {
+        assemble_object(src).unwrap()
     }
 
     fn run(src: &str) -> GuestRun {
-        run_guest(&load(src), &GuestArgs::default(), &GuestConfig::default()).unwrap()
+        run_guest(&load(src), &GuestArgs::default(), &GuestConfig::default())
     }
 
     #[test]
@@ -360,8 +349,7 @@ mod tests {
                 max_steps: 1000,
                 ..GuestConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(r.exit, GuestExit::OutOfSteps);
         assert_eq!(r.steps, 1000);
         assert_eq!(r.exit.code(), 6);
@@ -391,7 +379,7 @@ mod tests {
             scale: 2,
             seed: 0xBEEF,
         };
-        let r = run_guest(&elf, &args, &GuestConfig::default()).unwrap();
+        let r = run_guest(&elf, &args, &GuestConfig::default());
         assert!(r.exit.is_success());
         assert_eq!(r.markers, vec![3, 8, 2, 0xBEEF]);
     }

@@ -13,8 +13,11 @@
 //!   scratchpad instructions (`spm.fetch` / `spm.flush`) mirroring the
 //!   paper's SPM-management ISA extension.
 //! * [`mod@decode`] / [`mod@encode`] — binary ↔ decoded forms, round-trip tested.
-//! * [`asm`] — a two-pass assembler with labels and common pseudo-ops so
-//!   examples and tests can express kernels in readable assembly.
+//! * [`asm`] — the assembler: labels, pseudo-ops, `.text`/`.data`
+//!   sections and symbols, with convergence-based branch relaxation and
+//!   every value range-checked. [`assemble`] gives the flat image tests
+//!   and examples run at address 0; [`assemble_object`] the placed
+//!   [`Object`] guest binaries run from.
 //! * [`cpu`] — the hart: fetch/decode/execute over a flat main memory plus
 //!   a per-hart scratchpad region. Main-memory accesses emit
 //!   [`trace::MemEvent`]s; scratchpad accesses do not (they are node-local
@@ -33,7 +36,7 @@ pub mod encode;
 pub mod isa;
 pub mod trace;
 
-pub use asm::{assemble, li_items, parse_line, AsmItem};
+pub use asm::{assemble, assemble_object, Object, Symbol};
 pub use cpu::{Cpu, ExecResult, FlatMemory, Memory, Trap, TrapKind};
 pub use decode::decode;
 pub use disasm::{disassemble, disassemble_image};

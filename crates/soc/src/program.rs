@@ -27,6 +27,22 @@ pub enum ThreadOp {
     Done,
 }
 
+impl From<MemEvent> for ThreadOp {
+    /// A hart's main-memory event as the access a core issues.
+    fn from(e: MemEvent) -> Self {
+        let kind = match e.kind {
+            MemEventKind::Load => MemOpKind::Load,
+            MemEventKind::Store => MemOpKind::Store,
+            MemEventKind::Atomic => MemOpKind::Atomic,
+            MemEventKind::Fence => MemOpKind::Fence,
+        };
+        ThreadOp::Mem {
+            addr: PhysAddr::new(e.addr),
+            kind,
+        }
+    }
+}
+
 /// A source of thread operations.
 pub trait ThreadProgram: Send {
     /// The next operation. Must return [`ThreadOp::Done`] forever once
@@ -116,25 +132,12 @@ impl Rv64Program {
     pub fn cpu(&self) -> &Cpu {
         &self.cpu
     }
-
-    fn convert(e: MemEvent) -> ThreadOp {
-        let kind = match e.kind {
-            MemEventKind::Load => MemOpKind::Load,
-            MemEventKind::Store => MemOpKind::Store,
-            MemEventKind::Atomic => MemOpKind::Atomic,
-            MemEventKind::Fence => MemOpKind::Fence,
-        };
-        ThreadOp::Mem {
-            addr: PhysAddr::new(e.addr),
-            kind,
-        }
-    }
 }
 
 impl ThreadProgram for Rv64Program {
     fn next_op(&mut self) -> ThreadOp {
         if let Some(e) = self.queued.pop_front() {
-            return Self::convert(e);
+            return e.into();
         }
         if self.finished {
             return ThreadOp::Done;
@@ -165,7 +168,7 @@ impl ThreadProgram for Rv64Program {
         if computed > 0 {
             ThreadOp::Compute(computed)
         } else if let Some(e) = self.queued.pop_front() {
-            Self::convert(e)
+            e.into()
         } else {
             ThreadOp::Done
         }

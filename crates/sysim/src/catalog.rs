@@ -1035,8 +1035,7 @@ pub(crate) fn smoke(ctx: &ExpCtx) -> Vec<Artifact> {
 
 pub(crate) fn guest_smoke(ctx: &ExpCtx) -> Vec<Artifact> {
     // Every shipped guest binary through the full engine (assemble →
-    // ELF → rv64 execution → trace capture → SystemSim), with/without
-    // MAC.
+    // rv64 execution → trace capture → SystemSim), with/without MAC.
     let ws = mac_workloads::guest::guest_workloads();
     let pairs = ctx.pool.run_suite_pairs(&ws, &smoke_config(4));
     let rows = pairs

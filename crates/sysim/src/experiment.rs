@@ -1,4 +1,4 @@
-//! Experiment runners: workload → system → report, with parallel sweeps.
+//! Experiment runners: workload → system → report.
 //!
 //! These are the low-level building blocks; batch execution with caching
 //! and work stealing lives in [`crate::engine`].

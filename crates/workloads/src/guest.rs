@@ -2,8 +2,8 @@
 //!
 //! Each [`GuestKernel`] wraps a shipped [`mac_guest::ProgramSpec`] and
 //! satisfies the [`Workload`] trait by assembling the checked-in `.s`
-//! source to ELF, loading it into the rv64 interpreter, and executing
-//! it once per simulated thread — the captured memory events become
+//! source, placing the object in the rv64 interpreter's memory, and
+//! executing it once per simulated thread — the captured memory events become
 //! the per-thread [`ThreadOp`] streams, exactly like a modeled
 //! kernel's `generate`. Names are `guest_*` and disjoint from the
 //! modeled suite, so cached fingerprints never collide.
